@@ -8,12 +8,15 @@ Subcommands:
   oracle <formula>         bounded semantic validity check
 
 Exit codes: 0 accept/valid/proved, 1 reject/invalid/refuted, 2 errors
-(bad usage, unreadable file, parse failure, oracle bound exceeded).
+(bad usage, unreadable file, parse failure, oracle bound exceeded, input
+nested too deeply, out of memory, step budget exhausted).  An error is
+reported as one line on stderr, never as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .fittings import FITTINGS, FitCert
@@ -24,9 +27,8 @@ from .formulas import (
     render_polarized,
     standard_translation,
 )
-from .kernel import check, trace_lines
+from .kernel import StepBudgetExceeded, check, trace_lines
 from .problems import (
-    ParseError,
     ProblemFile,
     format_problem,
     parse_formula_text,
@@ -43,7 +45,9 @@ from .tableau import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="kcert",
         description="Check and produce proof certificates for modal logic K.",
@@ -128,14 +132,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
+    except (OSError, ValueError, StepBudgetExceeded) as exc:
+        # ValueError covers ParseError, EmitError and the oracle's cap
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -10,13 +10,14 @@ lives at (bind I O).  Accessibility literals are all stored at none.
 A decide tree records one decide per node: the index to decide on, an
 auxiliary index (the closing complement for a leaf, the eigenvariable
 donor for an existential), and the child decides.  Checking never has to
-search: the tree dictates every decide, so a well-formed certificate is
-replayed with zero choice points.
+search: at each decide the certificate names the tree node's index, so a
+well-formed certificate is replayed with zero choice points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .formulas import PolarizedFormula, Term, is_rel_literal
@@ -25,54 +26,159 @@ from .kernel import Fpc
 
 # ---------------------------------------------------------------------------
 # indexes
-
-@dataclass(frozen=True)
-class Eind:
-    def __str__(self) -> str:
-        return "eind"
-
-
-@dataclass(frozen=True)
-class NoIndex:
-    def __str__(self) -> str:
-        return "none"
+#
+# Indexes are hash-consed: eind and none are singletons, and lind, rind
+# and bind look their arguments up in a weak-valued table per class, so
+# two equal indexes are always the same object.  Equality and hashing
+# are therefore identity, O(1) however deep the index.  A table entry
+# goes away with the last index that uses it.
 
 
-@dataclass(frozen=True)
-class Lind:
-    sub: Index
+class Index:
+    """Base of the immutable, hash-consed storage indexes."""
 
-    def __str__(self) -> str:
-        return f"(lind {self.sub})"
+    __slots__ = ("__weakref__",)
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-@dataclass(frozen=True)
-class Rind:
-    sub: Index
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __str__(self) -> str:
-        return f"(rind {self.sub})"
+    def __copy__(self) -> Index:
+        return self
 
+    def __deepcopy__(self, memo: dict) -> Index:
+        return self
 
-@dataclass(frozen=True)
-class Bind:
-    left: Index
-    right: Index
+    def __repr__(self) -> str:
+        return str(self)
 
     def __str__(self) -> str:
-        return f"(bind {self.left} {self.right})"
+        # iterative, so printing never recurses on a deep index; a run
+        # of lind/rind is written in one inner loop
+        out: list[str] = []
+        todo: list[Index | str] = [self]
+        while todo:
+            node = todo.pop()
+            if type(node) is str:
+                out.append(node)
+                continue
+            closers = 0
+            while type(node) is Lind or type(node) is Rind:
+                out.append("(lind " if type(node) is Lind else "(rind ")
+                closers += 1
+                node = node.sub
+            if closers:
+                todo.append(")" * closers)
+            if type(node) is Bind:
+                out.append("(bind ")
+                todo += (")", node.right, " ", node.left)
+            else:
+                out.append("eind" if node is EIND else "none")
+        return "".join(out)
 
 
-Index = Eind | NoIndex | Lind | Rind | Bind
+class _Ref(weakref.ref):
+    """A weak reference that remembers its intern-table key."""
 
-EIND = Eind()
-NONE = NoIndex()
+    __slots__ = ("key",)
+
+
+def _interned(cls: type) -> type:
+    """Give an index class its weak-valued intern table and a register
+    function that enters a new instance under its key."""
+    table: dict[object, _Ref] = {}
+
+    def forget(ref: _Ref) -> None:
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    def register(key: object, obj: Index) -> Index:
+        ref = table[key] = _Ref(obj, forget)
+        ref.key = key
+        return obj
+
+    cls._table = table
+    cls._register = staticmethod(register)
+    return cls
+
+
+class Eind(Index):
+    __slots__ = ()
+
+    def __new__(cls) -> Eind:
+        return EIND
+
+    def __reduce__(self) -> tuple:
+        return Eind, ()
+
+
+class NoIndex(Index):
+    __slots__ = ()
+
+    def __new__(cls) -> NoIndex:
+        return NONE
+
+    def __reduce__(self) -> tuple:
+        return NoIndex, ()
+
+
+class _Unary(Index):
+    __slots__ = ("sub",)
+
+    def __new__(cls, sub: Index) -> _Unary:
+        ref = cls._table.get(sub)
+        if ref is not None:
+            found = ref()
+            if found is not None:
+                return found
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "sub", sub)
+        return cls._register(sub, obj)
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.sub,)
+
+
+@_interned
+class Lind(_Unary):
+    __slots__ = ()
+
+
+@_interned
+class Rind(_Unary):
+    __slots__ = ()
+
+
+@_interned
+class Bind(Index):
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Index, right: Index) -> Bind:
+        key = (left, right)
+        ref = cls._table.get(key)
+        if ref is not None:
+            found = ref()
+            if found is not None:
+                return found
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "left", left)
+        object.__setattr__(obj, "right", right)
+        return cls._register(key, obj)
+
+    def __reduce__(self) -> tuple:
+        return Bind, (self.left, self.right)
+
+
+EIND = object.__new__(Eind)
+NONE = object.__new__(NoIndex)
 
 
 # ---------------------------------------------------------------------------
 # decide trees
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecTree:
     decide_on: Index
     aux: Index
@@ -95,7 +201,7 @@ def tree_leaves(tree: DecTree) -> list[DecTree]:
 # ---------------------------------------------------------------------------
 # certificate state
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitCert:
     """Checker-side state: indexes waiting to be handed to stores, the
     decide (sub)tree still to replay, and universal-index-to-eigenvariable
@@ -114,9 +220,9 @@ class FitCert:
 class FittingsFpc(Fpc):
     """Replay a decide tree, refusing every step the tree does not name."""
 
-    def decide_e(self, cert: object, index: object) -> Iterable[object]:
-        if isinstance(cert, FitCert) and index == cert.tree.decide_on:
-            yield replace(cert, pending=())
+    def decide_e(self, cert: object) -> Iterable[tuple[object, object]]:
+        if isinstance(cert, FitCert):
+            yield cert.tree.decide_on, FitCert((), cert.tree, cert.eigmap)
 
     def release_e(self, cert: object) -> Iterable[object]:
         if isinstance(cert, FitCert):
@@ -128,10 +234,10 @@ class FittingsFpc(Fpc):
         if is_rel_literal(formula):
             yield NONE, cert
         elif cert.pending:
-            yield cert.pending[0], replace(cert, pending=cert.pending[1:])
+            yield cert.pending[0], FitCert(cert.pending[1:], cert.tree, cert.eigmap)
 
     def initial_e(self, cert: object, index: object) -> bool:
-        return isinstance(cert, FitCert) and index == cert.tree.aux
+        return isinstance(cert, FitCert) and index is cert.tree.aux
 
     def orneg_c(self, cert: object) -> Iterable[object]:
         if not isinstance(cert, FitCert):
@@ -168,7 +274,10 @@ class FittingsFpc(Fpc):
         if isinstance(cert, FitCert):
             # the left premise is the accessibility literal of a diamond;
             # its complement sits at none, so point the aux there
-            yield replace(cert, tree=replace(cert.tree, aux=NONE)), cert
+            tree = cert.tree
+            yield (FitCert(cert.pending, DecTree(tree.decide_on, NONE, tree.children),
+                           cert.eigmap),
+                   cert)
 
     def some_e(self, cert: object) -> Iterable[tuple[Term, object]]:
         if not isinstance(cert, FitCert) or cert.pending or not cert.tree.children:
@@ -176,7 +285,7 @@ class FittingsFpc(Fpc):
         i, aux = cert.tree.decide_on, cert.tree.aux
         child = cert.tree.children[0]
         for key, eigen in cert.eigmap:
-            if key == aux:
+            if key is aux:
                 yield eigen, FitCert((Bind(i, aux),), child, cert.eigmap)
 
 

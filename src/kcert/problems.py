@@ -16,6 +16,7 @@ Whitespace is free-form and ; starts a comment running to end of line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .fittings import Bind, DecTree, EIND, FitCert, Index, Lind, NONE, Rind
@@ -40,98 +41,93 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# scanner
+#
+# One compiled pattern splits the whole text: each match skips blanks and
+# comments, then captures a token, a stray character, or the empty string
+# at the end.  Tokens stay plain strings; a quoted string keeps its
+# quotes, so it can never be mistaken for a word or a parenthesis.  Line
+# and column are worked out from the offset only when an error is raised.
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
-    is_string: bool = False
+_TOKEN = re.compile(r'[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*'
+                    r'([()+\-]|\w+|"[^"\n]*"|[^ \t\r\n;]|\Z)')
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("newline in string", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            toks.append(_Tok(text[i + 1:j], start_line, start_col, is_string=True))
-            col += j - i + 1
-            i = j + 1
-        elif ch in "+-" or ch.isalnum() or ch == "_":
-            j = i
-            if ch in "+-":
-                j = i + 1
-            else:
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-            toks.append(_Tok(text[i:j], line, col))
-            col += j - i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    return toks
+def _is_stray(tok: str) -> bool:
+    return len(tok) == 1 and tok not in "()+-_" and not tok.isalnum()
+
+
+def _is_string(tok: str) -> bool:
+    return tok[:1] == '"'
+
+
+def _text(tok: str) -> str:
+    """A token as error messages quote it: strings without their quotes."""
+    return tok[1:-1] if _is_string(tok) else tok
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 # ---------------------------------------------------------------------------
-# recursive-descent parser
+# recursive-descent parser; indexes and dectrees use an explicit stack
 
 class _Parser:
-    def __init__(self, toks: list[_Tok], end_line: int):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks: list[str] = _TOKEN.findall(text)
+        while self.toks and not self.toks[-1]:
+            self.toks.pop()  # the empty matches at the end of the text
         self.pos = 0
-        self.end_line = end_line
+        stray = [tok for tok in set(self.toks) if _is_stray(tok)]
+        if stray:
+            self.pos = min(self.toks.index(tok) for tok in stray)
+            raise self._stray_error()
+
+    def _offset(self, pos: int) -> int:
+        for k, match in enumerate(_TOKEN.finditer(self.text)):
+            if k == pos:
+                return match.start(1)
+        raise IndexError(pos)
+
+    def _stray_error(self) -> ParseError:
+        start = self._offset(self.pos)
+        ch = self.text[start]
+        close = self.text.find('"', start + 1)
+        newline = self.text.find("\n", start + 1)
+        if ch != '"':
+            message = f"unexpected character {ch!r}"
+        elif newline != -1 and (close == -1 or newline < close):
+            message = "newline in string"
+        else:
+            message = "unterminated string"
+        return ParseError(message, *_line_col(self.text, start))
 
     def error(self, message: str) -> ParseError:
         if self.pos < len(self.toks):
-            t = self.toks[self.pos]
-            return ParseError(message, t.line, t.col)
-        return ParseError(message + " (at end of input)", self.end_line, 1)
+            return ParseError(message, *_line_col(self.text, self._offset(self.pos)))
+        return ParseError(message + " (at end of input)", self.text.count("\n") + 1, 1)
 
-    def peek(self) -> _Tok | None:
+    def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
     def at_open(self) -> bool:
-        t = self.peek()
-        return t is not None and t.text == "(" and not t.is_string
+        return self.peek() == "("
 
-    def next(self, expect: str | None = None) -> _Tok:
+    def next(self, expect: str | None = None) -> str:
         t = self.peek()
         if t is None:
             raise self.error(f"expected {expect or 'more input'}")
-        if expect is not None and (t.text != expect or t.is_string):
-            raise self.error(f"expected {expect!r}, found {t.text!r}")
+        if expect is not None and t != expect:
+            raise self.error(f"expected {expect!r}, found {_text(t)!r}")
         self.pos += 1
         return t
 
-    def word(self, what: str) -> _Tok:
+    def word(self, what: str) -> str:
         t = self.peek()
-        if t is None or t.is_string or t.text in "()":
+        if t is None or _is_string(t) or t in ("(", ")"):
             raise self.error(f"expected {what}")
         self.pos += 1
         return t
@@ -140,14 +136,14 @@ class _Parser:
         self.next("(")
         self.next("problem")
         name = self.peek()
-        if name is None or not name.is_string:
+        if name is None or not _is_string(name):
             raise self.error("expected a quoted problem name")
         self.pos += 1
         theorem = self.formula()
         cert = self.certificate()
         self.next(")")
         self.finish()
-        return ProblemFile(name.text, theorem, cert)
+        return ProblemFile(_text(name), theorem, cert)
 
     def finish(self) -> None:
         if self.peek() is not None:
@@ -156,32 +152,31 @@ class _Parser:
     def formula(self) -> ModalFormula:
         self.next("(")
         head = self.word("a connective: + - and or box dia")
-        if head.text in ("+", "-"):
+        if head in ("+", "-"):
             sym = self.word("an atom name")
-            out: ModalFormula = (PosAtom(sym.text) if head.text == "+"
-                                 else NegAtom(sym.text))
-        elif head.text == "and":
+            out: ModalFormula = PosAtom(sym) if head == "+" else NegAtom(sym)
+        elif head == "and":
             out = And(self.formula(), self.formula())
-        elif head.text == "or":
+        elif head == "or":
             out = Or(self.formula(), self.formula())
-        elif head.text == "box":
+        elif head == "box":
             out = Box(self.formula())
-        elif head.text == "dia":
+        elif head == "dia":
             out = Dia(self.formula())
         else:
             self.pos -= 1
-            raise self.error(f"unknown connective {head.text!r}")
+            raise self.error(f"unknown connective {head!r}")
         self.next(")")
         return out
 
     def certificate(self) -> Certificate:
         self.next("(")
         head = self.word("a certificate kind: fittings or simpfit")
-        if head.text == "fittings":
+        if head == "fittings":
             tree = self.dectree()
             self.next(")")
             return FitCert.load(tree)
-        if head.text == "simpfit":
+        if head == "simpfit":
             self.next("(")
             self.next("closures")
             closures = []
@@ -199,7 +194,7 @@ class _Parser:
                 tuple(Closure(a, b) for a, b in closures),
                 tuple(BoxInfo(a, b) for a, b in boxinfos))
         self.pos -= 1
-        raise self.error(f"unknown certificate kind {head.text!r}")
+        raise self.error(f"unknown certificate kind {head!r}")
 
     def pair(self, tag: str) -> tuple[Index, Index]:
         self.next("(")
@@ -210,53 +205,75 @@ class _Parser:
         return a, b
 
     def dectree(self) -> DecTree:
-        self.next("(")
-        self.next("dt")
-        decide_on = self.index()
-        aux = self.index()
-        self.next("(")
-        children = []
-        while self.at_open():
-            children.append(self.dectree())
-        self.next(")")
-        self.next(")")
-        return DecTree(decide_on, aux, tuple(children))
+        # each open node: its decide index, its aux, the children so far
+        open_nodes: list[tuple[Index, Index, list[DecTree]]] = []
+        while True:
+            self.next("(")
+            self.next("dt")
+            decide_on = self.index()
+            aux = self.index()
+            self.next("(")
+            open_nodes.append((decide_on, aux, []))
+            while not self.at_open():
+                self.next(")")
+                self.next(")")
+                decide_on, aux, children = open_nodes.pop()
+                node = DecTree(decide_on, aux, tuple(children))
+                if not open_nodes:
+                    return node
+                open_nodes[-1][2].append(node)
 
     def index(self) -> Index:
-        t = self.peek()
-        if t is None:
-            raise self.error("expected an index")
-        if t.text == "eind" and not t.is_string:
-            self.pos += 1
-            return EIND
-        if t.text == "none" and not t.is_string:
-            self.pos += 1
-            return NONE
-        self.next("(")
-        head = self.word("an index constructor: lind rind bind")
-        if head.text == "lind":
-            out: Index = Lind(self.index())
-        elif head.text == "rind":
-            out = Rind(self.index())
-        elif head.text == "bind":
-            out = Bind(self.index(), self.index())
-        else:
-            self.pos -= 1
-            raise self.error(f"unknown index constructor {head.text!r}")
-        self.next(")")
-        return out
+        toks, pos, n = self.toks, self.pos, len(self.toks)
+        # each open constructor: its class, then the arguments read so far
+        open_ctors: list[list] = []
+        while True:
+            t = toks[pos] if pos < n else None
+            if t == "eind":
+                value: Index = EIND
+                pos += 1
+            elif t == "none":
+                value = NONE
+                pos += 1
+            elif t == "(" and pos + 1 < n and toks[pos + 1] in _INDEX_CTORS:
+                open_ctors.append([_INDEX_CTORS[toks[pos + 1]]])
+                pos += 2
+                continue
+            else:
+                self.pos = pos
+                if t is None:
+                    raise self.error("expected an index")
+                self.next("(")
+                head = self.word("an index constructor: lind rind bind")
+                self.pos -= 1
+                raise self.error(f"unknown index constructor {head!r}")
+            # the value completes the innermost constructor, which may
+            # complete the next one out, and so on
+            while open_ctors:
+                ctor = open_ctors[-1]
+                ctor.append(value)
+                if ctor[0] is Bind and len(ctor) == 2:
+                    break
+                if pos >= n or toks[pos] != ")":
+                    self.pos = pos
+                    self.next(")")
+                pos += 1
+                open_ctors.pop()
+                value = ctor[0](*ctor[1:])
+            else:
+                self.pos = pos
+                return value
 
 
-def _parser_for(text: str) -> _Parser:
-    return _Parser(_tokenize(text), end_line=text.count("\n") + 1)
+_INDEX_CTORS = {"lind": Lind, "rind": Rind, "bind": Bind}
 
 
 def parse_problem(text: str) -> ProblemFile:
-    return _parser_for(text).problem()
+    return _Parser(text).problem()
 
 
 def parse_formula_text(text: str) -> ModalFormula:
-    p = _parser_for(text)
+    p = _Parser(text)
     out = p.formula()
     p.finish()
     return out
@@ -279,10 +296,6 @@ def format_formula(a: ModalFormula) -> str:
     if isinstance(a, Dia):
         return f"(dia {format_formula(a.body)})"
     raise TypeError(f"not a modal formula: {a!r}")
-
-
-def format_index(index: Index) -> str:
-    return str(index)
 
 
 def format_dectree(tree: DecTree, indent: int = 0) -> str:

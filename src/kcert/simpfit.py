@@ -15,7 +15,7 @@ entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .fittings import Bind, EIND, Index, Lind, NONE, Rind
@@ -23,7 +23,7 @@ from .formulas import NAtom, PolarizedFormula, Term, is_rel_literal
 from .kernel import Fpc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Closure:
     """Complementary pair of storage indexes allowed to close a branch:
     left is the positive literal decided on, right its stored complement."""
@@ -35,7 +35,7 @@ class Closure:
         return f"(cl {self.left} {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxInfo:
     """One permitted instantiation: the existential at ex may use the
     eigenvariable introduced by the universal at univ."""
@@ -47,7 +47,7 @@ class BoxInfo:
         return f"(bi {self.ex} {self.univ})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpfitCert:
     """Checker-side state.  flag is 1 right after a decide, telling the
     first connective rule of the bipole to mint child indexes; pending
@@ -71,6 +71,12 @@ def _drop_at(items: tuple, pos: int) -> tuple:
     return items[:pos] + items[pos + 1:]
 
 
+def _state(cert: SimpfitCert, flag: int, pending: tuple[Index, ...],
+           usable: tuple[Index, ...]) -> SimpfitCert:
+    """cert with a new flag, pending indexes and tokens."""
+    return SimpfitCert(flag, pending, cert.closures, cert.boxinfos, cert.eigmap, usable)
+
+
 class SimpfitFpc(Fpc):
     """Reconstruct a proof guided only by closures and boxinfos."""
 
@@ -78,16 +84,20 @@ class SimpfitFpc(Fpc):
     # first finds reconstructions sooner
     decide_newest_first = True
 
-    def decide_e(self, cert: object, index: object) -> Iterable[object]:
+    def decide_e(self, cert: object) -> Iterable[tuple[object, object]]:
         if not isinstance(cert, SimpfitCert):
             return
-        for pos, token in enumerate(cert.usable):
-            if token == index:
-                yield replace(cert, flag=1, pending=(index,),
-                              usable=_drop_at(cert.usable, pos))
-                break
-        if index == NONE:
-            yield replace(cert, flag=1, pending=(NONE,))
+        # each distinct token once, spending its first occurrence; none
+        # last, spending its token before the free decide
+        usable = cert.usable
+        seen = {NONE}
+        for pos, token in enumerate(usable):
+            if token not in seen:
+                seen.add(token)
+                yield token, _state(cert, 1, (token,), _drop_at(usable, pos))
+        if NONE in usable:
+            yield NONE, _state(cert, 1, (NONE,), _drop_at(usable, usable.index(NONE)))
+        yield NONE, _state(cert, 1, (NONE,), usable)
 
     def release_e(self, cert: object) -> Iterable[object]:
         if isinstance(cert, SimpfitCert):
@@ -97,21 +107,20 @@ class SimpfitFpc(Fpc):
         if not isinstance(cert, SimpfitCert):
             return
         if is_rel_literal(formula):
-            yield NONE, replace(cert, flag=0)
+            yield NONE, _state(cert, 0, cert.pending, cert.usable)
         elif cert.pending:
             head, rest = cert.pending[0], cert.pending[1:]
             if isinstance(formula, NAtom):
                 # negative literals can never be decided on: no token
-                yield head, replace(cert, flag=0, pending=rest)
+                yield head, _state(cert, 0, rest, cert.usable)
             else:
-                yield head, replace(cert, flag=0, pending=rest,
-                                    usable=(head,) + cert.usable)
+                yield head, _state(cert, 0, rest, (head,) + cert.usable)
 
     def initial_e(self, cert: object, index: object) -> bool:
         if not isinstance(cert, SimpfitCert) or not cert.pending:
             return False
         here = cert.pending[0]
-        if index == NONE:
+        if index is NONE:
             return True
         return (Closure(here, index) in cert.closures
                 or Closure(index, here) in cert.closures)
@@ -121,7 +130,7 @@ class SimpfitFpc(Fpc):
             return
         if cert.flag == 1 and len(cert.pending) == 1:
             i = cert.pending[0]
-            yield replace(cert, flag=0, pending=(Lind(i), Rind(i)))
+            yield _state(cert, 0, (Lind(i), Rind(i)), cert.usable)
         elif cert.flag == 0:
             yield cert
 
@@ -130,8 +139,8 @@ class SimpfitFpc(Fpc):
             return
         if cert.flag == 1 and len(cert.pending) == 1:
             i = cert.pending[0]
-            yield (replace(cert, flag=0, pending=(Lind(i),)),
-                   replace(cert, flag=0, pending=(Rind(i),)))
+            yield (_state(cert, 0, (Lind(i),), cert.usable),
+                   _state(cert, 0, (Rind(i),), cert.usable))
         elif cert.flag == 0:
             yield cert, cert
 
@@ -141,14 +150,14 @@ class SimpfitFpc(Fpc):
         i = cert.pending[0]
 
         def bind_eigen(eigen: Term) -> SimpfitCert:
-            return replace(cert, flag=0, pending=(Lind(i),),
-                           eigmap=((i, eigen),) + cert.eigmap)
+            return SimpfitCert(0, (Lind(i),), cert.closures, cert.boxinfos,
+                               ((i, eigen),) + cert.eigmap, cert.usable)
 
         yield bind_eigen
 
     def andpos_e(self, cert: object) -> Iterable[tuple[object, object]]:
         if isinstance(cert, SimpfitCert):
-            both = replace(cert, flag=0)
+            both = _state(cert, 0, cert.pending, cert.usable)
             yield both, both
 
     def some_e(self, cert: object) -> Iterable[tuple[Term, object]]:
@@ -157,14 +166,13 @@ class SimpfitFpc(Fpc):
         i = cert.pending[0]
         for key, eigen in cert.eigmap:
             for pos, info in enumerate(cert.boxinfos):
-                if info.ex == i and info.univ == key:
+                if info.ex is i and info.univ is key:
                     # consume the instantiation but hand back a decide
                     # token, so the same diamond may fire again under a
                     # different boxinfo entry
-                    yield eigen, replace(
-                        cert, flag=0, pending=(Bind(i, key),),
-                        boxinfos=_drop_at(cert.boxinfos, pos),
-                        usable=(i,) + cert.usable)
+                    yield eigen, SimpfitCert(
+                        0, (Bind(i, key),), cert.closures,
+                        _drop_at(cert.boxinfos, pos), cert.eigmap, (i,) + cert.usable)
 
 
 SIMPFIT = SimpfitFpc()

@@ -336,11 +336,9 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
 
     def _async(wb, theta, cert, k) -> bool:
         if not wb:
-            for idx, g in theta:
-                if not is_positive(g):
-                    continue
-                for c2 in fpc.decide_e(cert, idx):
-                    if sync_ok(g, theta, c2, k):
+            for named, c2 in fpc.decide_e(cert):
+                for idx, g in theta:
+                    if idx == named and is_positive(g) and sync_ok(g, theta, c2, k):
                         return True
             for f, cl, cr in fpc.cut_e(cert):
                 if async_ok((f,), theta, cl, k) and \

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from kcert import cli
 from kcert.cli import main
+from kcert.kernel import StepBudgetExceeded
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -101,7 +103,39 @@ class TestOracle:
         assert "capped" in capsys.readouterr().err
 
 
+class TestErrors:
+    """Failures that are not verdicts exit 2 with one line on stderr."""
+
+    def _one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_recursion_limit_is_an_error(self, capsys):
+        deep = "(box " * 2000 + "(+ p)" + ")" * 2000
+        assert main(["translate", deep]) == 2
+        self._one_error_line(capsys)
+
+    def test_step_budget_is_an_error(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise StepBudgetExceeded("gave up after 5 steps")
+        monkeypatch.setattr(cli, "check", exhausted)
+        assert main(["check", str(FIXTURES / "taut.prob")]) == 2
+        self._one_error_line(capsys)
+
+    def test_memory_error_is_an_error(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "parse_problem", exhausted)
+        assert main(["check", str(FIXTURES / "taut.prob")]) == 2
+        self._one_error_line(capsys)
+
+
 class TestUsage:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
     def test_no_arguments(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

@@ -1,6 +1,13 @@
 """The decide-tree certificate format, clause by clause and end to end."""
 
+import copy
 import dataclasses
+import gc
+import pickle
+import weakref
+from pathlib import Path
+
+import pytest
 
 from kcert.examples import (
     EXAMPLE1_THEOREM,
@@ -16,16 +23,19 @@ from kcert.fittings import (
     Bind,
     DecTree,
     EIND,
+    Eind,
     FITTINGS,
     FitCert,
     Lind,
     NONE,
+    NoIndex,
     Rind,
     node_count,
     tree_leaves,
 )
 from kcert.formulas import Eigen, NAtom, PAtom, REL, W0
 from kcert.kernel import Fpc, check
+from kcert.problems import parse_problem
 from helpers import certificate_mutants
 
 LEAF = DecTree(Lind(EIND), Rind(EIND))
@@ -56,6 +66,60 @@ class TestIndexAlgebra:
         assert tree_leaves(ROOT) == [LEAF]
 
 
+class TestIndexIdentity:
+    """Indexes are hash-consed: equal means identical."""
+
+    def test_equal_indexes_are_one_object(self):
+        assert Lind(EIND) is Lind(EIND)
+        assert Rind(Lind(NONE)) is Rind(Lind(NONE))
+        assert Bind(Lind(EIND), Rind(NONE)) is Bind(Lind(EIND), Rind(NONE))
+        assert Eind() is EIND and NoIndex() is NONE
+        assert Lind(EIND) is not Rind(EIND)
+
+    def test_parsed_indexes_are_the_ones_the_fpc_builds(self):
+        fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+        pf = parse_problem((fixtures / "ftab1.prob").read_text())
+        result = check(pf.theorem, pf.certificate, FITTINGS)
+        assert result.accepted
+        # every store index is built by the FPC's clauses, every decide
+        # index comes straight from the parsed tree
+        stored = [e.arg for e in result.trace if e.kind == "store"]
+        decided = [e.arg for e in result.trace if e.kind == "decide"]
+        assert decided
+        for index in decided:
+            assert any(index is s for s in stored)
+        assert pf.certificate.tree.children[0].decide_on is Lind(EIND)
+
+    def test_copies_and_pickles_keep_identity(self):
+        for index in (EIND, NONE, Lind(EIND), Bind(Lind(EIND), Rind(NONE))):
+            assert copy.copy(index) is index
+            assert copy.deepcopy(index) is index
+            assert pickle.loads(pickle.dumps(index)) is index
+        tree = ftab1_dectree()
+        assert copy.deepcopy(tree).children[0].decide_on is tree.children[0].decide_on
+
+    def test_indexes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Lind(EIND).sub = NONE
+        with pytest.raises(AttributeError):
+            del Bind(EIND, NONE).left
+        with pytest.raises(AttributeError):
+            EIND.extra = 1
+
+    def test_intern_table_lets_unused_indexes_go(self):
+        before = len(Lind._table)
+        index = Bind(NONE, Bind(EIND, NONE))
+        refs = []
+        for _ in range(40):
+            index = Lind(index)
+            refs.append(weakref.ref(index))
+        assert len(Lind._table) == before + 40
+        del index
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(Lind._table) <= before
+
+
 class TestClauses:
     def test_load_seeds_the_entry_index(self):
         assert FitCert.load(ROOT).pending == (EIND,)
@@ -63,8 +127,8 @@ class TestClauses:
 
     def test_decide_matches_only_the_tree_root(self):
         cert = fresh()
-        assert list(FITTINGS.decide_e(cert, EIND)) == [fresh(pending=())]
-        assert list(FITTINGS.decide_e(cert, Lind(EIND))) == []
+        assert list(FITTINGS.decide_e(cert)) == [(EIND, fresh(pending=()))]
+        assert [c for i, c in FITTINGS.decide_e(cert) if i is Lind(EIND)] == []
 
     def test_store_pops_the_pending_head(self):
         cert = fresh(pending=(Lind(EIND), Rind(EIND)))
@@ -143,8 +207,8 @@ class _Spy(Fpc):
         self.max_continuations = max(self.max_continuations, len(got))
         return got
 
-    def decide_e(self, cert, index):
-        return self._see(FITTINGS.decide_e(cert, index))
+    def decide_e(self, cert):
+        return self._see(FITTINGS.decide_e(cert))
 
     def release_e(self, cert):
         return self._see(FITTINGS.release_e(cert))

@@ -12,10 +12,11 @@ from kcert.examples import (
     ftab2_cert,
     ftab2_dectree,
     sftab1_cert,
+    sftab2_cert,
     taut_cert,
     taut_dectree,
 )
-from kcert.fittings import Bind, EIND, FITTINGS, FitCert, Lind, Rind
+from kcert.fittings import Bind, EIND, FITTINGS, FitCert, FittingsFpc, Lind, Rind
 from kcert.formulas import (
     AndPos,
     DelayNeg,
@@ -35,6 +36,7 @@ from kcert.kernel import (
     trace_lines,
     trace_paths,
 )
+from kcert.problems import parse_formula_text
 from kcert.simpfit import SIMPFIT
 from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, prove
 from helpers import (
@@ -47,18 +49,28 @@ from helpers import (
 A = PAtom("a", ())
 NA = NAtom("a", ())
 B = PAtom("b", ())
+NB = NAtom("b", ())
 
 
 class Permissive(Fpc):
-    """Says yes to everything, indexing stores by the stored formula."""
+    """Says yes to everything, indexing stores by the stored formula.
+    It names every index it has ever handed out; the kernel decides on
+    those that hold a positive entry on the current branch."""
 
-    def decide_e(self, cert, index):
-        yield cert
+    def __init__(self):
+        self.handed_out = {}
+
+    def named(self, cert):
+        return [(index, cert) for index in self.handed_out]
+
+    def decide_e(self, cert):
+        return self.named(cert)
 
     def release_e(self, cert):
         yield cert
 
     def store_c(self, cert, formula):
+        self.handed_out[("ix", formula)] = None
         yield ("ix", formula), cert
 
     def initial_e(self, cert, index):
@@ -178,9 +190,10 @@ class TestPhaseRules:
 
     def test_released_negative_is_stored_and_reusable(self):
         class Countdown(Permissive):
-            def decide_e(self, cert, index):
+            def decide_e(self, cert):
                 if cert > 0:
-                    yield cert - 1
+                    return self.named(cert - 1)
+                return ()
 
         entry = (NA, AndPos(A, DelayNeg(A)))
         result = check_polarized(entry, 2, Countdown())
@@ -193,15 +206,17 @@ class TestPhaseRules:
 
     def test_cut(self):
         class CutOnce(Permissive):
-            def decide_e(self, cert, index):
+            def decide_e(self, cert):
                 if cert == "premise":
-                    yield cert
+                    return self.named(cert)
+                return ()
 
             def cut_e(self, cert):
                 if cert == "top":
                     yield NA, "premise", "premise"
 
             def store_c(self, cert, formula):
+                self.handed_out[("ix", formula)] = None
                 yield ("ix", formula), cert
 
         entry = (A, NA)
@@ -232,13 +247,20 @@ class TestDecideOrder:
         log = []
 
         class Probe(Permissive):
+            """Names both atoms, against storage order, and logs each
+            decide the kernel tries at the init that follows it."""
+
             decide_newest_first = newest_first
 
-            def decide_e(self, cert, index):
-                log.append(index)
-                return ()
+            def decide_e(self, cert):
+                for index in (("ix", B), ("ix", A)):
+                    yield index, index
 
-        result = check_polarized((A, B), None, Probe())
+            def initial_e(self, cert, index):
+                log.append(cert)
+                return False
+
+        result = check_polarized((A, B, NA, NB), None, Probe())
         assert not result.accepted
         return log
 
@@ -247,6 +269,75 @@ class TestDecideOrder:
 
     def test_newest_first_when_asked(self):
         assert self._probe(True) == [("ix", B), ("ix", A)]
+
+
+def _chain(op, items):
+    out = items[0]
+    for item in items[1:]:
+        out = f"({op} {out} {item})"
+    return out
+
+
+def _wide(n):
+    """dia ~p0 | ... | dia ~p(n-1) | box (p0 & ... & p(n-1))"""
+    return parse_formula_text(_chain(
+        "or", [f"(dia (- p{i}))" for i in range(n)]
+        + ["(box " + _chain("and", [f"(+ p{i})" for i in range(n)]) + ")"]))
+
+
+WIDE3 = _wide(3)
+
+
+class TestSearchOrder:
+    """Exact step and choice-point counts, recorded before decide-by-name
+    replaced the per-entry poll: any change to the order or number of
+    decide alternatives moves them."""
+
+    @pytest.mark.parametrize("goal,cert,fpc,steps,choice_points", [
+        (EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS, 44, 0),
+        (EXAMPLE2_THEOREM, ftab2_cert(), FITTINGS, 57, 0),
+        (TAUT_THEOREM, taut_cert(), FITTINGS, 9, 0),
+        (EXAMPLE1_THEOREM, sftab1_cert(), SIMPFIT, 48, 15),
+        (EXAMPLE2_THEOREM, sftab2_cert(), SIMPFIT, 60, 11),
+    ], ids=["ftab1", "ftab2", "taut", "sftab1", "sftab2"])
+    def test_pinned_counts(self, goal, cert, fpc, steps, choice_points):
+        result = check(goal, cert, fpc)
+        assert result.accepted
+        assert (result.steps, result.choice_points) == (steps, choice_points)
+
+    def test_wide3_without_its_last_boxinfo(self):
+        # of the six boxinfos only the last is needed, so the search
+        # exhausts every reconstruction before it rejects
+        cert = emit_simpfitcert(prove(WIDE3), WIDE3)
+        mutant = dataclasses.replace(cert, boxinfos=cert.boxinfos[:-1])
+        result = check(WIDE3, mutant, SIMPFIT)
+        assert not result.accepted
+        assert (result.steps, result.choice_points) == (78317, 32764)
+        assert trace_lines(result.trace[-2:]) == [
+            "store (bind (lind (lind (lind eind))) (rind eind))",
+            "decide (rind (lind (lind eind)))"]
+
+
+class TestDecideByName:
+    def test_decide_e_is_called_once_per_decide_point(self):
+        class Counting(FittingsFpc):
+            def __init__(self):
+                self.calls = 0
+
+            def decide_e(self, cert):
+                self.calls += 1
+                return super().decide_e(cert)
+
+        for n in (2, 8, 24):
+            # one branch that stores every disjunct before deciding
+            goal = _wide(n)
+            counting = Counting()
+            result = check(goal, emit_fitcert(prove(goal), goal), counting)
+            assert result.accepted and result.choice_points == 0
+            kinds = [e.kind for e in result.trace]
+            last = len(kinds) - 1 - kinds[::-1].index("decide")
+            assert kinds[:last].count("store") > n
+            assert counting.calls == kinds.count("decide")
 
 
 class TestStorageScope:

@@ -1,5 +1,6 @@
 """Problem-file surface syntax: parser, printer, round trips."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,53 @@ class TestCertificateSyntax:
         assert pf.certificate.closures == (Closure(EIND, Lind(EIND)),)
         assert pf.certificate.boxinfos == \
             (BoxInfo(Rind(EIND), EIND), BoxInfo(EIND, EIND))
+
+
+class TestErrorPositions:
+    """Line and column count every character, tabs included, from the
+    last newline; comments and strings move them like any other text."""
+
+    @pytest.mark.parametrize("text,line,col,message", [
+        ('(problem "x"\n  (+ p)\n  (fittings (dt eind none ()))) junk',
+         3, 33, "trailing input after the closing parenthesis"),
+        ('; header\n(problem "x" ; the name\n  (xor (+ p)))',
+         3, 4, "unknown connective 'xor'"),
+        ('(problem "a b c" (+ p) @)', 1, 24, "unexpected character '@'"),
+        ('(problem\t"x"\t(+ p)\t\t(fittings (dt eind nope ())))',
+         1, 40, "expected '(', found 'nope'"),
+        ('(problem "x"\n\t(+ p)\n\t(fittings (dt (lind (foo eind)) none ())))',
+         3, 23, "unknown index constructor 'foo'"),
+        ('(problem "x" (+ p)\n  ; (with parens) "and a quote\n'
+         '  (simpfit (closures (cl eind "eind")) (boxinfos)))',
+         3, 31, "expected '(', found 'eind'"),
+        ('(problem "x" (+ p)\n  "unterminated', 2, 3, "unterminated string"),
+        ('(problem "x" (+ p)\n  (fittings "new\nline"))', 2, 13, "newline in string"),
+        ('(problem "x" (+ p) (fittings (dt (lind eind none) none ())))',
+         1, 45, "expected ')', found 'none'"),
+        ('(problem "x" (+ p) (fittings (dt (lind eind) none (\n'
+         '  (dt eind none ()) (ft)))))', 2, 22, "expected 'dt', found 'ft'"),
+        ('(problem "x" (+ p)\n  (fittings (dt (lind eind) none ()) ; comment\n',
+         3, 1, "expected ) (at end of input)"),
+    ])
+    def test_line_and_column(self, text, line, col, message):
+        with pytest.raises(ParseError) as info:
+            parse_problem(text)
+        assert (info.value.line, info.value.col) == (line, col)
+        assert str(info.value) == f"line {line}, col {col}: {message}"
+
+
+class TestDeepInput:
+    def test_deep_index_parses_at_the_default_recursion_limit(self):
+        depth = 10_000
+        assert sys.getrecursionlimit() < depth
+        index = "(lind " * depth + "eind" + ")" * depth
+        pf = parse_problem(f'(problem "deep" (+ p) (fittings (dt {index} none ())))')
+        got = pf.certificate.tree.decide_on
+        assert str(got) == index
+        for _ in range(depth):
+            assert isinstance(got, Lind)
+            got = got.sub
+        assert got is EIND
 
 
 class TestRoundTrips:
