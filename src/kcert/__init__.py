@@ -7,6 +7,9 @@ formats are provided, one carrying the full decision tree of a tableau
 refutation and one carrying only its branch closures and box
 instantiations.  A prefixed tableau prover, a bounded semantic oracle,
 and a problem-file front end round out the package.
+
+The names below are the public API; everything else stays importable
+from its submodule.
 """
 
 from .formulas import (
@@ -17,69 +20,35 @@ from .formulas import (
     NegAtom,
     Or,
     PosAtom,
-    atom_names,
-    connective_count,
+    W0,
     delay_if_negative,
-    modal_depth,
-    modal_size,
-    negate_nnf,
-    negate_polarized,
     polarized_translation,
     render_fo,
-    render_modal,
     render_polarized,
     standard_translation,
-    strip_polarities,
-    W0,
 )
 from .kernel import (
     CheckResult,
-    Ev,
     Fpc,
     StepBudgetExceeded,
     check,
     check_polarized,
-    trace_lines,
-    trace_paths,
 )
-from .fittings import (
-    Bind,
-    DecTree,
-    EIND,
-    FITTINGS,
-    FitCert,
-    Index,
-    Lind,
-    NONE,
-    Rind,
-    node_count,
-)
-from .simpfit import (
-    BoxInfo,
-    Closure,
-    SIMPFIT,
-    SimpfitCert,
-)
+from .fittings import FITTINGS, FitCert
+from .simpfit import SIMPFIT, SimpfitCert
 from .tableau import (
     ClosedTableau,
     EmitError,
-    KripkeModel,
     OpenBranch,
     bounded_validity_oracle,
-    emit_dectree,
-    emit_essentials,
     emit_fitcert,
     emit_simpfitcert,
-    eval_fo,
-    eval_modal,
-    find_countermodel,
     format_model,
     prove,
 )
 from .problems import (
     ParseError,
     ProblemFile,
-    format_certificate,
     format_formula,
     format_problem,
     parse_formula_text,
@@ -87,20 +56,13 @@ from .problems import (
 )
 
 __all__ = [
-    "And", "Box", "Dia", "ModalFormula", "NegAtom", "Or", "PosAtom",
-    "atom_names", "connective_count", "delay_if_negative", "modal_depth",
-    "modal_size", "negate_nnf", "negate_polarized", "polarized_translation",
-    "render_fo", "render_modal", "render_polarized", "standard_translation",
-    "strip_polarities", "W0",
-    "CheckResult", "Ev", "Fpc", "StepBudgetExceeded", "check",
-    "check_polarized", "trace_lines", "trace_paths",
-    "Bind", "DecTree", "EIND", "FITTINGS", "FitCert", "Index", "Lind",
-    "NONE", "Rind", "node_count",
-    "BoxInfo", "Closure", "SIMPFIT", "SimpfitCert",
-    "ClosedTableau", "EmitError", "KripkeModel", "OpenBranch",
-    "bounded_validity_oracle", "emit_dectree", "emit_essentials",
-    "emit_fitcert", "emit_simpfitcert", "eval_fo", "eval_modal",
-    "find_countermodel", "format_model", "prove",
-    "ParseError", "ProblemFile", "format_certificate", "format_formula",
-    "format_problem", "parse_formula_text", "parse_problem",
+    "And", "Box", "Dia", "ModalFormula", "NegAtom", "Or", "PosAtom", "W0",
+    "delay_if_negative", "polarized_translation", "render_fo",
+    "render_polarized", "standard_translation",
+    "CheckResult", "Fpc", "StepBudgetExceeded", "check", "check_polarized",
+    "FITTINGS", "FitCert", "SIMPFIT", "SimpfitCert",
+    "ClosedTableau", "EmitError", "OpenBranch", "bounded_validity_oracle",
+    "emit_fitcert", "emit_simpfitcert", "format_model", "prove",
+    "ParseError", "ProblemFile", "format_formula", "format_problem",
+    "parse_formula_text", "parse_problem",
 ]

@@ -19,7 +19,6 @@ import argparse
 import functools
 import sys
 
-from .fittings import FITTINGS, FitCert
 from .formulas import (
     W0,
     polarized_translation,
@@ -34,7 +33,6 @@ from .problems import (
     parse_formula_text,
     parse_problem,
 )
-from .simpfit import SIMPFIT
 from .tableau import (
     OpenBranch,
     bounded_validity_oracle,
@@ -76,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as handle:
         problem = parse_problem(handle.read())
-    fpc = FITTINGS if isinstance(problem.certificate, FitCert) else SIMPFIT
-    result = check(problem.theorem, problem.certificate, fpc)
+    result = check(problem.theorem, problem.certificate)
     if args.trace:
         for line in trace_lines(result.trace):
             print(line)
@@ -96,8 +93,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         cert = emit_simpfitcert(outcome, theorem)
     else:
         cert = emit_fitcert(outcome, theorem)
-    fpc = FITTINGS if isinstance(cert, FitCert) else SIMPFIT
-    if not check(theorem, cert, fpc):
+    if not check(theorem, cert):
         print("internal error: emitted certificate was rejected", file=sys.stderr)
         return 2
     sys.stdout.write(format_problem(ProblemFile("emitted", theorem, cert)))

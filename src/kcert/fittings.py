@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 from .formulas import PolarizedFormula, Term, is_rel_literal
 from .kernel import Fpc
@@ -189,15 +189,6 @@ def node_count(tree: DecTree) -> int:
     return 1 + sum(node_count(child) for child in tree.children)
 
 
-def tree_leaves(tree: DecTree) -> list[DecTree]:
-    if not tree.children:
-        return [tree]
-    out: list[DecTree] = []
-    for child in tree.children:
-        out.extend(tree_leaves(child))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # certificate state
 
@@ -210,6 +201,8 @@ class FitCert:
     pending: tuple[Index, ...]
     tree: DecTree
     eigmap: tuple[tuple[Index, Term], ...]
+    # the FPC that reads this format; set once FITTINGS exists
+    fpc: ClassVar[Fpc]
 
     @staticmethod
     def load(tree: DecTree) -> FitCert:
@@ -220,37 +213,29 @@ class FitCert:
 class FittingsFpc(Fpc):
     """Replay a decide tree, refusing every step the tree does not name."""
 
-    def decide_e(self, cert: object) -> Iterable[tuple[object, object]]:
-        if isinstance(cert, FitCert):
-            yield cert.tree.decide_on, FitCert((), cert.tree, cert.eigmap)
+    def decide_e(self, cert: FitCert) -> Iterable[tuple[object, object]]:
+        yield cert.tree.decide_on, FitCert((), cert.tree, cert.eigmap)
 
-    def release_e(self, cert: object) -> Iterable[object]:
-        if isinstance(cert, FitCert):
-            yield cert
+    def release_e(self, cert: FitCert) -> Iterable[object]:
+        yield cert
 
-    def store_c(self, cert: object, formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
-        if not isinstance(cert, FitCert):
-            return
+    def store_c(self, cert: FitCert, formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
         if is_rel_literal(formula):
             yield NONE, cert
         elif cert.pending:
             yield cert.pending[0], FitCert(cert.pending[1:], cert.tree, cert.eigmap)
 
-    def initial_e(self, cert: object, index: object) -> bool:
-        return isinstance(cert, FitCert) and index is cert.tree.aux
+    def initial_e(self, cert: FitCert, index: object) -> bool:
+        return index is cert.tree.aux
 
-    def orneg_c(self, cert: object) -> Iterable[object]:
-        if not isinstance(cert, FitCert):
-            return
+    def orneg_c(self, cert: FitCert) -> Iterable[object]:
         if cert.pending:
             yield cert
         elif cert.tree.children:
             i = cert.tree.decide_on
             yield FitCert((Lind(i), Rind(i)), cert.tree.children[0], cert.eigmap)
 
-    def andneg_c(self, cert: object) -> Iterable[tuple[object, object]]:
-        if not isinstance(cert, FitCert):
-            return
+    def andneg_c(self, cert: FitCert) -> Iterable[tuple[object, object]]:
         if cert.pending:
             yield cert, cert
         elif len(cert.tree.children) >= 2:
@@ -259,8 +244,8 @@ class FittingsFpc(Fpc):
             yield (FitCert((Lind(i),), left, cert.eigmap),
                    FitCert((Rind(i),), right, cert.eigmap))
 
-    def all_c(self, cert: object) -> Iterable[Callable[[Term], object]]:
-        if isinstance(cert, FitCert) and not cert.pending and cert.tree.children:
+    def all_c(self, cert: FitCert) -> Iterable[Callable[[Term], object]]:
+        if not cert.pending and cert.tree.children:
             i = cert.tree.decide_on
             child = cert.tree.children[0]
             eigmap = cert.eigmap
@@ -270,17 +255,16 @@ class FittingsFpc(Fpc):
 
             yield bind_eigen
 
-    def andpos_e(self, cert: object) -> Iterable[tuple[object, object]]:
-        if isinstance(cert, FitCert):
-            # the left premise is the accessibility literal of a diamond;
-            # its complement sits at none, so point the aux there
-            tree = cert.tree
-            yield (FitCert(cert.pending, DecTree(tree.decide_on, NONE, tree.children),
-                           cert.eigmap),
-                   cert)
+    def andpos_e(self, cert: FitCert) -> Iterable[tuple[object, object]]:
+        # the left premise is the accessibility literal of a diamond; its
+        # complement sits at none, so point the aux there
+        tree = cert.tree
+        yield (FitCert(cert.pending, DecTree(tree.decide_on, NONE, tree.children),
+                       cert.eigmap),
+               cert)
 
-    def some_e(self, cert: object) -> Iterable[tuple[Term, object]]:
-        if not isinstance(cert, FitCert) or cert.pending or not cert.tree.children:
+    def some_e(self, cert: FitCert) -> Iterable[tuple[Term, object]]:
+        if cert.pending or not cert.tree.children:
             return
         i, aux = cert.tree.decide_on, cert.tree.aux
         child = cert.tree.children[0]
@@ -290,3 +274,4 @@ class FittingsFpc(Fpc):
 
 
 FITTINGS = FittingsFpc()
+FitCert.fpc = FITTINGS

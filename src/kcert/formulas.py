@@ -202,16 +202,6 @@ class Exists:
 
 
 @dataclass(frozen=True)
-class TruePos:
-    pass
-
-
-@dataclass(frozen=True)
-class FalseNeg:
-    pass
-
-
-@dataclass(frozen=True)
 class DelayPos:
     body: PolarizedFormula
 
@@ -223,29 +213,14 @@ class DelayNeg:
 
 PolarizedFormula = (
     PAtom | NAtom | AndNeg | OrNeg | AndPos | OrPos
-    | All | Exists | TruePos | FalseNeg | DelayPos | DelayNeg
+    | All | Exists | DelayPos | DelayNeg
 )
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
-
-_POSITIVE_CLASSES = (PAtom, AndPos, OrPos, Exists, TruePos, DelayPos)
-
-
-def polarity(f: PolarizedFormula) -> str:
-    if isinstance(f, _POSITIVE_CLASSES):
-        return POSITIVE
-    if isinstance(f, (NAtom, AndNeg, OrNeg, All, FalseNeg, DelayNeg)):
-        return NEGATIVE
-    raise TypeError(f"not a polarized formula: {f!r}")
+_POSITIVE_CLASSES = (PAtom, AndPos, OrPos, Exists, DelayPos)
 
 
 def is_positive(f: PolarizedFormula) -> bool:
     return isinstance(f, _POSITIVE_CLASSES)
-
-
-def is_literal(f: PolarizedFormula) -> bool:
-    return isinstance(f, (PAtom, NAtom))
 
 
 def is_rel_literal(f: PolarizedFormula) -> bool:
@@ -260,38 +235,9 @@ def delay_if_negative(f: PolarizedFormula) -> PolarizedFormula:
     is always a literal or positive.  This is what makes the translation
     of a classical connective cost exactly one focusing phase.
     """
-    if is_literal(f) or is_positive(f):
+    if isinstance(f, NAtom) or is_positive(f):
         return f
     return DelayPos(f)
-
-
-def negate_polarized(f: PolarizedFormula) -> PolarizedFormula:
-    """Polarity-flipping De Morgan dual, used by the kernel's cut rule."""
-    if isinstance(f, PAtom):
-        return NAtom(f.pred, f.args)
-    if isinstance(f, NAtom):
-        return PAtom(f.pred, f.args)
-    if isinstance(f, AndNeg):
-        return OrPos(negate_polarized(f.left), negate_polarized(f.right))
-    if isinstance(f, OrPos):
-        return AndNeg(negate_polarized(f.left), negate_polarized(f.right))
-    if isinstance(f, AndPos):
-        return OrNeg(negate_polarized(f.left), negate_polarized(f.right))
-    if isinstance(f, OrNeg):
-        return AndPos(negate_polarized(f.left), negate_polarized(f.right))
-    if isinstance(f, All):
-        return Exists(negate_polarized(f.body))
-    if isinstance(f, Exists):
-        return All(negate_polarized(f.body))
-    if isinstance(f, TruePos):
-        return FalseNeg()
-    if isinstance(f, FalseNeg):
-        return TruePos()
-    if isinstance(f, DelayPos):
-        return DelayNeg(negate_polarized(f.body))
-    if isinstance(f, DelayNeg):
-        return DelayPos(negate_polarized(f.body))
-    raise TypeError(f"not a polarized formula: {f!r}")
 
 
 def open_binder(body: PolarizedFormula, t: Term) -> PolarizedFormula:
@@ -364,53 +310,6 @@ def polarized_translation(a: ModalFormula, world: Term) -> PolarizedFormula:
     raise TypeError(f"not a modal formula: {a!r}")
 
 
-# labeled sequent syntax: a world label attached to a modal formula, or a
-# bare accessibility assertion between two labels
-
-@dataclass(frozen=True)
-class Labeled:
-    label: Term
-    body: ModalFormula
-
-
-@dataclass(frozen=True)
-class RelAtom:
-    src: Term
-    dst: Term
-
-
-def translate_labeled(phi: Labeled | RelAtom) -> PolarizedFormula:
-    if isinstance(phi, Labeled):
-        return polarized_translation(phi.body, phi.label)
-    if isinstance(phi, RelAtom):
-        return PAtom(REL, (phi.src, phi.dst))
-    raise TypeError(f"not a labeled formula: {phi!r}")
-
-
-def translate_sequent(
-    gamma: tuple[Labeled | RelAtom, ...],
-    delta: tuple[Labeled | RelAtom, ...],
-) -> tuple[PolarizedFormula, ...]:
-    """Translate a two-sided labeled sequent into a one-sided workbench.
-
-    Left-hand formulas are negated before translation; left-hand
-    accessibility atoms become their negative literals.  Every result is
-    delayed into storable shape.
-    """
-    out: list[PolarizedFormula] = []
-    for phi in gamma:
-        if isinstance(phi, Labeled):
-            out.append(delay_if_negative(
-                polarized_translation(negate_nnf(phi.body), phi.label)))
-        elif isinstance(phi, RelAtom):
-            out.append(NAtom(REL, (phi.src, phi.dst)))
-        else:
-            raise TypeError(f"not a labeled formula: {phi!r}")
-    for psi in delta:
-        out.append(delay_if_negative(translate_labeled(psi)))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # plain first-order formulas
 
@@ -454,17 +353,7 @@ class FoEx:
     body: FoFormula
 
 
-@dataclass(frozen=True)
-class FoTrue:
-    pass
-
-
-@dataclass(frozen=True)
-class FoFalse:
-    pass
-
-
-FoFormula = FoAtom | FoNeg | FoAnd | FoOr | FoImp | FoAll | FoEx | FoTrue | FoFalse
+FoFormula = FoAtom | FoNeg | FoAnd | FoOr | FoImp | FoAll | FoEx
 
 
 def standard_translation(a: ModalFormula, world: Term) -> FoFormula:
@@ -506,10 +395,6 @@ def strip_polarities(f: PolarizedFormula) -> FoFormula:
         return FoAll(strip_polarities(f.body))
     if isinstance(f, Exists):
         return FoEx(strip_polarities(f.body))
-    if isinstance(f, TruePos):
-        return FoTrue()
-    if isinstance(f, FalseNeg):
-        return FoFalse()
     if isinstance(f, (DelayPos, DelayNeg)):
         return strip_polarities(f.body)
     raise TypeError(f"not a polarized formula: {f!r}")
@@ -561,10 +446,6 @@ def render_polarized(f: PolarizedFormula) -> str:
             name = f"y{len(names) + 1}"
             q = "all" if isinstance(f, All) else "ex"
             return f"({q} {name}. {go(f.body, [name] + names)})"
-        if isinstance(f, TruePos):
-            return "true+"
-        if isinstance(f, FalseNeg):
-            return "false-"
         if isinstance(f, DelayPos):
             return f"d+({go(f.body, names)})"
         if isinstance(f, DelayNeg):
@@ -590,10 +471,6 @@ def render_fo(f: FoFormula) -> str:
             name = f"y{len(names) + 1}"
             q = "all" if isinstance(f, FoAll) else "ex"
             return f"({q} {name}. {go(f.body, [name] + names)})"
-        if isinstance(f, FoTrue):
-            return "true"
-        if isinstance(f, FoFalse):
-            return "false"
         raise TypeError(f"not a first-order formula: {f!r}")
 
     return go(f, [])

@@ -37,7 +37,6 @@ from .formulas import (
     DelayPos,
     Eigen,
     Exists,
-    FalseNeg,
     ModalFormula,
     NAtom,
     OrNeg,
@@ -45,11 +44,9 @@ from .formulas import (
     PAtom,
     PolarizedFormula,
     Term,
-    TruePos,
     W0,
     delay_if_negative,
     is_positive,
-    negate_polarized,
     open_binder,
     polarized_translation,
 )
@@ -66,7 +63,7 @@ class StepBudgetExceeded(RuntimeError):
 class Ev:
     """One checker step.  kind is the rule name; arg carries the storage
     index (decide/store/init), the witness term (all/some), the branch
-    marker "L"/"R" (andneg/andpos/cut), or the side 1/2 (orpos)."""
+    marker "L"/"R" (andneg/andpos), or the side 1/2 (orpos)."""
 
     kind: str
     arg: object = None
@@ -81,7 +78,7 @@ def trace_lines(events: Sequence[Ev]) -> list[str]:
     return [str(ev) for ev in events]
 
 
-_BRANCH_KINDS = ("andneg", "andpos", "cut")
+_BRANCH_KINDS = ("andneg", "andpos")
 
 
 def trace_paths(events: Sequence[Ev]) -> list[tuple[Ev, ...]]:
@@ -125,18 +122,17 @@ class Fpc:
     A certificate format subclasses this and overrides the predicates it
     wants to define; leaving one alone means the corresponding kernel
     rule is never available under that format.  Predicates return
-    iterables of continuations (or, for initial_e and true_e, a plain
-    truth value) and may yield several to make the kernel backtrack.
+    iterables of continuations (or, for initial_e, a plain truth value)
+    and may yield several to make the kernel backtrack.  The kernel only
+    threads the certificates an FPC's own predicates return, so a
+    predicate may assume its format's certificate type as long as the
+    check starts from one.
 
     Indexes must be hashable.  decide_e names them: it yields pairs
     (index, continuation), and the kernel decides on each stored positive
-    entry at a named index.  An index may be named more than once; naming
-    one that holds nothing positive is harmless.
+    entry at a named index, newest entry first.  An index may be named
+    more than once; naming one that holds nothing positive is harmless.
     """
-
-    # order of the decide alternatives by the storage position of their
-    # entries: oldest entry first by default, newest first when set
-    decide_newest_first = False
 
     def decide_e(self, cert: object) -> Iterable[tuple[object, object]]:
         return ()
@@ -148,12 +144,6 @@ class Fpc:
         return ()
 
     def initial_e(self, cert: object, index: object) -> bool:
-        return False
-
-    def cut_e(self, cert: object) -> Iterable[tuple[PolarizedFormula, object, object]]:
-        return ()
-
-    def true_e(self, cert: object) -> bool:
         return False
 
     def andneg_c(self, cert: object) -> Iterable[tuple[object, object]]:
@@ -256,7 +246,7 @@ class _Run:
     def asynchronous(self, cert: object, gamma: tuple[PolarizedFormula, ...]) -> bool:
         self.tick()
         if not gamma:
-            return self._decide_or_cut(cert)
+            return self._decide(cert)
         f, rest = gamma[0], gamma[1:]
 
         if isinstance(f, OrNeg):
@@ -287,9 +277,6 @@ class _Run:
             self.emit(Ev("strip"))
             return self.asynchronous(cert, (f.body,) + rest)
 
-        if isinstance(f, FalseNeg):
-            return False
-
         # everything else is storable: positives and negative literals
         positive = is_positive(f)
         if not positive and not isinstance(f, NAtom):
@@ -311,32 +298,22 @@ class _Run:
             return ok
         return self.attempt(list(self.fpc.store_c(cert, f)), store_step)
 
-    def _decide_or_cut(self, cert: object) -> bool:
+    def _decide(self, cert: object) -> bool:
         # the certificate names indexes; each stored positive entry at a
-        # named index is one alternative, taken in storage order (newest
-        # first if the format asks) and, within one entry, in the order
-        # the names came
+        # named index is one alternative, newest entry first: the newest
+        # entries are the current branch tip's.  The sort is stable, also
+        # when reversed, so one entry's alternatives keep the order their
+        # names came in.
         alts: list[tuple] = []
         for index, c2 in self.fpc.decide_e(cert):
             for position, f in self.positive.get(index, ()):
                 alts.append((position, index, f, c2))
-        # a stable sort, also when reversed, so one entry's alternatives
-        # keep the order their names came in
-        alts.sort(key=itemgetter(0), reverse=self.fpc.decide_newest_first)
-        for formula, c_left, c_right in self.fpc.cut_e(cert):
-            alts.append((None, formula, c_left, c_right))
+        alts.sort(key=itemgetter(0), reverse=True)
 
         def run_one(alt: tuple) -> bool:
-            if alt[0] is not None:
-                _, index, f, c2 = alt
-                self.emit(Ev("decide", index))
-                return self.synchronous(c2, f)
-            _, formula, c_left, c_right = alt
-            self.emit(Ev("cut", "L"))
-            if not self.asynchronous(c_left, (formula,)):
-                return False
-            self.emit(Ev("cut", "R"))
-            return self.asynchronous(c_right, (negate_polarized(formula),))
+            _, index, f, c2 = alt
+            self.emit(Ev("decide", index))
+            return self.synchronous(c2, f)
 
         return self.attempt(alts, run_one)
 
@@ -370,12 +347,6 @@ class _Run:
                 return self.synchronous(c2, open_binder(focus.body, witness))
             return self.attempt(list(self.fpc.some_e(cert)), some_step)
 
-        if isinstance(focus, TruePos):
-            if self.fpc.true_e(cert):
-                self.emit(Ev("true"))
-                return True
-            return False
-
         if isinstance(focus, DelayPos):
             self.emit(Ev("strip"))
             return self.synchronous(cert, focus.body)
@@ -408,10 +379,13 @@ def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,
     return CheckResult(accepted, trace, run.steps, run.choice_points)
 
 
-def check(goal: ModalFormula, cert: object, fpc: Fpc,
+def check(goal: ModalFormula, cert: object, fpc: Fpc | None = None,
           max_steps: int | None = None) -> CheckResult:
     """Check a certificate for a modal theorem: the entry workbench is
     the goal's polarized translation at the initial world, delayed into
-    storable shape."""
+    storable shape.  The certificate is read by its own FPC, cert.fpc,
+    unless fpc is given."""
+    if fpc is None:
+        fpc = cert.fpc
     entry = delay_if_negative(polarized_translation(goal, W0))
     return check_polarized((entry,), cert, fpc, max_steps)

@@ -319,14 +319,15 @@ def _block(tag: str, items: tuple, indent: int) -> list[str]:
 
 def format_certificate(cert: Certificate, indent: int = 0) -> str:
     pad = "  " * indent
-    if isinstance(cert, FitCert):
-        return f"{pad}(fittings\n{format_dectree(cert.tree, indent + 1)})"
-    if isinstance(cert, SimpfitCert):
-        lines = [f"{pad}(simpfit"]
-        lines += _block("closures", cert.closures, indent + 1)
-        lines += _block("boxinfos", cert.boxinfos, indent + 1)
-        lines[-1] += ")"
-        return "\n".join(lines)
+    match cert:
+        case FitCert():
+            return f"{pad}(fittings\n{format_dectree(cert.tree, indent + 1)})"
+        case SimpfitCert():
+            lines = [f"{pad}(simpfit"]
+            lines += _block("closures", cert.closures, indent + 1)
+            lines += _block("boxinfos", cert.boxinfos, indent + 1)
+            lines[-1] += ")"
+            return "\n".join(lines)
     raise TypeError(f"not a certificate: {cert!r}")
 
 

@@ -16,7 +16,7 @@ entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, ClassVar, Iterable
 
 from .fittings import Bind, EIND, Index, Lind, NONE, Rind
 from .formulas import NAtom, PolarizedFormula, Term, is_rel_literal
@@ -60,6 +60,8 @@ class SimpfitCert:
     boxinfos: tuple[BoxInfo, ...]
     eigmap: tuple[tuple[Index, Term], ...]
     usable: tuple[Index, ...]
+    # the FPC that reads this format; set once SIMPFIT exists
+    fpc: ClassVar[Fpc]
 
     @staticmethod
     def load(closures: Iterable[Closure], boxinfos: Iterable[BoxInfo]) -> SimpfitCert:
@@ -80,13 +82,7 @@ def _state(cert: SimpfitCert, flag: int, pending: tuple[Index, ...],
 class SimpfitFpc(Fpc):
     """Reconstruct a proof guided only by closures and boxinfos."""
 
-    # newest entries correspond to the current branch tip; trying them
-    # first finds reconstructions sooner
-    decide_newest_first = True
-
-    def decide_e(self, cert: object) -> Iterable[tuple[object, object]]:
-        if not isinstance(cert, SimpfitCert):
-            return
+    def decide_e(self, cert: SimpfitCert) -> Iterable[tuple[object, object]]:
         # each distinct token once, spending its first occurrence; none
         # last, spending its token before the free decide
         usable = cert.usable
@@ -99,13 +95,11 @@ class SimpfitFpc(Fpc):
             yield NONE, _state(cert, 1, (NONE,), _drop_at(usable, usable.index(NONE)))
         yield NONE, _state(cert, 1, (NONE,), usable)
 
-    def release_e(self, cert: object) -> Iterable[object]:
-        if isinstance(cert, SimpfitCert):
-            yield cert
+    def release_e(self, cert: SimpfitCert) -> Iterable[object]:
+        yield cert
 
-    def store_c(self, cert: object, formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
-        if not isinstance(cert, SimpfitCert):
-            return
+    def store_c(self, cert: SimpfitCert,
+                formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
         if is_rel_literal(formula):
             yield NONE, _state(cert, 0, cert.pending, cert.usable)
         elif cert.pending:
@@ -116,8 +110,8 @@ class SimpfitFpc(Fpc):
             else:
                 yield head, _state(cert, 0, rest, (head,) + cert.usable)
 
-    def initial_e(self, cert: object, index: object) -> bool:
-        if not isinstance(cert, SimpfitCert) or not cert.pending:
+    def initial_e(self, cert: SimpfitCert, index: object) -> bool:
+        if not cert.pending:
             return False
         here = cert.pending[0]
         if index is NONE:
@@ -125,18 +119,14 @@ class SimpfitFpc(Fpc):
         return (Closure(here, index) in cert.closures
                 or Closure(index, here) in cert.closures)
 
-    def orneg_c(self, cert: object) -> Iterable[object]:
-        if not isinstance(cert, SimpfitCert):
-            return
+    def orneg_c(self, cert: SimpfitCert) -> Iterable[object]:
         if cert.flag == 1 and len(cert.pending) == 1:
             i = cert.pending[0]
             yield _state(cert, 0, (Lind(i), Rind(i)), cert.usable)
         elif cert.flag == 0:
             yield cert
 
-    def andneg_c(self, cert: object) -> Iterable[tuple[object, object]]:
-        if not isinstance(cert, SimpfitCert):
-            return
+    def andneg_c(self, cert: SimpfitCert) -> Iterable[tuple[object, object]]:
         if cert.flag == 1 and len(cert.pending) == 1:
             i = cert.pending[0]
             yield (_state(cert, 0, (Lind(i),), cert.usable),
@@ -144,8 +134,8 @@ class SimpfitFpc(Fpc):
         elif cert.flag == 0:
             yield cert, cert
 
-    def all_c(self, cert: object) -> Iterable[Callable[[Term], object]]:
-        if not isinstance(cert, SimpfitCert) or len(cert.pending) != 1:
+    def all_c(self, cert: SimpfitCert) -> Iterable[Callable[[Term], object]]:
+        if len(cert.pending) != 1:
             return
         i = cert.pending[0]
 
@@ -155,13 +145,12 @@ class SimpfitFpc(Fpc):
 
         yield bind_eigen
 
-    def andpos_e(self, cert: object) -> Iterable[tuple[object, object]]:
-        if isinstance(cert, SimpfitCert):
-            both = _state(cert, 0, cert.pending, cert.usable)
-            yield both, both
+    def andpos_e(self, cert: SimpfitCert) -> Iterable[tuple[object, object]]:
+        both = _state(cert, 0, cert.pending, cert.usable)
+        yield both, both
 
-    def some_e(self, cert: object) -> Iterable[tuple[Term, object]]:
-        if not isinstance(cert, SimpfitCert) or len(cert.pending) != 1:
+    def some_e(self, cert: SimpfitCert) -> Iterable[tuple[Term, object]]:
+        if len(cert.pending) != 1:
             return
         i = cert.pending[0]
         for key, eigen in cert.eigmap:
@@ -176,3 +165,4 @@ class SimpfitFpc(Fpc):
 
 
 SIMPFIT = SimpfitFpc()
+SimpfitCert.fpc = SIMPFIT

@@ -41,12 +41,10 @@ from .formulas import (
     FoAnd,
     FoAtom,
     FoEx,
-    FoFalse,
     FoFormula,
     FoImp,
     FoNeg,
     FoOr,
-    FoTrue,
     ModalFormula,
     NegAtom,
     Or,
@@ -143,10 +141,6 @@ def eval_fo(model: KripkeModel, f: FoFormula, env: Mapping[Term, Prefix]) -> boo
             return all(go(f.body, [w] + stack) for w in model.worlds)
         if isinstance(f, FoEx):
             return any(go(f.body, [w] + stack) for w in model.worlds)
-        if isinstance(f, FoTrue):
-            return True
-        if isinstance(f, FoFalse):
-            return False
         raise TypeError(f"not a first-order formula: {f!r}")
 
     return go(f, [])

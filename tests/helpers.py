@@ -24,7 +24,6 @@ from kcert.formulas import (
     Dia,
     Eigen,
     Exists,
-    FalseNeg,
     ModalFormula,
     NAtom,
     NegAtom,
@@ -34,11 +33,9 @@ from kcert.formulas import (
     PAtom,
     PolarizedFormula,
     PosAtom,
-    TruePos,
     W0,
     delay_if_negative,
     is_positive,
-    negate_polarized,
     open_binder,
     polarized_translation,
 )
@@ -267,8 +264,8 @@ def bipole_violations(trace: tuple[Ev, ...]) -> list[str]:
     """Phase-discipline errors in an accepted trace, empty when clean.
 
     Checks, per root-to-leaf path: decide only outside a sync phase,
-    release/init/true only inside one, async rules only outside, sync
-    rules only inside, and nothing after the closing rule.
+    release/init only inside one, async rules only outside, sync rules
+    only inside, and nothing after the closing init.
     """
     out: list[str] = []
     for path in trace_paths(trace):
@@ -289,12 +286,12 @@ def bipole_violations(trace: tuple[Ev, ...]) -> list[str]:
                     out.append("release outside a sync phase")
                     break
                 sync = False
-            elif kind in ("init", "true"):
+            elif kind == "init":
                 if not sync:
-                    out.append(f"{kind} outside a sync phase")
+                    out.append("init outside a sync phase")
                     break
                 closed = True
-            elif kind in ("store", "orneg", "andneg", "all", "cut"):
+            elif kind in ("store", "orneg", "andneg", "all"):
                 if sync:
                     out.append(f"{kind} inside a sync phase")
                     break
@@ -307,7 +304,7 @@ def bipole_violations(trace: tuple[Ev, ...]) -> list[str]:
                 break
         else:
             if not closed:
-                out.append("path does not end in init or true")
+                out.append("path does not end in init")
     return out
 
 
@@ -340,10 +337,6 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
                 for idx, g in theta:
                     if idx == named and is_positive(g) and sync_ok(g, theta, c2, k):
                         return True
-            for f, cl, cr in fpc.cut_e(cert):
-                if async_ok((f,), theta, cl, k) and \
-                        async_ok((negate_polarized(f),), theta, cr, k):
-                    return True
             return False
         f, rest = wb[0], wb[1:]
         if isinstance(f, OrNeg):
@@ -360,8 +353,6 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
                        for cont in fpc.all_c(cert))
         if isinstance(f, DelayNeg):
             return async_ok((f.body,) + rest, theta, cert, k)
-        if isinstance(f, FalseNeg):
-            return False
         # positives and negated atoms are stored
         return any(async_ok(rest, theta + ((idx, f),), c2, k)
                    for idx, c2 in fpc.store_c(cert, f))
@@ -384,8 +375,6 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
         if isinstance(f, Exists):
             return any(sync_ok(open_binder(f.body, t), theta, c2, k)
                        for t, c2 in fpc.some_e(cert))
-        if isinstance(f, TruePos):
-            return bool(fpc.true_e(cert))
         if isinstance(f, DelayPos):
             return sync_ok(f.body, theta, cert, k)
         if isinstance(f, PAtom):

@@ -31,7 +31,6 @@ from kcert.fittings import (
     NoIndex,
     Rind,
     node_count,
-    tree_leaves,
 )
 from kcert.formulas import Eigen, NAtom, PAtom, REL, W0
 from kcert.kernel import Fpc, check
@@ -61,9 +60,7 @@ class TestIndexAlgebra:
     def test_tree_helpers(self):
         assert node_count(ftab1_dectree()) == 8
         assert node_count(ftab2_dectree()) == 10
-        assert len(tree_leaves(ftab1_dectree())) == 2
         assert node_count(ROOT) == 2
-        assert tree_leaves(ROOT) == [LEAF]
 
 
 class TestIndexIdentity:

@@ -12,17 +12,13 @@ from kcert.formulas import (
     Dia,
     Eigen,
     Exists,
-    FalseNeg,
     FoAll,
     FoAnd,
     FoAtom,
     FoEx,
-    FoFalse,
     FoImp,
     FoNeg,
     FoOr,
-    FoTrue,
-    Labeled,
     NAtom,
     NegAtom,
     Or,
@@ -31,29 +27,22 @@ from kcert.formulas import (
     PAtom,
     PosAtom,
     REL,
-    RelAtom,
-    TruePos,
     W0,
     atom_names,
     connective_count,
     delay_if_negative,
-    is_literal,
     is_positive,
     is_rel_literal,
     modal_depth,
     modal_size,
     negate_nnf,
-    negate_polarized,
     open_binder,
-    polarity,
     polarized_translation,
     render_fo,
     render_modal,
     render_polarized,
     standard_translation,
     strip_polarities,
-    translate_labeled,
-    translate_sequent,
 )
 from helpers import formulas_of_connectives, formulas_of_size
 
@@ -101,16 +90,11 @@ class TestNnf:
 
 class TestPolarity:
     def test_table(self):
-        assert polarity(PAtom(REL, (W0, Eigen(1)))) == "positive"
-        assert polarity(DelayNeg(PAtom("p", (W0,)))) == "negative"
-        assert polarity(All(PAtom("p", (BVar(0),)))) == "negative"
-        assert polarity(TruePos()) == "positive"
-        assert polarity(FalseNeg()) == "negative"
+        assert is_positive(PAtom(REL, (W0, Eigen(1))))
+        assert not is_positive(DelayNeg(PAtom("p", (W0,))))
+        assert not is_positive(All(PAtom("p", (BVar(0),))))
 
     def test_literals(self):
-        assert is_literal(PAtom("p", (W0,)))
-        assert is_literal(NAtom("p", (W0,)))
-        assert not is_literal(DelayPos(PAtom("p", (W0,))))
         assert is_rel_literal(NAtom(REL, (W0, Eigen(2))))
         assert not is_rel_literal(NAtom("p", (W0,)))
         assert not is_rel_literal(PAtom(REL, (W0,)))
@@ -130,30 +114,7 @@ class TestPolarity:
         for n in range(1, 6):
             for f in formulas_of_size(n):
                 out = delay_if_negative(polarized_translation(f, W0))
-                assert is_positive(out) or is_literal(out)
-
-
-class TestNegatePolarized:
-    def test_spec_pairs(self):
-        a = PAtom("p", (W0,))
-        b = NAtom("q", (W0,))
-        assert negate_polarized(a) == NAtom("p", (W0,))
-        assert negate_polarized(AndNeg(a, b)) == OrPos(NAtom("p", (W0,)),
-                                                       PAtom("q", (W0,)))
-        assert negate_polarized(DelayPos(a)) == DelayNeg(NAtom("p", (W0,)))
-        assert negate_polarized(All(a)) == Exists(NAtom("p", (W0,)))
-        assert negate_polarized(TruePos()) == FalseNeg()
-
-    def test_involution(self):
-        for c in range(3):
-            for f in formulas_of_connectives(c):
-                g = polarized_translation(f, W0)
-                assert negate_polarized(negate_polarized(g)) == g
-
-    def test_flips_polarity(self):
-        for f in formulas_of_connectives(2):
-            g = polarized_translation(f, W0)
-            assert is_positive(g) != is_positive(negate_polarized(g))
+                assert is_positive(out) or isinstance(out, NAtom)
 
 
 class TestOpenBinder:
@@ -226,30 +187,6 @@ class TestPolarizedTranslation:
                 scan(polarized_translation(f, W0))
 
 
-class TestLabeled:
-    def test_labeled_formula(self):
-        x = Eigen(1)
-        assert translate_labeled(Labeled(x, P)) == PAtom("p", (x,))
-
-    def test_rel_atom(self):
-        x, y = Eigen(1), Eigen(2)
-        assert translate_labeled(RelAtom(x, y)) == PAtom(REL, (x, y))
-
-    def test_sequent_atoms(self):
-        x = Eigen(1)
-        got = translate_sequent([Labeled(x, P)], [Labeled(x, P)])
-        assert got == (NAtom("p", (x,)), PAtom("p", (x,)))
-
-    def test_sequent_rel_left(self):
-        x, y = Eigen(1), Eigen(2)
-        assert translate_sequent([RelAtom(x, y)], []) == (NAtom(REL, (x, y)),)
-
-    def test_sequent_delays_decomposables(self):
-        got = translate_sequent([], [Labeled(W0, Or(P, NP))])
-        assert got == (DelayPos(OrNeg(PAtom("p", (W0,)),
-                                      NAtom("p", (W0,)))),)
-
-
 class TestStandardTranslation:
     def test_atom(self):
         assert standard_translation(P, W0) == FoAtom("p", (W0,))
@@ -273,10 +210,6 @@ class TestStripPolarities:
         got = strip_polarities(polarized_translation(Box(P), W0))
         assert got == FoAll(FoOr(FoNeg(FoAtom(REL, (W0, BVar(0)))),
                                  FoAtom("p", (BVar(0),))))
-
-    def test_true_false(self):
-        assert strip_polarities(TruePos()) == FoTrue()
-        assert strip_polarities(FalseNeg()) == FoFalse()
 
 
 class TestRendering:

@@ -17,15 +17,7 @@ from kcert.examples import (
     taut_dectree,
 )
 from kcert.fittings import Bind, EIND, FITTINGS, FitCert, FittingsFpc, Lind, Rind
-from kcert.formulas import (
-    AndPos,
-    DelayNeg,
-    FalseNeg,
-    NAtom,
-    OrPos,
-    PAtom,
-    TruePos,
-)
+from kcert.formulas import AndPos, DelayNeg, NAtom, OrPos, PAtom
 from kcert.kernel import (
     CheckResult,
     Ev,
@@ -82,9 +74,6 @@ class Permissive(Fpc):
     def orpos_e(self, cert):
         yield 1, cert
         yield 2, cert
-
-    def true_e(self, cert):
-        return True
 
 
 class TestTraceUtils:
@@ -163,21 +152,12 @@ class TestTautology:
 
 
 class TestPhaseRules:
-    def test_false_in_workbench_is_a_hard_reject(self):
-        result = check_polarized((FalseNeg(),), None, Permissive())
-        assert not result.accepted
-
     def test_decide_skips_negative_storage(self):
         # only a negated atom is stored, so there is nothing to decide on
         result = check_polarized((NA,), None, Permissive())
         assert not result.accepted
         kinds = [e.kind for e in result.trace]
         assert "decide" not in kinds
-
-    def test_true_expert(self):
-        result = check_polarized((TruePos(),), None, Permissive())
-        assert result.accepted
-        assert [e.kind for e in result.trace] == ["store", "decide", "true"]
 
     def test_orpos_backtracks_to_second_side(self):
         # side 1 focuses b with no complement stored; side 2 closes
@@ -204,29 +184,6 @@ class TestPhaseRules:
         assert kinds[release_at:release_at + 4] == [
             "release", "strip", "store", "decide"]
 
-    def test_cut(self):
-        class CutOnce(Permissive):
-            def decide_e(self, cert):
-                if cert == "premise":
-                    return self.named(cert)
-                return ()
-
-            def cut_e(self, cert):
-                if cert == "top":
-                    yield NA, "premise", "premise"
-
-            def store_c(self, cert, formula):
-                self.handed_out[("ix", formula)] = None
-                yield ("ix", formula), cert
-
-        entry = (A, NA)
-        result = check_polarized(entry, "top", CutOnce())
-        assert result.accepted
-        kinds = [e.kind for e in result.trace]
-        assert kinds.count("cut") == 2
-        args = [e.arg for e in result.trace if e.kind == "cut"]
-        assert args == ["L", "R"]
-
     def test_step_budget(self):
         with pytest.raises(StepBudgetExceeded):
             check(EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS, max_steps=5)
@@ -243,17 +200,15 @@ class TestPhaseRules:
 
 
 class TestDecideOrder:
-    def _probe(self, newest_first):
+    def test_newest_first_when_asked(self):
         log = []
 
         class Probe(Permissive):
-            """Names both atoms, against storage order, and logs each
-            decide the kernel tries at the init that follows it."""
-
-            decide_newest_first = newest_first
+            """Names both atoms, oldest first, and logs each decide the
+            kernel tries at the init that follows it."""
 
             def decide_e(self, cert):
-                for index in (("ix", B), ("ix", A)):
+                for index in (("ix", A), ("ix", B)):
                     yield index, index
 
             def initial_e(self, cert, index):
@@ -262,13 +217,7 @@ class TestDecideOrder:
 
         result = check_polarized((A, B, NA, NB), None, Probe())
         assert not result.accepted
-        return log
-
-    def test_oldest_first_by_default(self):
-        assert self._probe(False) == [("ix", A), ("ix", B)]
-
-    def test_newest_first_when_asked(self):
-        assert self._probe(True) == [("ix", B), ("ix", A)]
+        assert log == [("ix", B), ("ix", A)]
 
 
 def _chain(op, items):
@@ -301,9 +250,10 @@ class TestSearchOrder:
         (EXAMPLE2_THEOREM, sftab2_cert(), SIMPFIT, 60, 11),
     ], ids=["ftab1", "ftab2", "taut", "sftab1", "sftab2"])
     def test_pinned_counts(self, goal, cert, fpc, steps, choice_points):
-        result = check(goal, cert, fpc)
-        assert result.accepted
-        assert (result.steps, result.choice_points) == (steps, choice_points)
+        # by the FPC named, and by the one the certificate carries
+        for result in (check(goal, cert, fpc), check(goal, cert)):
+            assert result.accepted
+            assert (result.steps, result.choice_points) == (steps, choice_points)
 
     def test_wide3_without_its_last_boxinfo(self):
         # of the six boxinfos only the last is needed, so the search

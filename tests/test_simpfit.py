@@ -121,9 +121,6 @@ class TestClauses:
                      eigmap=((Lind(EIND), Eigen(2)),))
         assert list(SIMPFIT.some_e(cert)) == []
 
-    def test_decide_order_preference(self):
-        assert SIMPFIT.decide_newest_first is True
-
 
 class TestEndToEnd:
     def test_essential_fixture_accepts(self):
