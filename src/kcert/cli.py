@@ -4,8 +4,14 @@ Subcommands:
   check <file> [--trace]   run the kernel on a problem file
   prove <formula> [--emit fittings|simpfit]
                            search for a proof, print a problem file
+                           once the kernel has accepted it
   translate <formula>      print the relational and polarized translations
   oracle <formula>         bounded semantic validity check
+
+Every check, prove's self-check included, runs under a budget of
+10,000,000 kernel steps (DEFAULT_MAX_STEPS), over a hundred times the
+largest check in the tests and the benchmark; a check that runs out of
+steps is an error, not a verdict.
 
 Exit codes: 0 accept/valid/proved, 1 reject/invalid/refuted, 2 errors
 (bad usage, unreadable file, parse failure, oracle bound exceeded, input
@@ -43,6 +49,9 @@ from .tableau import (
 )
 
 
+DEFAULT_MAX_STEPS = 10_000_000
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged
@@ -74,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as handle:
         problem = parse_problem(handle.read())
-    result = check(problem.theorem, problem.certificate)
+    result = check(problem.theorem, problem.certificate, max_steps=DEFAULT_MAX_STEPS)
     if args.trace:
         for line in trace_lines(result.trace):
             print(line)
@@ -93,7 +102,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         cert = emit_simpfitcert(outcome, theorem)
     else:
         cert = emit_fitcert(outcome, theorem)
-    if not check(theorem, cert):
+    if not check(theorem, cert, max_steps=DEFAULT_MAX_STEPS):
         print("internal error: emitted certificate was rejected", file=sys.stderr)
         return 2
     sys.stdout.write(format_problem(ProblemFile("emitted", theorem, cert)))

@@ -14,6 +14,12 @@ yields a continuation.  Where the predicates allow several continuations
 the kernel backtracks over them depth-first, so an accepted run is a
 proof under exactly the guidance the certificate supplies.
 
+The search is one loop over a goal stack, not recursion, so proof height
+is bounded by memory and the step budget.  A rule with several
+continuations leaves a choice point, undone through a trail on
+backtracking, and a cut goal under its premise drops it once the premise
+has succeeded: a later failure never re-enters a premise that closed.
+
 Storage indexes are opaque to the kernel: they are whatever hashable
 values the certificate's store clerk hands out.  At a decide the
 certificate names the index to decide on (decideE in Chihani, Miller and
@@ -180,14 +186,24 @@ class CheckResult:
 
 # ---------------------------------------------------------------------------
 # the checker
+#
+# A goal is a cons cell (tag, a, b, next): prove an asynchronous sequent
+# (a = certificate, b = workbench) or a synchronous one (a = certificate,
+# b = focus), emit the branch marker a, pop the storage bucket a, or cut
+# the choice stack back to height a.  next is the rest of the goal stack.
+
+_ASYNC, _SYNC, _EMIT, _POP, _CUT = range(5)
+_FAIL = object()    # a rule with no continuation: backtrack
+_PUSHED = object()  # trail entry: the bucket was pushed onto
 
 
 class _Run:
-    """One check.  Storage is kept in two maps beside the recursion, each
-    entry pushed by its store rule and popped when that rule's premise
-    returns, so a branch sees exactly the entries stored on its path:
-    positive formulas by index with their storage position (for decide),
-    and negative atoms by formula with their indexes (for init)."""
+    """One check.  Storage is two maps: positive formulas by index with
+    the step that stored them (for decide), negative atoms by predicate
+    and arguments with their indexes (for init).  A store pushes an
+    entry and a pop goal under its premise takes it off, so a branch
+    sees the entries of its path; while a choice point is live both go
+    on the trail."""
 
     def __init__(self, fpc: Fpc, max_steps: int | None):
         self.fpc = fpc
@@ -201,9 +217,12 @@ class _Run:
         self.steps = 0
         self.choice_points = 0
         self.next_eigen = 1
-        self.stored = 0
         self.positive: dict[object, list[tuple[int, PolarizedFormula]]] = {}
-        self.negative: dict[PolarizedFormula, list[object]] = {}
+        self.negative: dict[tuple, list[object]] = {}
+        # choice points: (step, untried alternatives, last first, and the
+        # goals, trace length and trail length that backtracking restores)
+        self.choices: list[tuple] = []
+        self.trail: list[tuple[list, object]] = []
 
     def tick(self) -> None:
         self.steps += 1
@@ -229,76 +248,113 @@ class _Run:
             return tuple(self.events[:self.deepest_len])
         return self.deepest
 
-    def attempt(self, alts: Sequence[object], run_one: Callable[[object], bool]) -> bool:
-        """Backtracking point: try continuations in order, rolling the
-        trace back between attempts."""
+    def run(self, cert: object, gamma: tuple[PolarizedFormula, ...]) -> bool:
+        goals = (_ASYNC, cert, gamma, None)
+        while goals is not None:
+            tag, a, b, goals = goals
+            if tag == _ASYNC:
+                goals = self.asynchronous(a, b, goals)
+            elif tag == _SYNC:
+                goals = self.synchronous(a, b, goals)
+            elif tag == _EMIT:
+                self.emit(a)
+            elif tag == _POP:
+                item = a.pop()
+                if self.choices:
+                    self.trail.append((a, item))
+            else:
+                del self.choices[a:]
+                if not self.choices:
+                    self.trail.clear()
+            if goals is _FAIL:
+                if not self.choices:
+                    return False
+                goals = self.backtrack()
+        return True
+
+    def branch(self, alts: list, step: Callable, goals: tuple | None) -> object:
+        """Apply a rule: run its first alternative on top of goals, and
+        keep the others in a choice point that a cut goal under the
+        premise drops once the premise has succeeded."""
+        if not alts:
+            return _FAIL
         if len(alts) > 1:
             self.choice_points += len(alts) - 1
-        for alt in alts:
-            mark = len(self.events)
-            if run_one(alt):
-                return True
-            self.rollback(mark)
-        return False
+            goals = (_CUT, len(self.choices), None, goals)
+            self.choices.append((step, alts[:0:-1], goals, len(self.events), len(self.trail)))
+        return step(alts[0], goals)
+
+    def backtrack(self) -> tuple:
+        """Resume the newest choice point with its next alternative."""
+        step, untried, goals, mark, trail_len = self.choices[-1]
+        alt = untried.pop()
+        if not untried:
+            self.choices.pop()
+        while len(self.trail) > trail_len:
+            bucket, item = self.trail.pop()
+            if item is _PUSHED:
+                bucket.pop()
+            else:
+                bucket.append(item)
+        self.rollback(mark)
+        return step(alt, goals)
 
     # asynchronous phase: decompose the workbench head, or decide
 
-    def asynchronous(self, cert: object, gamma: tuple[PolarizedFormula, ...]) -> bool:
+    def asynchronous(self, cert: object, gamma: tuple[PolarizedFormula, ...],
+                     goals: tuple | None) -> object:
         self.tick()
         if not gamma:
-            return self._decide(cert)
+            return self._decide(cert, goals)
         f, rest = gamma[0], gamma[1:]
 
         if isinstance(f, OrNeg):
-            def or_step(c2: object) -> bool:
+            def or_step(c2: object, goals: tuple | None) -> tuple:
                 self.emit(Ev("orneg"))
-                return self.asynchronous(c2, (f.left, f.right) + rest)
-            return self.attempt(list(self.fpc.orneg_c(cert)), or_step)
+                return (_ASYNC, c2, (f.left, f.right) + rest, goals)
+            return self.branch(list(self.fpc.orneg_c(cert)), or_step, goals)
 
         if isinstance(f, AndNeg):
-            def and_step(pair: object) -> bool:
+            def and_step(pair: object, goals: tuple | None) -> tuple:
                 c_left, c_right = pair
                 self.emit(Ev("andneg", "L"))
-                if not self.asynchronous(c_left, (f.left,) + rest):
-                    return False
-                self.emit(Ev("andneg", "R"))
-                return self.asynchronous(c_right, (f.right,) + rest)
-            return self.attempt(list(self.fpc.andneg_c(cert)), and_step)
+                return (_ASYNC, c_left, (f.left,) + rest, (_EMIT, Ev("andneg", "R"), None,
+                        (_ASYNC, c_right, (f.right,) + rest, goals)))
+            return self.branch(list(self.fpc.andneg_c(cert)), and_step, goals)
 
         if isinstance(f, All):
-            def all_step(mk: object) -> bool:
+            def all_step(mk: object, goals: tuple | None) -> tuple:
                 eigen = Eigen(self.next_eigen)
                 self.next_eigen += 1
                 self.emit(Ev("all", eigen))
-                return self.asynchronous(mk(eigen), (open_binder(f.body, eigen),) + rest)
-            return self.attempt(list(self.fpc.all_c(cert)), all_step)
+                return (_ASYNC, mk(eigen), (open_binder(f.body, eigen),) + rest, goals)
+            return self.branch(list(self.fpc.all_c(cert)), all_step, goals)
 
         if isinstance(f, DelayNeg):
             self.emit(Ev("strip"))
-            return self.asynchronous(cert, (f.body,) + rest)
+            return (_ASYNC, cert, (f.body,) + rest, goals)
 
         # everything else is storable: positives and negative literals
         positive = is_positive(f)
         if not positive and not isinstance(f, NAtom):
-            return False
+            return _FAIL
 
-        def store_step(pair: object) -> bool:
+        def store_step(pair: object, goals: tuple | None) -> tuple:
             index, c2 = pair
             self.emit(Ev("store", index))
             if positive:
+                # the step count orders the entries of a branch by age
                 bucket = self.positive.setdefault(index, [])
-                bucket.append((self.stored, f))
+                bucket.append((self.steps, f))
             else:
-                bucket = self.negative.setdefault(f, [])
+                bucket = self.negative.setdefault((f.pred, f.args), [])
                 bucket.append(index)
-            self.stored += 1
-            ok = self.asynchronous(c2, rest)
-            self.stored -= 1
-            bucket.pop()
-            return ok
-        return self.attempt(list(self.fpc.store_c(cert, f)), store_step)
+            if self.choices:
+                self.trail.append((bucket, _PUSHED))
+            return (_ASYNC, c2, rest, (_POP, bucket, None, goals))
+        return self.branch(list(self.fpc.store_c(cert, f)), store_step, goals)
 
-    def _decide(self, cert: object) -> bool:
+    def _decide(self, cert: object, goals: tuple | None) -> object:
         # the certificate names indexes; each stored positive entry at a
         # named index is one alternative, newest entry first: the newest
         # entries are the current branch tip's.  The sort is stable, also
@@ -309,64 +365,60 @@ class _Run:
             for position, f in self.positive.get(index, ()):
                 alts.append((position, index, f, c2))
         alts.sort(key=itemgetter(0), reverse=True)
+        return self.branch(alts, self._decide_step, goals)
 
-        def run_one(alt: tuple) -> bool:
-            _, index, f, c2 = alt
-            self.emit(Ev("decide", index))
-            return self.synchronous(c2, f)
-
-        return self.attempt(alts, run_one)
+    def _decide_step(self, alt: tuple, goals: tuple | None) -> tuple:
+        _, index, f, c2 = alt
+        self.emit(Ev("decide", index))
+        return (_SYNC, c2, f, goals)
 
     # synchronous phase: decompose the focus
 
-    def synchronous(self, cert: object, focus: PolarizedFormula) -> bool:
+    def synchronous(self, cert: object, focus: PolarizedFormula,
+                    goals: tuple | None) -> object:
         self.tick()
 
         if isinstance(focus, AndPos):
-            def and_step(pair: object) -> bool:
+            def and_step(pair: object, goals: tuple | None) -> tuple:
                 c_left, c_right = pair
                 self.emit(Ev("andpos", "L"))
-                if not self.synchronous(c_left, focus.left):
-                    return False
-                self.emit(Ev("andpos", "R"))
-                return self.synchronous(c_right, focus.right)
-            return self.attempt(list(self.fpc.andpos_e(cert)), and_step)
+                return (_SYNC, c_left, focus.left, (_EMIT, Ev("andpos", "R"), None,
+                        (_SYNC, c_right, focus.right, goals)))
+            return self.branch(list(self.fpc.andpos_e(cert)), and_step, goals)
 
         if isinstance(focus, OrPos):
-            def or_step(pair: object) -> bool:
+            def or_step(pair: object, goals: tuple | None) -> tuple:
                 side, c2 = pair
                 self.emit(Ev("orpos", side))
-                sub = focus.left if side == 1 else focus.right
-                return self.synchronous(c2, sub)
-            return self.attempt(list(self.fpc.orpos_e(cert)), or_step)
+                return (_SYNC, c2, focus.left if side == 1 else focus.right, goals)
+            return self.branch(list(self.fpc.orpos_e(cert)), or_step, goals)
 
         if isinstance(focus, Exists):
-            def some_step(pair: object) -> bool:
+            def some_step(pair: object, goals: tuple | None) -> tuple:
                 witness, c2 = pair
                 self.emit(Ev("some", witness))
-                return self.synchronous(c2, open_binder(focus.body, witness))
-            return self.attempt(list(self.fpc.some_e(cert)), some_step)
+                return (_SYNC, c2, open_binder(focus.body, witness), goals)
+            return self.branch(list(self.fpc.some_e(cert)), some_step, goals)
 
         if isinstance(focus, DelayPos):
             self.emit(Ev("strip"))
-            return self.synchronous(cert, focus.body)
+            return (_SYNC, cert, focus.body, goals)
 
         if isinstance(focus, PAtom):
-            complement = NAtom(focus.pred, focus.args)
-            sanctioned = [index for index in self.negative.get(complement, ())
+            sanctioned = [index for index in self.negative.get((focus.pred, focus.args), ())
                           if self.fpc.initial_e(cert, index)]
             if len(sanctioned) > 1:
                 self.choice_points += len(sanctioned) - 1
             if sanctioned:
                 self.emit(Ev("init", sanctioned[0]))
-                return True
-            return False
+                return goals
+            return _FAIL
 
         # negative focus: hand it back to the asynchronous phase
-        def release_step(c2: object) -> bool:
+        def release_step(c2: object, goals: tuple | None) -> tuple:
             self.emit(Ev("release"))
-            return self.asynchronous(c2, (focus,))
-        return self.attempt(list(self.fpc.release_e(cert)), release_step)
+            return (_ASYNC, c2, (focus,), goals)
+        return self.branch(list(self.fpc.release_e(cert)), release_step, goals)
 
 
 def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,
@@ -374,7 +426,7 @@ def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,
     """Check a certificate against an initial workbench of polarized
     formulas.  Storage starts empty."""
     run = _Run(fpc, max_steps)
-    accepted = run.asynchronous(cert, tuple(entry))
+    accepted = run.run(cert, tuple(entry))
     trace = tuple(run.events) if accepted else run.deepest_trace()
     return CheckResult(accepted, trace, run.steps, run.choice_points)
 

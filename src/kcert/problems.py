@@ -43,14 +43,36 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # scanner
 #
-# One compiled pattern splits the whole text: each match skips blanks and
-# comments, then captures a token, a stray character, or the empty string
-# at the end.  Tokens stay plain strings; a quoted string keeps its
-# quotes, so it can never be mistaken for a word or a parenthesis.  Line
-# and column are worked out from the offset only when an error is raised.
+# _TOKEN defines the tokens: each match skips blanks and comments, then
+# captures a token, a stray character, or the empty string at the end.
+# Tokens stay plain strings; a quoted string keeps its quotes, so it can
+# never be mistaken for a word or a parenthesis.  One match per token is
+# slow on large files, so _split gives the same tokens with str.split,
+# and _TOKEN only locates errors: line and column are worked out from the
+# offset only when an error is raised.
 
 _TOKEN = re.compile(r'[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*'
                     r'([()+\-]|\w+|"[^"\n]*"|[^ \t\r\n;]|\Z)')
+_STRING_OR_COMMENT = re.compile(r'("[^"\n]*"|;[^\n]*)')
+_NOT_PLAIN = re.compile(r'[^\w \t\r\n()+\-]')
+
+
+def _split(text: str) -> list[str] | None:
+    """The tokens of text, or None when it holds a stray character.
+    Between strings and comments, text of word characters, blanks and
+    ()+- splits on blanks once ()+- are padded with them."""
+    toks: list[str] = []
+    for k, part in enumerate(_STRING_OR_COMMENT.split(text)):
+        if k % 2:
+            if part[0] == '"':
+                toks.append(part)
+        elif _NOT_PLAIN.search(part):
+            return None
+        else:
+            for ch in "()+-":
+                part = part.replace(ch, f" {ch} ")
+            toks += part.split()
+    return toks
 
 
 def _is_stray(tok: str) -> bool:
@@ -77,14 +99,18 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.toks: list[str] = _TOKEN.findall(text)
-        while self.toks and not self.toks[-1]:
-            self.toks.pop()  # the empty matches at the end of the text
         self.pos = 0
-        stray = [tok for tok in set(self.toks) if _is_stray(tok)]
-        if stray:
-            self.pos = min(self.toks.index(tok) for tok in stray)
+        # every index built in this parse, by constructor and arguments.
+        # The intern tables give the same objects; this map only saves
+        # their __new__ call and weakref lookup per repeat, and as the
+        # printer writes each subindex in full, most indexes are repeats
+        self.indexes: dict[tuple, Index] = {}
+        toks = _split(text)
+        if toks is None:
+            toks = _TOKEN.findall(text)
+            self.pos = next(k for k, tok in enumerate(toks) if _is_stray(tok))
             raise self._stray_error()
+        self.toks = toks
 
     def _offset(self, pos: int) -> int:
         for k, match in enumerate(_TOKEN.finditer(self.text)):
@@ -224,7 +250,7 @@ class _Parser:
                 open_nodes[-1][2].append(node)
 
     def index(self) -> Index:
-        toks, pos, n = self.toks, self.pos, len(self.toks)
+        toks, pos, n, built = self.toks, self.pos, len(self.toks), self.indexes
         # each open constructor: its class, then the arguments read so far
         open_ctors: list[list] = []
         while True:
@@ -259,7 +285,10 @@ class _Parser:
                     self.next(")")
                 pos += 1
                 open_ctors.pop()
-                value = ctor[0](*ctor[1:])
+                key = tuple(ctor)
+                value = built.get(key)
+                if value is None:
+                    value = built[key] = ctor[0](*ctor[1:])
             else:
                 self.pos = pos
                 return value

@@ -7,8 +7,10 @@ cross-examine the kernel on small instances.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
+import sys
 from functools import lru_cache
 from typing import Iterator
 
@@ -19,6 +21,7 @@ from kcert.formulas import (
     AndPos,
     All,
     Box,
+    BVar,
     DelayNeg,
     DelayPos,
     Dia,
@@ -33,6 +36,7 @@ from kcert.formulas import (
     PAtom,
     PolarizedFormula,
     PosAtom,
+    Term,
     W0,
     delay_if_negative,
     is_positive,
@@ -386,3 +390,42 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
                    for c2 in fpc.release_e(cert))
 
     return async_ok((entry_of(goal),), (), cert, 1)
+
+
+# ---------------------------------------------------------------------------
+# reference models
+
+
+def open_binder_reference(body: PolarizedFormula, t: Term) -> PolarizedFormula:
+    """Binder instantiation by rebuilding the whole body: the model that
+    kcert.formulas.open_binder, which keeps closed subformulas, must
+    agree with."""
+
+    def go_term(u: Term, depth: int) -> Term:
+        if isinstance(u, BVar):
+            if u.index == depth:
+                return t
+            if u.index > depth:
+                return BVar(u.index - 1)
+        return u
+
+    def go(f: PolarizedFormula, depth: int) -> PolarizedFormula:
+        if isinstance(f, (PAtom, NAtom)):
+            return type(f)(f.pred, tuple(go_term(u, depth) for u in f.args))
+        if isinstance(f, (AndNeg, OrNeg, AndPos, OrPos)):
+            return type(f)(go(f.left, depth), go(f.right, depth))
+        if isinstance(f, (All, Exists)):
+            return type(f)(go(f.body, depth + 1))
+        return type(f)(go(f.body, depth))
+
+    return go(body, 0)
+
+
+@contextlib.contextmanager
+def recursion_limit(limit: int) -> Iterator[None]:
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

@@ -9,7 +9,6 @@ import pytest
 
 from kcert import cli
 from kcert.cli import main
-from kcert.kernel import StepBudgetExceeded
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -118,11 +117,15 @@ class TestErrors:
         self._one_error_line(capsys)
 
     def test_step_budget_is_an_error(self, monkeypatch, capsys):
-        def exhausted(*args, **kwargs):
-            raise StepBudgetExceeded("gave up after 5 steps")
-        monkeypatch.setattr(cli, "check", exhausted)
+        # taut.prob takes 9 steps, and prove's self-check as many
+        monkeypatch.setattr(cli, "DEFAULT_MAX_STEPS", 5)
         assert main(["check", str(FIXTURES / "taut.prob")]) == 2
         self._one_error_line(capsys)
+        assert main(["prove", "(or (+ p) (- p))"]) == 2
+        self._one_error_line(capsys)
+        monkeypatch.setattr(cli, "DEFAULT_MAX_STEPS", 9)
+        assert main(["check", str(FIXTURES / "taut.prob")]) == 0
+        capsys.readouterr()
 
     def test_memory_error_is_an_error(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

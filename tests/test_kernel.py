@@ -17,7 +17,7 @@ from kcert.examples import (
     taut_dectree,
 )
 from kcert.fittings import Bind, EIND, FITTINGS, FitCert, FittingsFpc, Lind, Rind
-from kcert.formulas import AndPos, DelayNeg, NAtom, OrPos, PAtom
+from kcert.formulas import AndNeg, AndPos, DelayNeg, NAtom, OrPos, PAtom
 from kcert.kernel import (
     CheckResult,
     Ev,
@@ -36,6 +36,7 @@ from helpers import (
     brute_force_accepts,
     certificate_mutants,
     formulas_of_connectives,
+    recursion_limit,
 )
 
 A = PAtom("a", ())
@@ -199,6 +200,54 @@ class TestPhaseRules:
         assert "init (rind eind)" not in lines
 
 
+class TestCommit:
+    """The kernel commits to the first success of each premise: a later
+    failure never re-enters a premise that has already closed."""
+
+    def test_finished_left_premise_is_not_retried(self):
+        class Probe(Fpc):
+            """The andneg's left premise may store a at l1 or at l2, and
+            the first closes it; the right premise stores b, which
+            nothing closes.  Logs every predicate call."""
+
+            def __init__(self):
+                self.log = []
+
+            def store_c(self, cert, formula):
+                self.log.append(("store_c", cert))
+                if cert == "left":
+                    yield "l1", "left-1"
+                    yield "l2", "left-2"
+                else:
+                    yield cert, cert
+
+            def andneg_c(self, cert):
+                self.log.append(("andneg_c", cert))
+                yield "left", "right"
+
+            def decide_e(self, cert):
+                self.log.append(("decide_e", cert))
+                yield {"left-1": "l1", "left-2": "l2"}.get(cert, cert), cert
+
+            def initial_e(self, cert, index):
+                self.log.append(("initial_e", cert, index))
+                return True
+
+        probe = Probe()
+        result = check_polarized((NA, AndNeg(A, B)), "root", probe)
+        assert not result.accepted
+        # recorded with the recursive kernel the goal stack replaced: no
+        # store_c("left") is retried to reach l2
+        assert (result.steps, result.choice_points) == (8, 1)
+        assert probe.log == [
+            ("store_c", "root"), ("andneg_c", "root"), ("store_c", "left"),
+            ("decide_e", "left-1"), ("initial_e", "left-1", "root"),
+            ("store_c", "right"), ("decide_e", "right")]
+        assert trace_lines(result.trace) == [
+            "store root", "andneg L", "store l1", "decide l1", "init root",
+            "andneg R", "store right", "decide right"]
+
+
 class TestDecideOrder:
     def test_newest_first_when_asked(self):
         log = []
@@ -266,6 +315,47 @@ class TestSearchOrder:
         assert trace_lines(result.trace[-2:]) == [
             "store (bind (lind (lind (lind eind))) (rind eind))",
             "decide (rind (lind (lind eind)))"]
+
+
+def _kchain(n):
+    """dia^n ~p | dia^n ~q | box^n (p & q)"""
+    return parse_formula_text(_chain("or", [
+        "(dia " * n + "(- p)" + ")" * n,
+        "(dia " * n + "(- q)" + ")" * n,
+        "(box " * n + "(and (+ p) (+ q))" + ")" * n]))
+
+
+def _taut(n):
+    """(a0 | ~a0) & ... & (a(n-1) | ~a(n-1))"""
+    return parse_formula_text(_chain("and", [f"(or (+ a{i}) (- a{i}))" for i in range(n)]))
+
+
+class TestDeepProofs:
+    """Proofs far taller than the recursion limit check at the default
+    limit, with the counts the recursive kernel gave under a raised one.
+    Only proving and emitting the certificate needs the raised limit."""
+
+    @pytest.mark.parametrize("family,n,emit,steps,choice_points", [
+        (_kchain, 64, emit_fitcert, 1815, 0),
+        (_taut, 512, emit_fitcert, 7163, 0),
+        (_kchain, 14, emit_simpfitcert, 1193, 1908),
+        (_wide, 10, emit_simpfitcert, 4768, 6555),
+    ], ids=["fittings-kchain64", "fittings-taut512", "simpfit-kchain14", "simpfit-wide10"])
+    def test_default_recursion_limit(self, family, n, emit, steps, choice_points):
+        goal = family(n)
+        with recursion_limit(10_000):
+            cert = emit(prove(goal), goal)
+        with recursion_limit(1000):
+            result = check(goal, cert)
+        assert result.accepted
+        assert (result.steps, result.choice_points) == (steps, choice_points)
+
+    def test_step_budget_stops_a_deep_proof(self):
+        goal = _kchain(64)
+        with recursion_limit(10_000):
+            cert = emit_fitcert(prove(goal), goal)
+        with recursion_limit(1000), pytest.raises(StepBudgetExceeded):
+            check(goal, cert, max_steps=1000)
 
 
 class TestDecideByName:

@@ -1,11 +1,14 @@
 """Problem-file surface syntax: parser, printer, round trips."""
 
+import gc
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from kcert.examples import EXAMPLE1_THEOREM, ftab1_cert, sftab1_cert
+from kcert import problems
+from kcert.examples import EXAMPLE1_THEOREM, EXAMPLE2_THEOREM, ftab1_cert, ftab2_cert, sftab1_cert
 from kcert.fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind
 from kcert.formulas import And, Box, Dia, NegAtom, Or, PosAtom
 from kcert.problems import (
@@ -158,6 +161,27 @@ class TestErrorPositions:
         assert str(info.value) == f"line {line}, col {col}: {message}"
 
 
+class TestScanner:
+    """The str.split scanner against the token pattern it stands in for:
+    the same tokens, or None exactly when the pattern finds a stray
+    character."""
+
+    @given(st.text(alphabet=st.sampled_from(list('()+-_ab9 \t\r\n;"@\xe9\xb2\f\xa0\u0301')),
+                   max_size=40))
+    def test_same_tokens_as_the_pattern(self, text):
+        reference = [tok for tok in problems._TOKEN.findall(text) if tok]
+        stray = any(problems._is_stray(tok) for tok in reference)
+        got = problems._split(text)
+        assert (got is None) == stray
+        if got is not None:
+            assert got == reference
+
+    @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
+    def test_fixtures(self, path):
+        text = path.read_text()
+        assert problems._split(text) == [tok for tok in problems._TOKEN.findall(text) if tok]
+
+
 class TestDeepInput:
     def test_deep_index_parses_at_the_default_recursion_limit(self):
         depth = 10_000
@@ -170,6 +194,57 @@ class TestDeepInput:
             assert isinstance(got, Lind)
             got = got.sub
         assert got is EIND
+
+
+def _tree_indexes(tree):
+    todo, out = [tree], []
+    while todo:
+        node = todo.pop()
+        out += (node.decide_on, node.aux)
+        todo.extend(node.children)
+    return out
+
+
+def _subindexes(index):
+    todo, out = [index], []
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if isinstance(node, (Lind, Rind)):
+            todo.append(node.sub)
+        elif isinstance(node, Bind):
+            todo += (node.left, node.right)
+    return out
+
+
+class TestIndexSharing:
+    """The printer writes every index out in full at each node; the
+    parser builds each distinct one once, as the interned object, and
+    keeps nothing of it once the problem is dropped."""
+
+    TEXT = format_problem(ProblemFile("shared", EXAMPLE2_THEOREM, ftab2_cert()))
+
+    def _check_repeats_are_interned(self):
+        pf = parse_problem(self.TEXT)
+        parsed = [sub for index in _tree_indexes(pf.certificate.tree)
+                  for sub in _subindexes(index)]
+        by_text = {}
+        for index in parsed:
+            assert by_text.setdefault(str(index), index) is index
+        assert len(by_text) < len(parsed)
+        for index in by_text.values():
+            if isinstance(index, (Lind, Rind)):
+                assert type(index)(index.sub) is index
+            elif isinstance(index, Bind):
+                assert Bind(index.left, index.right) is index
+
+    def test_repeats_are_one_object_and_tables_shrink_back(self):
+        tables = (Lind._table, Rind._table, Bind._table)
+        gc.collect()
+        before = [len(table) for table in tables]
+        self._check_repeats_are_interned()
+        gc.collect()
+        assert [len(table) for table in tables] == before
 
 
 class TestRoundTrips:
