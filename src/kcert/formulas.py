@@ -447,73 +447,55 @@ def strip_polarities(f: PolarizedFormula) -> FoFormula:
 # human-readable renderings
 
 
-def render_modal(a: ModalFormula) -> str:
-    if isinstance(a, PosAtom):
-        return a.name
-    if isinstance(a, NegAtom):
-        return f"~{a.name}"
-    if isinstance(a, And):
-        return f"({render_modal(a.left)} & {render_modal(a.right)})"
-    if isinstance(a, Or):
-        return f"({render_modal(a.left)} | {render_modal(a.right)})"
-    if isinstance(a, Box):
-        return f"box {render_modal(a.body)}"
-    return f"dia {render_modal(a.body)}"
+# each connective's text before, between and after its subformulas; a
+# binder's "{}" is the name of the variable it binds
+_SPELLING: dict[type, tuple[str, ...]] = {
+    PAtom: ("",), NAtom: ("~",), FoAtom: ("",), FoNeg: ("~", ""),
+    AndNeg: ("(", " &- ", ")"), OrNeg: ("(", " |- ", ")"),
+    AndPos: ("(", " &+ ", ")"), OrPos: ("(", " |+ ", ")"),
+    FoAnd: ("(", " & ", ")"), FoOr: ("(", " | ", ")"), FoImp: ("(", " => ", ")"),
+    All: ("(all {}. ", ")"), Exists: ("(ex {}. ", ")"),
+    FoAll: ("(all {}. ", ")"), FoEx: ("(ex {}. ", ")"),
+    DelayPos: ("d+(", ")"), DelayNeg: ("d-(", ")"),
+}
 
 
-def _term_name(t: Term, names: list[str]) -> str:
-    if isinstance(t, BVar):
-        return names[t.index]
-    return str(t)
-
-
-def _atom_str(pred: str, args: tuple[Term, ...], names: list[str]) -> str:
-    return f"{pred}({','.join(_term_name(t, names) for t in args)})"
+def _render(f: PolarizedFormula | FoFormula, syntax: type, what: str) -> str:
+    """Print f, whose nodes must all be of the syntax given, naming
+    bound variables y1, y2, ... from the outermost binder in.  One loop
+    over an explicit stack of nodes, each with its binder depth, and of
+    the text still to print after them."""
+    out: list[str] = []
+    stack: list = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, depth = item
+        if not isinstance(node, syntax):
+            raise TypeError(f"not a {what} formula: {node!r}")
+        spelling = _SPELLING[type(node)]
+        if isinstance(node, (PAtom, NAtom, FoAtom)):
+            args = ",".join(f"y{depth - t.index}" if isinstance(t, BVar) and t.index < depth
+                            else str(t) for t in node.args)
+            out.append(f"{spelling[0]}{node.pred}({args})")
+            continue
+        if isinstance(node, (All, Exists, FoAll, FoEx)):
+            depth += 1
+            out.append(spelling[0].format(f"y{depth}"))
+        else:
+            out.append(spelling[0])
+        kids = (node.left, node.right) if len(spelling) == 3 else (node.body,)
+        for kid, after in zip(reversed(kids), reversed(spelling[1:])):
+            stack.append(after)
+            stack.append((kid, depth))
+    return "".join(out)
 
 
 def render_polarized(f: PolarizedFormula) -> str:
-    def go(f: PolarizedFormula, names: list[str]) -> str:
-        if isinstance(f, PAtom):
-            return _atom_str(f.pred, f.args, names)
-        if isinstance(f, NAtom):
-            return "~" + _atom_str(f.pred, f.args, names)
-        if isinstance(f, AndNeg):
-            return f"({go(f.left, names)} &- {go(f.right, names)})"
-        if isinstance(f, OrNeg):
-            return f"({go(f.left, names)} |- {go(f.right, names)})"
-        if isinstance(f, AndPos):
-            return f"({go(f.left, names)} &+ {go(f.right, names)})"
-        if isinstance(f, OrPos):
-            return f"({go(f.left, names)} |+ {go(f.right, names)})"
-        if isinstance(f, (All, Exists)):
-            name = f"y{len(names) + 1}"
-            q = "all" if isinstance(f, All) else "ex"
-            return f"({q} {name}. {go(f.body, [name] + names)})"
-        if isinstance(f, DelayPos):
-            return f"d+({go(f.body, names)})"
-        if isinstance(f, DelayNeg):
-            return f"d-({go(f.body, names)})"
-        raise TypeError(f"not a polarized formula: {f!r}")
-
-    return go(f, [])
+    return _render(f, PolarizedFormula, "polarized")
 
 
 def render_fo(f: FoFormula) -> str:
-    def go(f: FoFormula, names: list[str]) -> str:
-        if isinstance(f, FoAtom):
-            return _atom_str(f.pred, f.args, names)
-        if isinstance(f, FoNeg):
-            return f"~{go(f.body, names)}"
-        if isinstance(f, FoAnd):
-            return f"({go(f.left, names)} & {go(f.right, names)})"
-        if isinstance(f, FoOr):
-            return f"({go(f.left, names)} | {go(f.right, names)})"
-        if isinstance(f, FoImp):
-            return f"({go(f.left, names)} => {go(f.right, names)})"
-        if isinstance(f, (FoAll, FoEx)):
-            name = f"y{len(names) + 1}"
-            q = "all" if isinstance(f, FoAll) else "ex"
-            return f"({q} {name}. {go(f.body, [name] + names)})"
-        raise TypeError(f"not a first-order formula: {f!r}")
-
-    return go(f, [])
+    return _render(f, FoFormula, "first-order")

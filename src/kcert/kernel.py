@@ -84,41 +84,6 @@ def trace_lines(events: Sequence[Ev]) -> list[str]:
     return [str(ev) for ev in events]
 
 
-_BRANCH_KINDS = ("andneg", "andpos")
-
-
-def trace_paths(events: Sequence[Ev]) -> list[tuple[Ev, ...]]:
-    """Split a flat accepted trace into its root-to-leaf paths.
-
-    Two-premise rules emit an "L" marker, then the whole left subproof,
-    then an "R" marker, then the right subproof, so the flat list is a
-    preorder walk and the split is by matching markers.
-    """
-    evs = tuple(events)
-    for i, ev in enumerate(evs):
-        if ev.kind in _BRANCH_KINDS and ev.arg == "L":
-            j = _matching_r(evs, i)
-            prefix = evs[:i]
-            out = [prefix + (evs[i],) + p for p in trace_paths(evs[i + 1:j])]
-            out += [prefix + (evs[j],) + p for p in trace_paths(evs[j + 1:])]
-            return out
-    return [evs]
-
-
-def _matching_r(evs: tuple[Ev, ...], i: int) -> int:
-    depth = 0
-    for j in range(i + 1, len(evs)):
-        ev = evs[j]
-        if ev.kind in _BRANCH_KINDS:
-            if ev.arg == "L":
-                depth += 1
-            elif depth == 0:
-                return j
-            else:
-                depth -= 1
-    raise ValueError("unbalanced branch markers in trace")
-
-
 # ---------------------------------------------------------------------------
 # certificate interface
 

@@ -328,12 +328,22 @@ def format_formula(a: ModalFormula) -> str:
 
 
 def format_dectree(tree: DecTree, indent: int = 0) -> str:
-    pad = "  " * indent
-    head = f"{pad}(dt {tree.decide_on} {tree.aux}"
-    if not tree.children:
-        return head + " ())"
-    kids = "\n".join(format_dectree(child, indent + 1) for child in tree.children)
-    return f"{head} (\n{kids}))"
+    # one loop over an explicit stack of (node, indent) pairs and of the
+    # text still to print after them, so no tree is too tall to print
+    out: list[str] = []
+    stack: list = [(tree, indent)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, depth = item
+        out.append(f"{'  ' * depth}(dt {node.decide_on} {node.aux} (")
+        stack.append("))")
+        for child in reversed(node.children):
+            stack.append((child, depth + 1))
+            stack.append("\n")
+    return "".join(out)
 
 
 def _block(tag: str, items: tuple, indent: int) -> list[str]:

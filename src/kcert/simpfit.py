@@ -1,7 +1,7 @@
 """Essential-evidence certificates: closures and box instantiations only.
 
 Instead of a full decide tree, this format carries just two relations
-extracted from a refutation: which pairs of storage indexes close a
+distilled from one (`distill`): which pairs of storage indexes close a
 branch, and which universal each existential borrows its witness world
 from.  The checker reconstructs the decide structure itself, searching
 depth-first; a use-token multiset meters the decides so the search
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable
 
-from .fittings import Bind, EIND, Index, Lind, NONE, Rind
+from .fittings import Bind, DecTree, EIND, Index, Lind, NONE, Rind
 from .formulas import NAtom, PolarizedFormula, Term, is_rel_literal
 from .kernel import Fpc
 
@@ -67,6 +67,23 @@ class SimpfitCert:
     def load(closures: Iterable[Closure], boxinfos: Iterable[BoxInfo]) -> SimpfitCert:
         # seed one pending index so the entry formula is stored at eind
         return SimpfitCert(1, (EIND,), tuple(closures), tuple(boxinfos), (), ())
+
+
+def distill(tree: DecTree) -> SimpfitCert:
+    """The essential evidence of a decide tree, in preorder: each leaf's
+    pair as a closure, kept once, and each node with an aux other than
+    none as a boxinfo, as often as it occurs."""
+    closures: dict[Closure, None] = {}
+    boxinfos: list[BoxInfo] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not node.children:
+            closures.setdefault(Closure(node.decide_on, node.aux))
+        elif node.aux is not NONE:
+            boxinfos.append(BoxInfo(node.decide_on, node.aux))
+        stack.extend(reversed(node.children))
+    return SimpfitCert.load(closures, boxinfos)
 
 
 def _drop_at(items: tuple, pos: int) -> tuple:

@@ -4,9 +4,11 @@ extraction.
 The prover refutes the negation of a candidate theorem with a prefixed
 tableau: nodes are world-prefixed formulas, worlds are dotted sequences
 of integers, and the accessibility relation is exactly prefix extension.
-A closed tableau is replayed into either certificate format; a saturated
-open branch yields a finite countermodel which is verified against the
-semantics before being reported.
+Each entry is created with the storage index the kernel will give it,
+so a closed tableau reads off directly as a decide tree, from which the
+essential certificate is distilled; a saturated open branch yields a
+finite countermodel which is verified against the semantics before being
+reported.
 
 The expansion order is deterministic: branch closure is checked first,
 then conjunctive and disjunctive entries, then each diamond (once per
@@ -54,7 +56,7 @@ from .formulas import (
     connective_count,
     negate_nnf,
 )
-from .simpfit import BoxInfo, Closure, SimpfitCert
+from .simpfit import SimpfitCert, distill
 
 Prefix = tuple[int, ...]
 
@@ -165,11 +167,9 @@ class PrefixedFormula:
     prefix: Prefix
     body: ModalFormula
     # "L"/"R" descent path from the root formula; drives rule ordering
-    origin: tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        from .formulas import render_modal
-        return f"{format_prefix(self.prefix)}: {render_modal(self.body)}"
+    origin: tuple[str, ...]
+    # the storage index the kernel gives this formula on the theorem side
+    index: Index
 
 
 @dataclass(frozen=True)
@@ -205,6 +205,9 @@ class _Prover:
         # world numbering is global, so a later branch continues where
         # an earlier one left off
         self.next_child: dict[Prefix, int] = {}
+        # index of the diamond entry that created each world: a box
+        # propagated there borrows its eigenvariable
+        self.creator: dict[Prefix, Index] = {}
 
     def expand(self, entries: list[PrefixedFormula],
                conj_done: frozenset[int], dia_done: frozenset[int],
@@ -217,8 +220,8 @@ class _Prover:
                          and isinstance(e.body, (And, Or)))
         if pos is not None:
             e = entries[pos]
-            left = PrefixedFormula(e.prefix, e.body.left, e.origin + ("L",))
-            right = PrefixedFormula(e.prefix, e.body.right, e.origin + ("R",))
+            left = PrefixedFormula(e.prefix, e.body.left, e.origin + ("L",), Lind(e.index))
+            right = PrefixedFormula(e.prefix, e.body.right, e.origin + ("R",), Rind(e.index))
             done = conj_done | {pos}
             if isinstance(e.body, And):
                 sub = self.expand(entries + [left, right], done, dia_done, box_done)
@@ -240,7 +243,8 @@ class _Prover:
             n = self.next_child.get(e.prefix, 1)
             self.next_child[e.prefix] = n + 1
             target = e.prefix + (n,)
-            child = PrefixedFormula(target, e.body.body, e.origin + ("L",))
+            self.creator[target] = e.index
+            child = PrefixedFormula(target, e.body.body, e.origin + ("L",), Lind(e.index))
             sub = self.expand(entries + [child], conj_done, dia_done | {pos}, box_done)
             if isinstance(sub, OpenBranch):
                 return sub
@@ -250,7 +254,8 @@ class _Prover:
         if box_cand is not None:
             pos, target = box_cand
             e = entries[pos]
-            child = PrefixedFormula(target, e.body.body, e.origin + ("L",))
+            child = PrefixedFormula(target, e.body.body, e.origin + ("L",),
+                                    Bind(e.index, self.creator[target]))
             sub = self.expand(entries + [child], conj_done, dia_done,
                               box_done | {(pos, target)})
             if isinstance(sub, OpenBranch):
@@ -323,7 +328,7 @@ class _Prover:
 def prove(theorem: ModalFormula) -> ClosedTableau | OpenBranch:
     """Refute the negation of theorem.  A ClosedTableau means theorem is
     K-valid; an OpenBranch carries a verified countermodel."""
-    root = PrefixedFormula(ROOT_WORLD, negate_nnf(theorem), ())
+    root = PrefixedFormula(ROOT_WORLD, negate_nnf(theorem), (), EIND)
     result = _Prover().expand([root], frozenset(), frozenset(), frozenset())
     if isinstance(result, OpenBranch):
         return result
@@ -337,104 +342,43 @@ class EmitError(ValueError):
     pass
 
 
-class _Emitter:
-    """Replay a closed refutation on the theorem side of the index
-    algebra.  Refutation rules map to their duals: a conjunction split
-    becomes a disjunctive decide, a branch split a conjunctive one, a
-    world-creating diamond a universal decide (whose index then names
-    the world's eigenvariable), and a box propagation an existential
-    decide borrowing that eigenvariable."""
-
-    def __init__(self, root: PrefixedFormula):
-        self.index_of: dict[int, Index] = {id(root): EIND}
-        self.creator: dict[Prefix, Index] = {}
-        self.closures: list[Closure] = []
-        self.boxinfos: list[BoxInfo] = []
-
-    def _lookup(self, entry: PrefixedFormula) -> Index:
-        try:
-            return self.index_of[id(entry)]
-        except KeyError:
-            raise EmitError(f"step refers to an entry never introduced: {entry}") from None
-
-    def walk(self, step: TabStep) -> DecTree:
-        if step.rule == "close":
-            if step.closing is None:
-                raise EmitError("close step without a closing pair")
-            neg, pos = step.closing
-            if not isinstance(neg.body, NegAtom) or not isinstance(pos.body, PosAtom):
-                raise EmitError("closing pair must be (negative, positive)")
-            node = DecTree(self._lookup(neg), self._lookup(pos), ())
-            self.closures.append(Closure(node.decide_on, node.aux))
-            return node
-
-        if step.source is None:
-            raise EmitError(f"{step.rule} step without a source entry")
-        i = self._lookup(step.source)
-
-        if step.rule in ("andF", "orF"):
-            left, right = step.created
-            self.index_of[id(left)] = Lind(i)
-            self.index_of[id(right)] = Rind(i)
-            kids = tuple(self.walk(child) for child in step.children)
-            want = 2 if step.rule == "orF" else 1
-            if len(kids) != want:
-                raise EmitError(f"{step.rule} step with {len(kids)} subtrees")
-            return DecTree(i, NONE, kids)
-
-        if step.rule == "diaF":
-            if step.target is None:
-                raise EmitError("diaF step without a target world")
-            (child,) = step.created
-            self.creator[step.target] = i
-            self.index_of[id(child)] = Lind(i)
-            return DecTree(i, NONE, (self.walk(step.children[0]),))
-
-        if step.rule == "boxF":
-            if step.target not in self.creator:
-                raise EmitError(f"boxF step targets world {step.target} "
-                                "before any diamond created it")
-            donor = self.creator[step.target]
-            (child,) = step.created
-            self.index_of[id(child)] = Bind(i, donor)
-            self.boxinfos.append(BoxInfo(i, donor))
-            return DecTree(i, donor, (self.walk(step.children[0]),))
-
-        raise EmitError(f"unknown rule {step.rule!r}")
-
-
-def _check_theorem(ct: ClosedTableau, theorem: ModalFormula | None) -> None:
+def emit_dectree(ct: ClosedTableau, theorem: ModalFormula | None = None) -> DecTree:
+    """The refutation read as a decide tree on the theorem side: each
+    step decides on its source entry's index (its dual rule: a split
+    becomes a disjunctive or conjunctive decide, a diamond a universal,
+    a box an existential whose aux names the diamond that made its
+    world), and a closed branch is a leaf on its (negative, positive)
+    literal pair."""
     if theorem is not None and ct.root.body != negate_nnf(theorem):
         raise EmitError("tableau does not refute the negation of the "
                         "given theorem")
-
-
-def emit_dectree(ct: ClosedTableau, theorem: ModalFormula | None = None) -> DecTree:
-    _check_theorem(ct, theorem)
-    return _Emitter(ct.root).walk(ct.step)
+    # a step is popped once to queue its children and once more, after
+    # they are built, to build its own node
+    built: list[DecTree] = []
+    stack: list[tuple[TabStep, bool]] = [(ct.step, False)]
+    while stack:
+        step, ready = stack.pop()
+        if step.rule == "close":
+            neg, pos = step.closing
+            built.append(DecTree(neg.index, pos.index, ()))
+        elif not ready:
+            stack.append((step, True))
+            stack.extend((child, False) for child in reversed(step.children))
+        else:
+            n = len(step.children)
+            kids = tuple(built[-n:])
+            del built[-n:]
+            aux = step.created[0].index.right if step.rule == "boxF" else NONE
+            built.append(DecTree(step.source.index, aux, kids))
+    return built[0]
 
 
 def emit_fitcert(ct: ClosedTableau, theorem: ModalFormula | None = None) -> FitCert:
     return FitCert.load(emit_dectree(ct, theorem))
 
 
-def emit_essentials(ct: ClosedTableau, theorem: ModalFormula | None = None,
-                    ) -> tuple[tuple[Closure, ...], tuple[BoxInfo, ...]]:
-    """Closures (deduplicated, in closing order) and box instantiations
-    (one per box propagation, multiplicity kept) of a closed tableau."""
-    _check_theorem(ct, theorem)
-    emitter = _Emitter(ct.root)
-    emitter.walk(ct.step)
-    seen: list[Closure] = []
-    for c in emitter.closures:
-        if c not in seen:
-            seen.append(c)
-    return tuple(seen), tuple(emitter.boxinfos)
-
-
 def emit_simpfitcert(ct: ClosedTableau, theorem: ModalFormula | None = None) -> SimpfitCert:
-    closures, boxinfos = emit_essentials(ct, theorem)
-    return SimpfitCert.load(closures, boxinfos)
+    return distill(emit_dectree(ct, theorem))
 
 
 # ---------------------------------------------------------------------------

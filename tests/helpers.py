@@ -1,8 +1,9 @@
 """Shared test machinery.
 
-Formula enumeration and random generation, certificate mutation, a
-trace-shape checker, and an independent brute-force proof search used to
-cross-examine the kernel on small instances.
+Formula enumeration, scalable families and random generation,
+certificate mutation, a trace-shape checker, and an independent
+brute-force proof search used to cross-examine the kernel on small
+instances.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import dataclasses
 import random
 import sys
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from kcert.fittings import Bind, DecTree, FitCert, Index, Lind, Rind
 from kcert.formulas import (
@@ -43,7 +44,8 @@ from kcert.formulas import (
     open_binder,
     polarized_translation,
 )
-from kcert.kernel import Ev, Fpc, trace_paths
+from kcert.kernel import Ev, Fpc
+from kcert.problems import parse_formula_text
 from kcert.simpfit import SimpfitCert
 from kcert.tableau import KripkeModel, Prefix
 
@@ -111,6 +113,37 @@ def agreement_corpus() -> list[ModalFormula]:
         for f in formulas_of_connectives(c):
             seen.setdefault(f)
     return list(seen)
+
+
+# ---------------------------------------------------------------------------
+# scalable families (dia^n is n nested diamonds)
+
+
+def _chain(op: str, items: list[str]) -> str:
+    out = items[0]
+    for item in items[1:]:
+        out = f"({op} {out} {item})"
+    return out
+
+
+def taut(n: int) -> ModalFormula:
+    """(a0 | ~a0) & ... & (a(n-1) | ~a(n-1))"""
+    return parse_formula_text(_chain("and", [f"(or (+ a{i}) (- a{i}))" for i in range(n)]))
+
+
+def kchain(n: int) -> ModalFormula:
+    """dia^n ~p | dia^n ~q | box^n (p & q)"""
+    return parse_formula_text(_chain("or", [
+        "(dia " * n + "(- p)" + ")" * n,
+        "(dia " * n + "(- q)" + ")" * n,
+        "(box " * n + "(and (+ p) (+ q))" + ")" * n]))
+
+
+def wide(n: int) -> ModalFormula:
+    """dia ~p0 | ... | dia ~p(n-1) | box (p0 & ... & p(n-1))"""
+    return parse_formula_text(_chain(
+        "or", [f"(dia (- p{i}))" for i in range(n)]
+        + ["(box " + _chain("and", [f"(+ p{i})" for i in range(n)]) + ")"]))
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +295,41 @@ def certificate_mutants(cert) -> Iterator[tuple[str, object]]:
 
 # ---------------------------------------------------------------------------
 # trace-shape checking
+
+
+_BRANCH_KINDS = ("andneg", "andpos")
+
+
+def trace_paths(events: Sequence[Ev]) -> list[tuple[Ev, ...]]:
+    """Split a flat accepted trace into its root-to-leaf paths.
+
+    Two-premise rules emit an "L" marker, then the whole left subproof,
+    then an "R" marker, then the right subproof, so the flat list is a
+    preorder walk and the split is by matching markers.
+    """
+    evs = tuple(events)
+    for i, ev in enumerate(evs):
+        if ev.kind in _BRANCH_KINDS and ev.arg == "L":
+            j = _matching_r(evs, i)
+            prefix = evs[:i]
+            out = [prefix + (evs[i],) + p for p in trace_paths(evs[i + 1:j])]
+            out += [prefix + (evs[j],) + p for p in trace_paths(evs[j + 1:])]
+            return out
+    return [evs]
+
+
+def _matching_r(evs: tuple[Ev, ...], i: int) -> int:
+    depth = 0
+    for j in range(i + 1, len(evs)):
+        ev = evs[j]
+        if ev.kind in _BRANCH_KINDS:
+            if ev.arg == "L":
+                depth += 1
+            elif depth == 0:
+                return j
+            else:
+                depth -= 1
+    raise ValueError("unbalanced branch markers in trace")
 
 
 def bipole_violations(trace: tuple[Ev, ...]) -> list[str]:

@@ -1,5 +1,6 @@
 """Formula layer: NNF operations, polarization, the two translations."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from kcert.formulas import (
@@ -41,12 +42,16 @@ from kcert.formulas import (
     open_binder,
     polarized_translation,
     render_fo,
-    render_modal,
     render_polarized,
     standard_translation,
     strip_polarities,
 )
-from helpers import formulas_of_connectives, formulas_of_size, open_binder_reference
+from helpers import (
+    formulas_of_connectives,
+    formulas_of_size,
+    open_binder_reference,
+    recursion_limit,
+)
 
 P = PosAtom("p")
 Q = PosAtom("q")
@@ -278,10 +283,6 @@ class TestStripPolarities:
 
 
 class TestRendering:
-    def test_modal(self):
-        f = Or(Or(Dia(NP), Box(Q)), Dia(And(P, NQ)))
-        assert render_modal(f) == "((dia ~p | box q) | dia (p & ~q))"
-
     def test_polarized_box(self):
         got = render_polarized(polarized_translation(Box(P), W0))
         assert got == "(all y1. (~R(w0,y1) |- p(y1)))"
@@ -297,3 +298,26 @@ class TestRendering:
     def test_nested_binder_names_are_distinct(self):
         got = render_fo(standard_translation(Box(Dia(P)), W0))
         assert got == "(all y1. (R(w0,y1) => (ex y2. (R(y1,y2) & p(y2)))))"
+
+    def test_deep_box_chain_at_the_default_recursion_limit(self):
+        depth = 600
+        f = P
+        for _ in range(depth):
+            f = Box(f)
+        with recursion_limit(1000):
+            standard = render_fo(standard_translation(f, W0))
+            polarized = render_polarized(polarized_translation(f, W0))
+        worlds = ["w0"] + [f"y{i}" for i in range(1, depth + 1)]
+        assert standard == ("".join(f"(all {worlds[i]}. (R({worlds[i - 1]},{worlds[i]}) => "
+                                    for i in range(1, depth + 1))
+                            + f"p(y{depth})" + "))" * depth)
+        # each box but the innermost is a negative formula under a delay
+        assert polarized == ("d+(".join(f"(all {worlds[i]}. (~R({worlds[i - 1]},{worlds[i]}) |- "
+                                     for i in range(1, depth + 1))
+                             + f"p(y{depth})" + ")" * (3 * depth - 1))
+
+    def test_foreign_nodes_are_refused(self):
+        with pytest.raises(TypeError, match="not a polarized formula"):
+            render_polarized(FoAtom("p", (W0,)))
+        with pytest.raises(TypeError, match="not a first-order formula"):
+            render_fo(FoNeg(PAtom("p", (W0,))))

@@ -26,9 +26,7 @@ from kcert.kernel import (
     check,
     check_polarized,
     trace_lines,
-    trace_paths,
 )
-from kcert.problems import parse_formula_text
 from kcert.simpfit import SIMPFIT
 from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, prove
 from helpers import (
@@ -36,7 +34,11 @@ from helpers import (
     brute_force_accepts,
     certificate_mutants,
     formulas_of_connectives,
+    kchain,
     recursion_limit,
+    taut,
+    trace_paths,
+    wide,
 )
 
 A = PAtom("a", ())
@@ -269,21 +271,7 @@ class TestDecideOrder:
         assert log == [("ix", B), ("ix", A)]
 
 
-def _chain(op, items):
-    out = items[0]
-    for item in items[1:]:
-        out = f"({op} {out} {item})"
-    return out
-
-
-def _wide(n):
-    """dia ~p0 | ... | dia ~p(n-1) | box (p0 & ... & p(n-1))"""
-    return parse_formula_text(_chain(
-        "or", [f"(dia (- p{i}))" for i in range(n)]
-        + ["(box " + _chain("and", [f"(+ p{i})" for i in range(n)]) + ")"]))
-
-
-WIDE3 = _wide(3)
+WIDE3 = wide(3)
 
 
 class TestSearchOrder:
@@ -317,29 +305,16 @@ class TestSearchOrder:
             "decide (rind (lind (lind eind)))"]
 
 
-def _kchain(n):
-    """dia^n ~p | dia^n ~q | box^n (p & q)"""
-    return parse_formula_text(_chain("or", [
-        "(dia " * n + "(- p)" + ")" * n,
-        "(dia " * n + "(- q)" + ")" * n,
-        "(box " * n + "(and (+ p) (+ q))" + ")" * n]))
-
-
-def _taut(n):
-    """(a0 | ~a0) & ... & (a(n-1) | ~a(n-1))"""
-    return parse_formula_text(_chain("and", [f"(or (+ a{i}) (- a{i}))" for i in range(n)]))
-
-
 class TestDeepProofs:
     """Proofs far taller than the recursion limit check at the default
     limit, with the counts the recursive kernel gave under a raised one.
     Only proving and emitting the certificate needs the raised limit."""
 
     @pytest.mark.parametrize("family,n,emit,steps,choice_points", [
-        (_kchain, 64, emit_fitcert, 1815, 0),
-        (_taut, 512, emit_fitcert, 7163, 0),
-        (_kchain, 14, emit_simpfitcert, 1193, 1908),
-        (_wide, 10, emit_simpfitcert, 4768, 6555),
+        (kchain, 64, emit_fitcert, 1815, 0),
+        (taut, 512, emit_fitcert, 7163, 0),
+        (kchain, 14, emit_simpfitcert, 1193, 1908),
+        (wide, 10, emit_simpfitcert, 4768, 6555),
     ], ids=["fittings-kchain64", "fittings-taut512", "simpfit-kchain14", "simpfit-wide10"])
     def test_default_recursion_limit(self, family, n, emit, steps, choice_points):
         goal = family(n)
@@ -351,7 +326,7 @@ class TestDeepProofs:
         assert (result.steps, result.choice_points) == (steps, choice_points)
 
     def test_step_budget_stops_a_deep_proof(self):
-        goal = _kchain(64)
+        goal = kchain(64)
         with recursion_limit(10_000):
             cert = emit_fitcert(prove(goal), goal)
         with recursion_limit(1000), pytest.raises(StepBudgetExceeded):
@@ -370,7 +345,7 @@ class TestDecideByName:
 
         for n in (2, 8, 24):
             # one branch that stores every disjunct before deciding
-            goal = _wide(n)
+            goal = wide(n)
             counting = Counting()
             result = check(goal, emit_fitcert(prove(goal), goal), counting)
             assert result.accepted and result.choice_points == 0

@@ -21,6 +21,7 @@ from kcert.problems import (
     parse_problem,
 )
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
+from helpers import recursion_limit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -194,6 +195,21 @@ class TestDeepInput:
             assert isinstance(got, Lind)
             got = got.sub
         assert got is EIND
+
+    def test_deep_dectree_prints_and_reads_back(self):
+        depth = 10_000
+        tree = DecTree(Lind(EIND), EIND, ())
+        for n in range(depth):
+            tree = DecTree(Rind(EIND) if n % 2 else EIND, NONE, (tree,))
+        with recursion_limit(1000):
+            text = format_problem(ProblemFile("deep", PosAtom("p"), FitCert.load(tree)))
+            back = parse_problem(text).certificate.tree
+        assert text.count("(dt ") == depth + 1
+        # DecTree equality recurses, so compare the two chains node by node
+        while tree.children:
+            assert (back.decide_on, back.aux, len(back.children)) == (tree.decide_on, tree.aux, 1)
+            tree, back = tree.children[0], back.children[0]
+        assert (back.decide_on, back.aux, back.children) == (Lind(EIND), EIND, ())
 
 
 def _tree_indexes(tree):

@@ -1,5 +1,7 @@
 """Prover, emitters, models, and the bounded validity oracle."""
 
+import hashlib
+
 import pytest
 
 from kcert.examples import (
@@ -32,6 +34,7 @@ from kcert.formulas import (
     standard_translation,
 )
 from kcert.kernel import check
+from kcert.problems import ProblemFile, format_problem
 from kcert.simpfit import SIMPFIT
 from kcert.tableau import (
     ClosedTableau,
@@ -41,7 +44,6 @@ from kcert.tableau import (
     ROOT_WORLD,
     bounded_validity_oracle,
     emit_dectree,
-    emit_essentials,
     emit_fitcert,
     emit_simpfitcert,
     eval_fo,
@@ -51,7 +53,7 @@ from kcert.tableau import (
     format_prefix,
     prove,
 )
-from helpers import formulas_of_connectives
+from helpers import agreement_corpus, formulas_of_connectives, kchain, taut, wide
 
 P = PosAtom("p")
 Q = PosAtom("q")
@@ -227,17 +229,32 @@ class TestEmitters:
         assert node_count(emit_dectree(prove(EXAMPLE2_THEOREM))) == 10
 
     def test_essentials_deduplicate_closures(self):
-        closures, boxinfos = emit_essentials(prove(EXAMPLE2_THEOREM))
-        assert len(closures) == len(set(closures)) == 2
-        assert len(boxinfos) == 2
+        cert = emit_simpfitcert(prove(EXAMPLE2_THEOREM))
+        assert len(cert.closures) == len(set(cert.closures)) == 2
+        assert len(cert.boxinfos) == 2
 
     def test_theorem_cross_check(self):
         ct = prove(EXAMPLE1_THEOREM)
         assert emit_dectree(ct, EXAMPLE1_THEOREM) == ftab1_dectree()
-        for emit in (emit_dectree, emit_fitcert,
-                     emit_essentials, emit_simpfitcert):
+        for emit in (emit_dectree, emit_fitcert, emit_simpfitcert):
             with pytest.raises(EmitError, match="does not refute"):
                 emit(ct, EXAMPLE2_THEOREM)
+
+    def test_emitted_text_is_pinned(self):
+        # recorded before the prover named each entry's index and simpfit
+        # certificates were distilled from the decide tree: any change to
+        # an index, an aux, the order of the closures or the number of
+        # boxinfos moves it
+        digest = hashlib.sha256()
+        theorems = [f for f in agreement_corpus() if isinstance(prove(f), ClosedTableau)][::7]
+        theorems += [family(n) for family in (taut, kchain, wide) for n in range(1, 9)]
+        for theorem in theorems:
+            ct = prove(theorem)
+            for cert in (emit_fitcert(ct, theorem), emit_simpfitcert(ct, theorem)):
+                digest.update(format_problem(ProblemFile("emitted", theorem, cert)).encode())
+        assert len(theorems) == 335
+        assert digest.hexdigest() == (
+            "e5f7ea321a054627cc6a2c917eedc1b043c1b74b27ee093bf709333a1c1c55cf")
 
     def test_emitted_certificates_check(self):
         for theorem in (EXAMPLE1_THEOREM, EXAMPLE2_THEOREM, Or(P, NP)):
