@@ -17,6 +17,7 @@ comparison plain structural equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 # ---------------------------------------------------------------------------
@@ -58,54 +59,78 @@ class Dia:
 ModalFormula = PosAtom | NegAtom | And | Or | Box | Dia
 
 
+# ---------------------------------------------------------------------------
+# one fold for every walker
+
+
+def fold(f, ctx, rules: dict[type, tuple[Callable, Callable]], what: str):
+    """The value of f, built bottom-up.  rules maps each node class to a
+    pair (kids, build): kids(node, ctx) lists the (subformula, context)
+    pairs to visit, and build(node, ctx, values) makes the node's value
+    from theirs, in the same order.  The nodes are listed in preorder,
+    last child first, then built in reverse, so each node's children are
+    built before it; both loops run on explicit stacks, so no formula is
+    too deep to fold."""
+    visits: list = []
+    todo: list = [(f, ctx)]
+    while todo:
+        node, ctx = todo.pop()
+        try:
+            kids, build = rules[type(node)]
+        except KeyError:
+            raise TypeError(f"not a {what} formula: {node!r}") from None
+        pairs = kids(node, ctx)
+        visits.append((node, ctx, build, len(pairs)))
+        todo += pairs
+    values: list = []
+    for node, ctx, build, n in reversed(visits):
+        if n:
+            done = values[-n:]
+            del values[-n:]
+        else:
+            done = ()
+        values.append(build(node, ctx, done))
+    return values[0]
+
+
+def no_kids(f, ctx) -> tuple:
+    return ()
+
+
+def both_kids(f, ctx) -> tuple:
+    return (f.left, ctx), (f.right, ctx)
+
+
+def body_kid(f, ctx) -> tuple:
+    return ((f.body, ctx),)
+
+
+_NEGATE = {
+    PosAtom: (no_kids, lambda a, _, __: NegAtom(a.name)),
+    NegAtom: (no_kids, lambda a, _, __: PosAtom(a.name)),
+    And: (both_kids, lambda a, _, v: Or(*v)),
+    Or: (both_kids, lambda a, _, v: And(*v)),
+    Box: (body_kid, lambda a, _, v: Dia(*v)),
+    Dia: (body_kid, lambda a, _, v: Box(*v)),
+}
+
+_COUNT = {
+    PosAtom: (no_kids, lambda *_: 0),
+    NegAtom: (no_kids, lambda *_: 0),
+    And: (both_kids, lambda a, _, v: 1 + sum(v)),
+    Or: (both_kids, lambda a, _, v: 1 + sum(v)),
+    Box: (body_kid, lambda a, _, v: 1 + sum(v)),
+    Dia: (body_kid, lambda a, _, v: 1 + sum(v)),
+}
+
+
 def negate_nnf(a: ModalFormula) -> ModalFormula:
     """De Morgan negation, staying inside negation normal form."""
-    if isinstance(a, PosAtom):
-        return NegAtom(a.name)
-    if isinstance(a, NegAtom):
-        return PosAtom(a.name)
-    if isinstance(a, And):
-        return Or(negate_nnf(a.left), negate_nnf(a.right))
-    if isinstance(a, Or):
-        return And(negate_nnf(a.left), negate_nnf(a.right))
-    if isinstance(a, Box):
-        return Dia(negate_nnf(a.body))
-    if isinstance(a, Dia):
-        return Box(negate_nnf(a.body))
-    raise TypeError(f"not a modal formula: {a!r}")
-
-
-def modal_size(a: ModalFormula) -> int:
-    """Number of syntax tree nodes; a literal counts as one node."""
-    if isinstance(a, (PosAtom, NegAtom)):
-        return 1
-    if isinstance(a, (And, Or)):
-        return 1 + modal_size(a.left) + modal_size(a.right)
-    return 1 + modal_size(a.body)
+    return fold(a, None, _NEGATE, "modal")
 
 
 def connective_count(a: ModalFormula) -> int:
-    if isinstance(a, (PosAtom, NegAtom)):
-        return 0
-    if isinstance(a, (And, Or)):
-        return 1 + connective_count(a.left) + connective_count(a.right)
-    return 1 + connective_count(a.body)
-
-
-def modal_depth(a: ModalFormula) -> int:
-    if isinstance(a, (PosAtom, NegAtom)):
-        return 0
-    if isinstance(a, (And, Or)):
-        return max(modal_depth(a.left), modal_depth(a.right))
-    return 1 + modal_depth(a.body)
-
-
-def atom_names(a: ModalFormula) -> frozenset[str]:
-    if isinstance(a, (PosAtom, NegAtom)):
-        return frozenset((a.name,))
-    if isinstance(a, (And, Or)):
-        return atom_names(a.left) | atom_names(a.right)
-    return atom_names(a.body)
+    return fold(a, None, _COUNT, "modal")
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +342,24 @@ def open_binder(body: PolarizedFormula, t: Term) -> PolarizedFormula:
 # the two translations of modal formulas
 
 
+def _bound_world(a: Box | Dia, world: Term) -> tuple:
+    # a box's or a diamond's body is translated at the world its
+    # quantifier binds
+    return ((a.body, BVar(0)),)
+
+
+_POLARIZED = {
+    PosAtom: (no_kids, lambda a, w, _: PAtom(a.name, (w,))),
+    NegAtom: (no_kids, lambda a, w, _: NAtom(a.name, (w,))),
+    And: (both_kids, lambda a, w, v: AndNeg(*map(delay_if_negative, v))),
+    Or: (both_kids, lambda a, w, v: OrNeg(*map(delay_if_negative, v))),
+    Box: (_bound_world, lambda a, w, v: All(OrNeg(
+        NAtom(REL, (_shift(w), BVar(0))), delay_if_negative(v[0])))),
+    Dia: (_bound_world, lambda a, w, v: Exists(AndPos(
+        PAtom(REL, (_shift(w), BVar(0))), DelayNeg(delay_if_negative(v[0]))))),
+}
+
+
 def polarized_translation(a: ModalFormula, world: Term) -> PolarizedFormula:
     """Translate a modal formula into the polarized language, at a world.
 
@@ -326,31 +369,7 @@ def polarized_translation(a: ModalFormula, world: Term) -> PolarizedFormula:
     delay under the existential stops the focused phase at the successor
     world's formula.
     """
-    if isinstance(a, PosAtom):
-        return PAtom(a.name, (world,))
-    if isinstance(a, NegAtom):
-        return NAtom(a.name, (world,))
-    if isinstance(a, And):
-        return AndNeg(
-            delay_if_negative(polarized_translation(a.left, world)),
-            delay_if_negative(polarized_translation(a.right, world)),
-        )
-    if isinstance(a, Or):
-        return OrNeg(
-            delay_if_negative(polarized_translation(a.left, world)),
-            delay_if_negative(polarized_translation(a.right, world)),
-        )
-    if isinstance(a, Box):
-        return All(OrNeg(
-            NAtom(REL, (_shift(world), BVar(0))),
-            delay_if_negative(polarized_translation(a.body, BVar(0))),
-        ))
-    if isinstance(a, Dia):
-        return Exists(AndPos(
-            PAtom(REL, (_shift(world), BVar(0))),
-            DelayNeg(delay_if_negative(polarized_translation(a.body, BVar(0)))),
-        ))
-    raise TypeError(f"not a modal formula: {a!r}")
+    return fold(a, world, _POLARIZED, "modal")
 
 
 # ---------------------------------------------------------------------------
@@ -399,58 +418,51 @@ class FoEx:
 FoFormula = FoAtom | FoNeg | FoAnd | FoOr | FoImp | FoAll | FoEx
 
 
+_STANDARD = {
+    PosAtom: (no_kids, lambda a, w, _: FoAtom(a.name, (w,))),
+    NegAtom: (no_kids, lambda a, w, _: FoNeg(FoAtom(a.name, (w,)))),
+    And: (both_kids, lambda a, w, v: FoAnd(*v)),
+    Or: (both_kids, lambda a, w, v: FoOr(*v)),
+    Box: (_bound_world, lambda a, w, v: FoAll(FoImp(FoAtom(REL, (_shift(w), BVar(0))), *v))),
+    Dia: (_bound_world, lambda a, w, v: FoEx(FoAnd(FoAtom(REL, (_shift(w), BVar(0))), *v))),
+}
+
+_STRIP = {
+    PAtom: (no_kids, lambda f, _, __: FoAtom(f.pred, f.args)),
+    NAtom: (no_kids, lambda f, _, __: FoNeg(FoAtom(f.pred, f.args))),
+    AndNeg: (both_kids, lambda f, _, v: FoAnd(*v)),
+    AndPos: (both_kids, lambda f, _, v: FoAnd(*v)),
+    OrNeg: (both_kids, lambda f, _, v: FoOr(*v)),
+    OrPos: (both_kids, lambda f, _, v: FoOr(*v)),
+    All: (body_kid, lambda f, _, v: FoAll(*v)),
+    Exists: (body_kid, lambda f, _, v: FoEx(*v)),
+    DelayPos: (body_kid, lambda f, _, v: v[0]),
+    DelayNeg: (body_kid, lambda f, _, v: v[0]),
+}
+
+
 def standard_translation(a: ModalFormula, world: Term) -> FoFormula:
     """The textbook relational translation into unpolarized first-order logic."""
-    if isinstance(a, PosAtom):
-        return FoAtom(a.name, (world,))
-    if isinstance(a, NegAtom):
-        return FoNeg(FoAtom(a.name, (world,)))
-    if isinstance(a, And):
-        return FoAnd(standard_translation(a.left, world),
-                     standard_translation(a.right, world))
-    if isinstance(a, Or):
-        return FoOr(standard_translation(a.left, world),
-                    standard_translation(a.right, world))
-    if isinstance(a, Box):
-        return FoAll(FoImp(
-            FoAtom(REL, (_shift(world), BVar(0))),
-            standard_translation(a.body, BVar(0)),
-        ))
-    if isinstance(a, Dia):
-        return FoEx(FoAnd(
-            FoAtom(REL, (_shift(world), BVar(0))),
-            standard_translation(a.body, BVar(0)),
-        ))
-    raise TypeError(f"not a modal formula: {a!r}")
+    return fold(a, world, _STANDARD, "modal")
 
 
 def strip_polarities(f: PolarizedFormula) -> FoFormula:
     """Forget polarities and delays, keeping the classical content."""
-    if isinstance(f, PAtom):
-        return FoAtom(f.pred, f.args)
-    if isinstance(f, NAtom):
-        return FoNeg(FoAtom(f.pred, f.args))
-    if isinstance(f, (AndNeg, AndPos)):
-        return FoAnd(strip_polarities(f.left), strip_polarities(f.right))
-    if isinstance(f, (OrNeg, OrPos)):
-        return FoOr(strip_polarities(f.left), strip_polarities(f.right))
-    if isinstance(f, All):
-        return FoAll(strip_polarities(f.body))
-    if isinstance(f, Exists):
-        return FoEx(strip_polarities(f.body))
-    if isinstance(f, (DelayPos, DelayNeg)):
-        return strip_polarities(f.body)
-    raise TypeError(f"not a polarized formula: {f!r}")
+    return fold(f, None, _STRIP, "polarized")
 
 
 # ---------------------------------------------------------------------------
 # human-readable renderings
 
 
-# each connective's text before, between and after its subformulas; a
-# binder's "{}" is the name of the variable it binds
+# each connective's text before, between and after its subformulas; an
+# atom's "{}" is its name, with its arguments in the first-order
+# syntaxes, and a binder's "{}" the name of the variable it binds
 _SPELLING: dict[type, tuple[str, ...]] = {
-    PAtom: ("",), NAtom: ("~",), FoAtom: ("",), FoNeg: ("~", ""),
+    PosAtom: ("(+ {})",), NegAtom: ("(- {})",),
+    And: ("(and ", " ", ")"), Or: ("(or ", " ", ")"),
+    Box: ("(box ", ")"), Dia: ("(dia ", ")"),
+    PAtom: ("{}",), NAtom: ("~{}",), FoAtom: ("{}",), FoNeg: ("~", ""),
     AndNeg: ("(", " &- ", ")"), OrNeg: ("(", " |- ", ")"),
     AndPos: ("(", " &+ ", ")"), OrPos: ("(", " |+ ", ")"),
     FoAnd: ("(", " & ", ")"), FoOr: ("(", " | ", ")"), FoImp: ("(", " => ", ")"),
@@ -460,7 +472,8 @@ _SPELLING: dict[type, tuple[str, ...]] = {
 }
 
 
-def _render(f: PolarizedFormula | FoFormula, syntax: type, what: str) -> str:
+def _render(f: ModalFormula | PolarizedFormula | FoFormula, syntax: tuple[type, ...],
+            what: str) -> str:
     """Print f, whose nodes must all be of the syntax given, naming
     bound variables y1, y2, ... from the outermost binder in.  One loop
     over an explicit stack of nodes, each with its binder depth, and of
@@ -469,33 +482,41 @@ def _render(f: PolarizedFormula | FoFormula, syntax: type, what: str) -> str:
     stack: list = [(f, 0)]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if type(item) is str:
             out.append(item)
             continue
         node, depth = item
-        if not isinstance(node, syntax):
+        cls = type(node)
+        if cls not in syntax:
             raise TypeError(f"not a {what} formula: {node!r}")
-        spelling = _SPELLING[type(node)]
-        if isinstance(node, (PAtom, NAtom, FoAtom)):
+        spelling = _SPELLING[cls]
+        if len(spelling) == 3:
+            out.append(spelling[0])
+            stack += (spelling[2], (node.right, depth), spelling[1], (node.left, depth))
+        elif len(spelling) == 2:
+            if cls in (All, Exists, FoAll, FoEx):
+                depth += 1
+                out.append(spelling[0].format(f"y{depth}"))
+            else:
+                out.append(spelling[0])
+            stack += (spelling[1], (node.body, depth))
+        elif cls is PosAtom or cls is NegAtom:
+            out.append(spelling[0].format(node.name))
+        else:
             args = ",".join(f"y{depth - t.index}" if isinstance(t, BVar) and t.index < depth
                             else str(t) for t in node.args)
-            out.append(f"{spelling[0]}{node.pred}({args})")
-            continue
-        if isinstance(node, (All, Exists, FoAll, FoEx)):
-            depth += 1
-            out.append(spelling[0].format(f"y{depth}"))
-        else:
-            out.append(spelling[0])
-        kids = (node.left, node.right) if len(spelling) == 3 else (node.body,)
-        for kid, after in zip(reversed(kids), reversed(spelling[1:])):
-            stack.append(after)
-            stack.append((kid, depth))
+            out.append(spelling[0].format(f"{node.pred}({args})"))
     return "".join(out)
 
 
+def format_formula(a: ModalFormula) -> str:
+    """The problem-file text of a modal formula."""
+    return _render(a, ModalFormula.__args__, "modal")
+
+
 def render_polarized(f: PolarizedFormula) -> str:
-    return _render(f, PolarizedFormula, "polarized")
+    return _render(f, PolarizedFormula.__args__, "polarized")
 
 
 def render_fo(f: FoFormula) -> str:
-    return _render(f, FoFormula, "first-order")
+    return _render(f, FoFormula.__args__, "first-order")

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .fittings import Bind, DecTree, EIND, FitCert, Index, Lind, NONE, Rind
-from .formulas import And, Box, Dia, ModalFormula, NegAtom, Or, PosAtom
+from .formulas import And, Box, Dia, ModalFormula, NegAtom, Or, PosAtom, format_formula
 from .simpfit import BoxInfo, Closure, SimpfitCert
 
 Certificate = FitCert | SimpfitCert
@@ -94,7 +94,7 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# recursive-descent parser; indexes and dectrees use an explicit stack
+# parser; formulas, indexes and dectrees are read with explicit stacks
 
 class _Parser:
     def __init__(self, text: str):
@@ -176,24 +176,33 @@ class _Parser:
             raise self.error("trailing input after the closing parenthesis")
 
     def formula(self) -> ModalFormula:
-        self.next("(")
-        head = self.word("a connective: + - and or box dia")
-        if head in ("+", "-"):
+        # each open connective: its class and arity, then the subformulas
+        # read so far
+        open_nodes: list[list] = []
+        while True:
+            self.next("(")
+            head = self.word("a connective: + - and or box dia")
+            if head in _CONNECTIVES:
+                open_nodes.append(list(_CONNECTIVES[head]))
+                continue
+            if head not in ("+", "-"):
+                self.pos -= 1
+                raise self.error(f"unknown connective {head!r}")
             sym = self.word("an atom name")
-            out: ModalFormula = PosAtom(sym) if head == "+" else NegAtom(sym)
-        elif head == "and":
-            out = And(self.formula(), self.formula())
-        elif head == "or":
-            out = Or(self.formula(), self.formula())
-        elif head == "box":
-            out = Box(self.formula())
-        elif head == "dia":
-            out = Dia(self.formula())
-        else:
-            self.pos -= 1
-            raise self.error(f"unknown connective {head!r}")
-        self.next(")")
-        return out
+            value: ModalFormula = PosAtom(sym) if head == "+" else NegAtom(sym)
+            self.next(")")
+            # the value completes the innermost connective, which may
+            # complete the next one out, and so on
+            while open_nodes:
+                node = open_nodes[-1]
+                node.append(value)
+                if len(node) < 2 + node[1]:
+                    break
+                open_nodes.pop()
+                value = node[0](*node[2:])
+                self.next(")")
+            else:
+                return value
 
     def certificate(self) -> Certificate:
         self.next("(")
@@ -294,6 +303,7 @@ class _Parser:
                 return value
 
 
+_CONNECTIVES = {"and": (And, 2), "or": (Or, 2), "box": (Box, 1), "dia": (Dia, 1)}
 _INDEX_CTORS = {"lind": Lind, "rind": Rind, "bind": Bind}
 
 
@@ -310,22 +320,6 @@ def parse_formula_text(text: str) -> ModalFormula:
 
 # ---------------------------------------------------------------------------
 # canonical printers
-
-def format_formula(a: ModalFormula) -> str:
-    if isinstance(a, PosAtom):
-        return f"(+ {a.name})"
-    if isinstance(a, NegAtom):
-        return f"(- {a.name})"
-    if isinstance(a, And):
-        return f"(and {format_formula(a.left)} {format_formula(a.right)})"
-    if isinstance(a, Or):
-        return f"(or {format_formula(a.left)} {format_formula(a.right)})"
-    if isinstance(a, Box):
-        return f"(box {format_formula(a.body)})"
-    if isinstance(a, Dia):
-        return f"(dia {format_formula(a.body)})"
-    raise TypeError(f"not a modal formula: {a!r}")
-
 
 def format_dectree(tree: DecTree, indent: int = 0) -> str:
     # one loop over an explicit stack of (node, indent) pairs and of the

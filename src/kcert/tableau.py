@@ -53,8 +53,12 @@ from .formulas import (
     PosAtom,
     REL,
     Term,
+    both_kids,
+    body_kid,
     connective_count,
+    fold,
     negate_nnf,
+    no_kids,
 )
 from .simpfit import SimpfitCert, distill
 
@@ -86,35 +90,45 @@ class KripkeModel:
                 raise ValueError(f"edge ({src}, {dst}) leaves the world set")
 
 
+def _every(node, ctx, values: list[bool]) -> bool:
+    return all(values)
+
+
+def _some(node, ctx, values: list[bool]) -> bool:
+    return any(values)
+
+
 def eval_modal(model: KripkeModel, world: Prefix, a: ModalFormula) -> bool:
     if world not in model.worlds:
         raise ValueError(f"world {world} not in model")
-    if isinstance(a, PosAtom):
-        return a.name in model.val[world]
-    if isinstance(a, NegAtom):
-        return a.name not in model.val[world]
-    if isinstance(a, And):
-        return eval_modal(model, world, a.left) and eval_modal(model, world, a.right)
-    if isinstance(a, Or):
-        return eval_modal(model, world, a.left) or eval_modal(model, world, a.right)
-    if isinstance(a, Box):
-        return all(eval_modal(model, dst, a.body)
-                   for src, dst in model.rel if src == world)
-    if isinstance(a, Dia):
-        return any(eval_modal(model, dst, a.body)
-                   for src, dst in model.rel if src == world)
-    raise TypeError(f"not a modal formula: {a!r}")
+    successors: dict[Prefix, list[Prefix]] = {w: [] for w in model.worlds}
+    for src, dst in model.rel:
+        successors[src].append(dst)
+
+    def at_successors(a: Box | Dia, w: Prefix) -> list:
+        return [(a.body, dst) for dst in successors[w]]
+
+    return fold(a, world, {
+        PosAtom: (no_kids, lambda a, w, _: a.name in model.val[w]),
+        NegAtom: (no_kids, lambda a, w, _: a.name not in model.val[w]),
+        And: (both_kids, _every),
+        Or: (both_kids, _some),
+        Box: (at_successors, _every),
+        Dia: (at_successors, _some),
+    }, "modal")
 
 
 def eval_fo(model: KripkeModel, f: FoFormula, env: Mapping[Term, Prefix]) -> bool:
     """Evaluate a first-order formula over a model's worlds.  env gives
-    worlds for the free constants; quantifiers range over all worlds."""
+    worlds for the free constants; quantifiers range over all worlds.
+    No connective short-circuits, so a subformula under d quantifiers is
+    evaluated once for each of the len(model.worlds)**d assignments."""
 
-    def world_of(t: Term, stack: list[Prefix]) -> Prefix:
+    def world_of(t: Term, bound: tuple[Prefix, ...]) -> Prefix:
         if isinstance(t, BVar):
-            if t.index >= len(stack):
+            if t.index >= len(bound):
                 raise ValueError(f"unbound variable {t}")
-            return stack[t.index]
+            return bound[t.index]
         try:
             w = env[t]
         except KeyError:
@@ -123,29 +137,26 @@ def eval_fo(model: KripkeModel, f: FoFormula, env: Mapping[Term, Prefix]) -> boo
             raise ValueError(f"{t} assigned to {w}, which is not a world")
         return w
 
-    def go(f: FoFormula, stack: list[Prefix]) -> bool:
-        if isinstance(f, FoAtom):
-            if f.pred == REL and len(f.args) == 2:
-                pair = (world_of(f.args[0], stack), world_of(f.args[1], stack))
-                return pair in model.rel
-            if len(f.args) != 1:
-                raise ValueError(f"unexpected atom arity: {f.pred}/{len(f.args)}")
-            return f.pred in model.val[world_of(f.args[0], stack)]
-        if isinstance(f, FoNeg):
-            return not go(f.body, stack)
-        if isinstance(f, FoAnd):
-            return go(f.left, stack) and go(f.right, stack)
-        if isinstance(f, FoOr):
-            return go(f.left, stack) or go(f.right, stack)
-        if isinstance(f, FoImp):
-            return (not go(f.left, stack)) or go(f.right, stack)
-        if isinstance(f, FoAll):
-            return all(go(f.body, [w] + stack) for w in model.worlds)
-        if isinstance(f, FoEx):
-            return any(go(f.body, [w] + stack) for w in model.worlds)
-        raise TypeError(f"not a first-order formula: {f!r}")
+    def atom(f: FoAtom, bound: tuple[Prefix, ...], _) -> bool:
+        if f.pred == REL and len(f.args) == 2:
+            return (world_of(f.args[0], bound), world_of(f.args[1], bound)) in model.rel
+        if len(f.args) != 1:
+            raise ValueError(f"unexpected atom arity: {f.pred}/{len(f.args)}")
+        return f.pred in model.val[world_of(f.args[0], bound)]
 
-    return go(f, [])
+    def at_every_world(f: FoAll | FoEx, bound: tuple[Prefix, ...]) -> list:
+        # the worlds bound so far, the nearest binder's first
+        return [(f.body, (w,) + bound) for w in model.worlds]
+
+    return fold(f, (), {
+        FoAtom: (no_kids, atom),
+        FoNeg: (body_kid, lambda f, _, v: not v[0]),
+        FoAnd: (both_kids, _every),
+        FoOr: (both_kids, _some),
+        FoImp: (both_kids, lambda f, _, v: not v[0] or v[1]),
+        FoAll: (at_every_world, _every),
+        FoEx: (at_every_world, _some),
+    }, "first-order")
 
 
 def format_model(model: KripkeModel) -> str:

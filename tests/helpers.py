@@ -64,6 +64,15 @@ def _leaves(atoms: tuple[str, ...]) -> tuple[ModalFormula, ...]:
     return tuple(out)
 
 
+def modal_size(a: ModalFormula) -> int:
+    """Number of syntax tree nodes; a literal counts as one node."""
+    if isinstance(a, (PosAtom, NegAtom)):
+        return 1
+    if isinstance(a, (And, Or)):
+        return 1 + modal_size(a.left) + modal_size(a.right)
+    return 1 + modal_size(a.body)
+
+
 @lru_cache(maxsize=None)
 def formulas_of_size(n: int) -> tuple[ModalFormula, ...]:
     """All NNF formulas over {p, q} with exactly n nodes."""

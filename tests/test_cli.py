@@ -84,6 +84,20 @@ class TestTranslate:
             "st: (all y1. (R(w0,y1) => q(y1)))\n"
             "tr: (all y1. (~R(w0,y1) |- q(y1)))\n")
 
+    def test_deep_box_chain(self, capsys):
+        depth = 2000
+        st, tr = ["st: "], ["tr: "]
+        for i in range(1, depth + 1):
+            here, there = f"y{i - 1}" if i > 1 else "w0", f"y{i}"
+            st.append(f"(all {there}. (R({here},{there}) => ")
+            # each box but the innermost is a negative formula under a delay
+            tr.append(f"(all {there}. (~R({here},{there}) |- " + ("d+(" if i < depth else ""))
+        st.append(f"p(y{depth})" + "))" * depth + "\n")
+        tr.append(f"p(y{depth})" + ")" * (3 * depth - 1) + "\n")
+        deep = "(box " * depth + "(+ p)" + ")" * depth
+        assert main(["translate", deep]) == 0
+        assert capsys.readouterr().out == "".join(st + tr)
+
 
 class TestOracle:
     def test_valid(self, capsys):
@@ -112,8 +126,9 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_recursion_limit_is_an_error(self, capsys):
+        # the prover still recurses once per tableau step
         deep = "(box " * 2000 + "(+ p)" + ")" * 2000
-        assert main(["translate", deep]) == 2
+        assert main(["prove", deep]) == 2
         self._one_error_line(capsys)
 
     def test_step_budget_is_an_error(self, monkeypatch, capsys):

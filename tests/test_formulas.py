@@ -31,13 +31,10 @@ from kcert.formulas import (
     PosAtom,
     REL,
     W0,
-    atom_names,
     connective_count,
     delay_if_negative,
     is_positive,
     is_rel_literal,
-    modal_depth,
-    modal_size,
     negate_nnf,
     open_binder,
     polarized_translation,
@@ -46,9 +43,12 @@ from kcert.formulas import (
     standard_translation,
     strip_polarities,
 )
+from kcert.problems import format_formula
+from kcert.tableau import KripkeModel, eval_fo, eval_modal
 from helpers import (
     formulas_of_connectives,
     formulas_of_size,
+    modal_size,
     open_binder_reference,
     recursion_limit,
 )
@@ -84,9 +84,6 @@ class TestNnf:
         f = Or(Or(Dia(NP), Box(Q)), Dia(And(P, NQ)))
         assert connective_count(f) == 6
         assert modal_size(f) == 10
-        assert modal_depth(f) == 1
-        assert modal_depth(Box(Dia(P))) == 2
-        assert atom_names(f) == frozenset({"p", "q"})
 
     def test_size_vs_connectives(self):
         for n in range(1, 5):
@@ -300,13 +297,27 @@ class TestRendering:
         assert got == "(all y1. (R(w0,y1) => (ex y2. (R(y1,y2) & p(y2)))))"
 
     def test_deep_box_chain_at_the_default_recursion_limit(self):
-        depth = 600
+        depth = 3000
         f = P
         for _ in range(depth):
             f = Box(f)
+        # a chain of worlds 0 -> 1 -> ... with p true nowhere, so box^depth p
+        # fails at the first world and holds vacuously at the second; and
+        # one reflexive world where p holds, as first-order quantifiers
+        # range over every world
+        chain = [(i,) for i in range(depth + 1)]
+        line = KripkeModel(frozenset(chain), frozenset(zip(chain, chain[1:])),
+                           {w: frozenset() for w in chain})
+        loop = KripkeModel(frozenset({(1,)}), frozenset({((1,), (1,))}), {(1,): frozenset({"p"})})
         with recursion_limit(1000):
             standard = render_fo(standard_translation(f, W0))
             polarized = render_polarized(polarized_translation(f, W0))
+            stripped = render_fo(strip_polarities(polarized_translation(f, W0)))
+            negated = format_formula(negate_nnf(f))
+            modal = [eval_modal(line, chain[0], f), eval_modal(line, chain[1], f),
+                     eval_modal(loop, (1,), f)]
+            first_order = [eval_fo(loop, standard_translation(f, W0), {W0: (1,)}),
+                           eval_fo(loop, strip_polarities(polarized_translation(f, W0)), {W0: (1,)})]
         worlds = ["w0"] + [f"y{i}" for i in range(1, depth + 1)]
         assert standard == ("".join(f"(all {worlds[i]}. (R({worlds[i - 1]},{worlds[i]}) => "
                                     for i in range(1, depth + 1))
@@ -315,6 +326,12 @@ class TestRendering:
         assert polarized == ("d+(".join(f"(all {worlds[i]}. (~R({worlds[i - 1]},{worlds[i]}) |- "
                                      for i in range(1, depth + 1))
                              + f"p(y{depth})" + ")" * (3 * depth - 1))
+        assert stripped == ("".join(f"(all {worlds[i]}. (~R({worlds[i - 1]},{worlds[i]}) | "
+                                    for i in range(1, depth + 1))
+                            + f"p(y{depth})" + "))" * depth)
+        assert negated == "(dia " * depth + "(- p)" + ")" * depth
+        assert modal == [False, True, True]
+        assert first_order == [True, True]
 
     def test_foreign_nodes_are_refused(self):
         with pytest.raises(TypeError, match="not a polarized formula"):

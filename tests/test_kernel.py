@@ -16,7 +16,7 @@ from kcert.examples import (
     taut_cert,
     taut_dectree,
 )
-from kcert.fittings import Bind, EIND, FITTINGS, FitCert, FittingsFpc, Lind, Rind
+from kcert.fittings import Bind, DecTree, EIND, FITTINGS, FitCert, FittingsFpc, Lind, NONE, Rind
 from kcert.formulas import AndNeg, AndPos, DelayNeg, NAtom, OrPos, PAtom
 from kcert.kernel import (
     CheckResult,
@@ -28,7 +28,8 @@ from kcert.kernel import (
     trace_lines,
 )
 from kcert.simpfit import SIMPFIT
-from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, prove
+from kcert.problems import parse_formula_text
+from kcert.tableau import ClosedTableau, emit_dectree, emit_fitcert, emit_simpfitcert, prove
 from helpers import (
     bipole_violations,
     brute_force_accepts,
@@ -324,6 +325,31 @@ class TestDeepProofs:
             result = check(goal, cert)
         assert result.accepted
         assert (result.steps, result.choice_points) == (steps, choice_points)
+
+    def test_box_chain_3000_deep(self):
+        # proving box^3000 (p | ~p) takes seconds, as the prover rescans
+        # its branch at each step, so its decide tree is built by a loop
+        # and checked against the emitter on short chains
+        def box_taut(n):
+            goal = parse_formula_text("(box " * n + "(or (+ p) (- p))" + ")" * n)
+            # decide on each diamond, then on the conjunction, whose two
+            # literals close the branch
+            chain = [EIND]
+            for _ in range(n):
+                chain.append(Lind(chain[-1]))
+            tree = DecTree(Lind(chain[-1]), Rind(chain[-1]), ())
+            for index in reversed(chain):
+                tree = DecTree(index, NONE, (tree,))
+            return goal, tree
+
+        for n in range(4):
+            goal, tree = box_taut(n)
+            assert emit_dectree(prove(goal), goal) == tree
+        goal, tree = box_taut(3000)
+        with recursion_limit(1000):
+            result = check(goal, FitCert.load(tree))
+        assert result.accepted
+        assert result.choice_points == 0
 
     def test_step_budget_stops_a_deep_proof(self):
         goal = kchain(64)

@@ -196,6 +196,25 @@ class TestDeepInput:
             got = got.sub
         assert got is EIND
 
+    def test_deep_formula_parses_and_prints_under_a_low_recursion_limit(self):
+        depth = 10_000
+        # (and X (- q)) and (dia X), alternating, around one atom
+        opens = ["(and " if n % 2 else "(dia " for n in range(depth)]
+        closes = [" (- q))" if n % 2 else ")" for n in range(depth)]
+        text = "".join(opens) + "(+ p)" + "".join(reversed(closes))
+        with recursion_limit(1000):
+            got = parse_formula_text(text)
+            assert format_formula(got) == text
+        # formula equality recurses, so walk the chain level by level
+        for n in range(depth):
+            if n % 2:
+                assert isinstance(got, And) and got.right == NegAtom("q")
+                got = got.left
+            else:
+                assert isinstance(got, Dia)
+                got = got.body
+        assert got == PosAtom("p")
+
     def test_deep_dectree_prints_and_reads_back(self):
         depth = 10_000
         tree = DecTree(Lind(EIND), EIND, ())

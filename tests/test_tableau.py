@@ -53,7 +53,7 @@ from kcert.tableau import (
     format_prefix,
     prove,
 )
-from helpers import agreement_corpus, formulas_of_connectives, kchain, taut, wide
+from helpers import agreement_corpus, formulas_of_connectives, kchain, recursion_limit, taut, wide
 
 P = PosAtom("p")
 Q = PosAtom("q")
@@ -176,6 +176,17 @@ class TestProver:
         assert isinstance(result, OpenBranch)
         assert result.model.rel
         assert not eval_modal(result.model, ROOT_WORLD, Box(P))
+
+    def test_deep_countermodel_at_the_default_recursion_limit(self):
+        depth = 600
+        goal = P
+        for _ in range(depth):
+            goal = Box(goal)
+        with recursion_limit(1000):
+            result = prove(goal)
+            assert isinstance(result, OpenBranch)
+            assert not eval_modal(result.model, ROOT_WORLD, goal)
+        assert len(result.model.worlds) == depth + 1
 
     def test_agrees_with_oracle_on_small_formulas(self):
         for a in formulas_of_connectives(2):
