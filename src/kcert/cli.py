@@ -16,9 +16,9 @@ steps is an error, not a verdict.
 Exit codes: 0 accept/valid/proved, 1 reject/invalid/refuted, 2 errors
 (bad usage, unreadable file, parse failure, oracle bound exceeded, input
 nested too deeply, out of memory, step budget exhausted).  Only the
-prover and the kernel's open_binder still recurse, so only they can meet
-the recursion limit.  An error is reported as one line on stderr, never
-as a traceback.
+prover, the kernel's open_binder and the generated == and hash of
+formulas still recurse, so only they can meet the recursion limit.  An
+error is reported as one line on stderr, never as a traceback.
 """
 
 from __future__ import annotations
