@@ -16,7 +16,7 @@ comparison plain structural equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 
@@ -181,100 +181,59 @@ def _shift(t: Term) -> Term:
 
 
 @dataclass(frozen=True)
-class _Polarized:
-    """Base of the polarized nodes.  free_depth is one more than the
-    largest de Bruijn index free in the node, 0 when it is closed: the
-    number of binders the node needs around it.  Each node works it out
-    once, from its children, and it takes no part in equality or
-    hashing."""
-
-    free_depth: int = field(init=False, compare=False, repr=False)
-
-
-def _atom_depth(self: PAtom | NAtom) -> None:
-    depth = 0
-    for t in self.args:
-        if isinstance(t, BVar) and t.index >= depth:
-            depth = t.index + 1
-    object.__setattr__(self, "free_depth", depth)
-
-
-def _pair_depth(self: AndNeg | OrNeg | AndPos | OrPos) -> None:
-    object.__setattr__(self, "free_depth", max(self.left.free_depth, self.right.free_depth))
-
-
-def _binder_depth(self: All | Exists) -> None:
-    object.__setattr__(self, "free_depth", max(self.body.free_depth - 1, 0))
-
-
-def _delay_depth(self: DelayPos | DelayNeg) -> None:
-    object.__setattr__(self, "free_depth", self.body.free_depth)
-
-
-@dataclass(frozen=True)
-class PAtom(_Polarized):
+class PAtom:
     pred: str
     args: tuple[Term, ...]
-    __post_init__ = _atom_depth
 
 
 @dataclass(frozen=True)
-class NAtom(_Polarized):
+class NAtom:
     pred: str
     args: tuple[Term, ...]
-    __post_init__ = _atom_depth
 
 
 @dataclass(frozen=True)
-class AndNeg(_Polarized):
+class AndNeg:
     left: PolarizedFormula
     right: PolarizedFormula
-    __post_init__ = _pair_depth
 
 
 @dataclass(frozen=True)
-class OrNeg(_Polarized):
+class OrNeg:
     left: PolarizedFormula
     right: PolarizedFormula
-    __post_init__ = _pair_depth
 
 
 @dataclass(frozen=True)
-class AndPos(_Polarized):
+class AndPos:
     left: PolarizedFormula
     right: PolarizedFormula
-    __post_init__ = _pair_depth
 
 
 @dataclass(frozen=True)
-class OrPos(_Polarized):
+class OrPos:
     left: PolarizedFormula
     right: PolarizedFormula
-    __post_init__ = _pair_depth
 
 
 @dataclass(frozen=True)
-class All(_Polarized):
+class All:
     body: PolarizedFormula
-    __post_init__ = _binder_depth
 
 
 @dataclass(frozen=True)
-class Exists(_Polarized):
+class Exists:
     body: PolarizedFormula
-    __post_init__ = _binder_depth
 
 
 @dataclass(frozen=True)
-class DelayPos(_Polarized):
+class DelayPos:
     body: PolarizedFormula
-    __post_init__ = _delay_depth
 
 
 @dataclass(frozen=True)
-class DelayNeg(_Polarized):
+class DelayNeg:
     body: PolarizedFormula
-    __post_init__ = _delay_depth
 
 
 PolarizedFormula = (
@@ -304,38 +263,6 @@ def delay_if_negative(f: PolarizedFormula) -> PolarizedFormula:
     if isinstance(f, NAtom) or is_positive(f):
         return f
     return DelayPos(f)
-
-
-def open_binder(body: PolarizedFormula, t: Term) -> PolarizedFormula:
-    """Instantiate the outermost bound variable of a quantifier body with t.
-
-    t must not contain bound variables itself; the kernel only ever
-    instantiates with eigenvariables and world constants, so substitution
-    cannot capture.  A subformula whose free indexes are all bound inside
-    the body is returned as it is, so only the paths down to occurrences
-    of the variable, or of outer ones, are rebuilt.
-    """
-
-    def go_term(u: Term, depth: int) -> Term:
-        if isinstance(u, BVar):
-            if u.index == depth:
-                return t
-            if u.index > depth:
-                return BVar(u.index - 1)
-        return u
-
-    def go(f: PolarizedFormula, depth: int) -> PolarizedFormula:
-        if f.free_depth <= depth:
-            return f
-        if isinstance(f, (PAtom, NAtom)):
-            return type(f)(f.pred, tuple(go_term(u, depth) for u in f.args))
-        if isinstance(f, (AndNeg, OrNeg, AndPos, OrPos)):
-            return type(f)(go(f.left, depth), go(f.right, depth))
-        if isinstance(f, (All, Exists)):
-            return type(f)(go(f.body, depth + 1))
-        return type(f)(go(f.body, depth))
-
-    return go(body, 0)
 
 
 # ---------------------------------------------------------------------------

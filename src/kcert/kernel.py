@@ -27,6 +27,13 @@ Renaud, "A semantic framework for proof evidence", JAR 2017), and the
 kernel looks the stored entries at that index up in a map kept beside
 storage, so no decide scans storage or polls the certificate once per
 stored entry.
+
+Binders are opened by environment, not by substitution (Abadi et al.,
+"Explicit substitutions", JFP 1991): each workbench item, stored
+positive entry and focus is a pair (formula, env), env a tuple of closed
+terms with env[k] what BVar(k) stands for.  The all and some rules push
+their eigenvariable or witness onto env, and an atom's arguments are
+resolved only where the kernel keys it, so a check builds no formula.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .formulas import (
     All,
     AndNeg,
     AndPos,
+    BVar,
     DelayNeg,
     DelayPos,
     Eigen,
@@ -53,7 +61,6 @@ from .formulas import (
     W0,
     delay_if_negative,
     is_positive,
-    open_binder,
     polarized_translation,
 )
 
@@ -103,6 +110,10 @@ class Fpc:
     (index, continuation), and the kernel decides on each stored positive
     entry at a named index, newest entry first.  An index may be named
     more than once; naming one that holds nothing positive is harmless.
+
+    store_c sees the formula as the translation wrote it, its bound
+    variables unresolved: its class, predicate and arity are meaningful,
+    its arguments are not.
     """
 
     def decide_e(self, cert: object) -> Iterable[tuple[object, object]]:
@@ -153,22 +164,31 @@ class CheckResult:
 # the checker
 #
 # A goal is a cons cell (tag, a, b, next): prove an asynchronous sequent
-# (a = certificate, b = workbench) or a synchronous one (a = certificate,
-# b = focus), emit the branch marker a, pop the storage bucket a, or cut
-# the choice stack back to height a.  next is the rest of the goal stack.
+# (a = certificate, b = workbench, a tuple of items) or a synchronous one
+# (a = certificate, b = focus item), an item being a pair (formula, env);
+# emit the branch marker a, pop the storage bucket a, or cut the choice
+# stack back to height a.  next is the rest of the goal stack.
 
 _ASYNC, _SYNC, _EMIT, _POP, _CUT = range(5)
 _FAIL = object()    # a rule with no continuation: backtrack
 _PUSHED = object()  # trail entry: the bucket was pushed onto
 
 
+def _resolve(args: tuple[Term, ...], env: tuple[Term, ...]) -> tuple[Term, ...]:
+    """An atom's arguments under env.  A variable past its end is bound
+    outside the entry, and keeps what substitution would leave of it."""
+    n = len(env)
+    return tuple((env[t.index] if t.index < n else BVar(t.index - n))
+                 if isinstance(t, BVar) else t for t in args)
+
+
 class _Run:
-    """One check.  Storage is two maps: positive formulas by index with
+    """One check.  Storage is two maps: positive items by index with
     the step that stored them (for decide), negative atoms by predicate
-    and arguments with their indexes (for init).  A store pushes an
-    entry and a pop goal under its premise takes it off, so a branch
-    sees the entries of its path; while a choice point is live both go
-    on the trail."""
+    and resolved arguments with their indexes (for init).  A store
+    pushes an entry and a pop goal under its premise takes it off, so a
+    branch sees the entries of its path; while a choice point is live
+    both go on the trail."""
 
     def __init__(self, fpc: Fpc, max_steps: int | None):
         self.fpc = fpc
@@ -182,7 +202,7 @@ class _Run:
         self.steps = 0
         self.choice_points = 0
         self.next_eigen = 1
-        self.positive: dict[object, list[tuple[int, PolarizedFormula]]] = {}
+        self.positive: dict[object, list[tuple[int, tuple]]] = {}
         self.negative: dict[tuple, list[object]] = {}
         # choice points: (step, untried alternatives, last first, and the
         # goals, trace length and trail length that backtracking restores)
@@ -213,7 +233,7 @@ class _Run:
             return tuple(self.events[:self.deepest_len])
         return self.deepest
 
-    def run(self, cert: object, gamma: tuple[PolarizedFormula, ...]) -> bool:
+    def run(self, cert: object, gamma: tuple) -> bool:
         goals = (_ASYNC, cert, gamma, None)
         while goals is not None:
             tag, a, b, goals = goals
@@ -266,25 +286,25 @@ class _Run:
 
     # asynchronous phase: decompose the workbench head, or decide
 
-    def asynchronous(self, cert: object, gamma: tuple[PolarizedFormula, ...],
-                     goals: tuple | None) -> object:
+    def asynchronous(self, cert: object, gamma: tuple, goals: tuple | None) -> object:
         self.tick()
         if not gamma:
             return self._decide(cert, goals)
-        f, rest = gamma[0], gamma[1:]
+        item, rest = gamma[0], gamma[1:]
+        f, env = item
 
         if isinstance(f, OrNeg):
             def or_step(c2: object, goals: tuple | None) -> tuple:
                 self.emit(Ev("orneg"))
-                return (_ASYNC, c2, (f.left, f.right) + rest, goals)
+                return (_ASYNC, c2, ((f.left, env), (f.right, env)) + rest, goals)
             return self.branch(list(self.fpc.orneg_c(cert)), or_step, goals)
 
         if isinstance(f, AndNeg):
             def and_step(pair: object, goals: tuple | None) -> tuple:
                 c_left, c_right = pair
                 self.emit(Ev("andneg", "L"))
-                return (_ASYNC, c_left, (f.left,) + rest, (_EMIT, Ev("andneg", "R"), None,
-                        (_ASYNC, c_right, (f.right,) + rest, goals)))
+                return (_ASYNC, c_left, ((f.left, env),) + rest, (_EMIT, Ev("andneg", "R"), None,
+                        (_ASYNC, c_right, ((f.right, env),) + rest, goals)))
             return self.branch(list(self.fpc.andneg_c(cert)), and_step, goals)
 
         if isinstance(f, All):
@@ -292,12 +312,12 @@ class _Run:
                 eigen = Eigen(self.next_eigen)
                 self.next_eigen += 1
                 self.emit(Ev("all", eigen))
-                return (_ASYNC, mk(eigen), (open_binder(f.body, eigen),) + rest, goals)
+                return (_ASYNC, mk(eigen), ((f.body, (eigen,) + env),) + rest, goals)
             return self.branch(list(self.fpc.all_c(cert)), all_step, goals)
 
         if isinstance(f, DelayNeg):
             self.emit(Ev("strip"))
-            return (_ASYNC, cert, (f.body,) + rest, goals)
+            return (_ASYNC, cert, ((f.body, env),) + rest, goals)
 
         # everything else is storable: positives and negative literals
         positive = is_positive(f)
@@ -310,9 +330,9 @@ class _Run:
             if positive:
                 # the step count orders the entries of a branch by age
                 bucket = self.positive.setdefault(index, [])
-                bucket.append((self.steps, f))
+                bucket.append((self.steps, item))
             else:
-                bucket = self.negative.setdefault((f.pred, f.args), [])
+                bucket = self.negative.setdefault((f.pred, _resolve(f.args, env)), [])
                 bucket.append(index)
             if self.choices:
                 self.trail.append((bucket, _PUSHED))
@@ -327,50 +347,51 @@ class _Run:
         # names came in.
         alts: list[tuple] = []
         for index, c2 in self.fpc.decide_e(cert):
-            for position, f in self.positive.get(index, ()):
-                alts.append((position, index, f, c2))
+            for position, item in self.positive.get(index, ()):
+                alts.append((position, index, item, c2))
         alts.sort(key=itemgetter(0), reverse=True)
         return self.branch(alts, self._decide_step, goals)
 
     def _decide_step(self, alt: tuple, goals: tuple | None) -> tuple:
-        _, index, f, c2 = alt
+        _, index, item, c2 = alt
         self.emit(Ev("decide", index))
-        return (_SYNC, c2, f, goals)
+        return (_SYNC, c2, item, goals)
 
     # synchronous phase: decompose the focus
 
-    def synchronous(self, cert: object, focus: PolarizedFormula,
-                    goals: tuple | None) -> object:
+    def synchronous(self, cert: object, item: tuple, goals: tuple | None) -> object:
         self.tick()
+        focus, env = item
 
         if isinstance(focus, AndPos):
             def and_step(pair: object, goals: tuple | None) -> tuple:
                 c_left, c_right = pair
                 self.emit(Ev("andpos", "L"))
-                return (_SYNC, c_left, focus.left, (_EMIT, Ev("andpos", "R"), None,
-                        (_SYNC, c_right, focus.right, goals)))
+                return (_SYNC, c_left, (focus.left, env), (_EMIT, Ev("andpos", "R"), None,
+                        (_SYNC, c_right, (focus.right, env), goals)))
             return self.branch(list(self.fpc.andpos_e(cert)), and_step, goals)
 
         if isinstance(focus, OrPos):
             def or_step(pair: object, goals: tuple | None) -> tuple:
                 side, c2 = pair
                 self.emit(Ev("orpos", side))
-                return (_SYNC, c2, focus.left if side == 1 else focus.right, goals)
+                return (_SYNC, c2, (focus.left if side == 1 else focus.right, env), goals)
             return self.branch(list(self.fpc.orpos_e(cert)), or_step, goals)
 
         if isinstance(focus, Exists):
             def some_step(pair: object, goals: tuple | None) -> tuple:
                 witness, c2 = pair
                 self.emit(Ev("some", witness))
-                return (_SYNC, c2, open_binder(focus.body, witness), goals)
+                return (_SYNC, c2, (focus.body, (witness,) + env), goals)
             return self.branch(list(self.fpc.some_e(cert)), some_step, goals)
 
         if isinstance(focus, DelayPos):
             self.emit(Ev("strip"))
-            return (_SYNC, cert, focus.body, goals)
+            return (_SYNC, cert, (focus.body, env), goals)
 
         if isinstance(focus, PAtom):
-            sanctioned = [index for index in self.negative.get((focus.pred, focus.args), ())
+            key = (focus.pred, _resolve(focus.args, env))
+            sanctioned = [index for index in self.negative.get(key, ())
                           if self.fpc.initial_e(cert, index)]
             if len(sanctioned) > 1:
                 self.choice_points += len(sanctioned) - 1
@@ -382,16 +403,16 @@ class _Run:
         # negative focus: hand it back to the asynchronous phase
         def release_step(c2: object, goals: tuple | None) -> tuple:
             self.emit(Ev("release"))
-            return (_ASYNC, c2, (focus,), goals)
+            return (_ASYNC, c2, (item,), goals)
         return self.branch(list(self.fpc.release_e(cert)), release_step, goals)
 
 
 def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,
                     max_steps: int | None = None) -> CheckResult:
     """Check a certificate against an initial workbench of polarized
-    formulas.  Storage starts empty."""
+    formulas, each in an empty environment.  Storage starts empty."""
     run = _Run(fpc, max_steps)
-    accepted = run.run(cert, tuple(entry))
+    accepted = run.run(cert, tuple((f, ()) for f in entry))
     trace = tuple(run.events) if accepted else run.deepest_trace()
     return CheckResult(accepted, trace, run.steps, run.choice_points)
 

@@ -41,7 +41,6 @@ from kcert.formulas import (
     W0,
     delay_if_negative,
     is_positive,
-    open_binder,
     polarized_translation,
 )
 from kcert.kernel import Ev, Fpc
@@ -429,7 +428,7 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
                        for cl, cr in fpc.andneg_c(cert))
         if isinstance(f, All):
             eig = Eigen(k)
-            return any(async_ok((open_binder(f.body, eig),) + rest,
+            return any(async_ok((open_binder_reference(f.body, eig),) + rest,
                                 theta, cont(eig), k + 1)
                        for cont in fpc.all_c(cert))
         if isinstance(f, DelayNeg):
@@ -454,7 +453,7 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
             return any(sync_ok(f.left if side == 1 else f.right, theta, c2, k)
                        for side, c2 in fpc.orpos_e(cert))
         if isinstance(f, Exists):
-            return any(sync_ok(open_binder(f.body, t), theta, c2, k)
+            return any(sync_ok(open_binder_reference(f.body, t), theta, c2, k)
                        for t, c2 in fpc.some_e(cert))
         if isinstance(f, DelayPos):
             return sync_ok(f.body, theta, cert, k)
@@ -474,9 +473,9 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
 
 
 def open_binder_reference(body: PolarizedFormula, t: Term) -> PolarizedFormula:
-    """Binder instantiation by rebuilding the whole body: the model that
-    kcert.formulas.open_binder, which keeps closed subformulas, must
-    agree with."""
+    """Binder instantiation by substitution, rebuilding the whole body:
+    the brute-force search opens quantifiers with it, independently of
+    the kernel, which opens them by environment."""
 
     def go_term(u: Term, depth: int) -> Term:
         if isinstance(u, BVar):

@@ -16,8 +16,6 @@ README = ROOT / "README.md"
 RECURSIVE = {
     "tableau._Prover.expand": "one frame per tableau step, until the prover runs on "
                               "explicit queues (ROADMAP item 2)",
-    "formulas.open_binder.go": "the kernel's hot path; an explicit-stack version "
-                               "checked kchain, wide and taut 1.1-1.4x slower",
     "tableau._tree_models.satisfy": "the oracle is capped at 8 connectives",
     "tableau._tree_models.satisfy.build": "the oracle is capped at 8 connectives",
     "tableau._assemble.place": "the oracle is capped at 8 connectives",

