@@ -15,10 +15,9 @@ steps is an error, not a verdict.
 
 Exit codes: 0 accept/valid/proved, 1 reject/invalid/refuted, 2 errors
 (bad usage, unreadable file, parse failure, oracle bound exceeded, input
-nested too deeply, out of memory, step budget exhausted).  Only the
-prover and the generated == and hash of formulas still recurse, so only
-prove can meet the recursion limit; check recurses nowhere.  An error
-is reported as one line on stderr, never as a traceback.
+nested too deeply, out of memory, step budget exhausted).  check and
+prove recurse nowhere; only the oracle, capped at 8 connectives, does.
+An error is reported as one line on stderr, never as a traceback.
 """
 
 from __future__ import annotations

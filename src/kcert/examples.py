@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind
-from .formulas import And, Box, Dia, ModalFormula, NegAtom, Or, PosAtom, negate_nnf
+from .formulas import (And, Box, Dia, ModalFormula, NegAtom, Or, PosAtom, child_kids, fold,
+                       negate_nnf)
 from .simpfit import BoxInfo, Closure, SimpfitCert
 
 _P = PosAtom("p")
@@ -156,13 +157,13 @@ class ScriptedNode:
 
 
 def scripted_node_count(node: ScriptedNode) -> int:
-    own = 1 if node.body is not None else 0
-    return own + sum(scripted_node_count(child) for child in node.children)
+    return fold(node, None, {ScriptedNode: (
+        child_kids, lambda n, _, v: (n.body is not None) + sum(v))}, "scripted tableau")
 
 
 def scripted_annotation_count(node: ScriptedNode) -> int:
-    own = 1 if node.body is None else 0
-    return own + sum(scripted_annotation_count(child) for child in node.children)
+    return fold(node, None, {ScriptedNode: (
+        child_kids, lambda n, _, v: (n.body is None) + sum(v))}, "scripted tableau")
 
 
 def _chain(*nodes: ScriptedNode) -> ScriptedNode:

@@ -20,7 +20,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable
 
-from .formulas import PolarizedFormula, Term, is_rel_literal
+from .formulas import PolarizedFormula, Term, child_kids, fold, is_rel_literal
 from .kernel import Fpc
 
 
@@ -186,7 +186,7 @@ class DecTree:
 
 
 def node_count(tree: DecTree) -> int:
-    return 1 + sum(node_count(child) for child in tree.children)
+    return fold(tree, None, {DecTree: (child_kids, lambda t, _, v: 1 + sum(v))}, "decide tree")
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,10 @@ def body_kid(f, ctx) -> tuple:
     return ((f.body, ctx),)
 
 
+def child_kids(node, ctx) -> list:
+    return [(child, ctx) for child in node.children]
+
+
 _NEGATE = {
     PosAtom: (no_kids, lambda a, _, __: NegAtom(a.name)),
     NegAtom: (no_kids, lambda a, _, __: PosAtom(a.name)),

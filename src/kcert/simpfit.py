@@ -10,7 +10,7 @@ always terminates.
 Tokens are granted once per stored decidable formula and once more per
 consumed box instantiation, so a certificate can make one diamond fire
 at several successor worlds by listing its index in several boxinfo
-entries.
+entries, one per universal.
 """
 
 from __future__ import annotations
@@ -71,17 +71,17 @@ class SimpfitCert:
 
 def distill(tree: DecTree) -> SimpfitCert:
     """The essential evidence of a decide tree, in preorder: each leaf's
-    pair as a closure, kept once, and each node with an aux other than
-    none as a boxinfo, as often as it occurs."""
+    pair as a closure and each node with an aux other than none as a
+    boxinfo, each kept once: every premise gets its own copy of both."""
     closures: dict[Closure, None] = {}
-    boxinfos: list[BoxInfo] = []
+    boxinfos: dict[BoxInfo, None] = {}
     stack = [tree]
     while stack:
         node = stack.pop()
         if not node.children:
             closures.setdefault(Closure(node.decide_on, node.aux))
         elif node.aux is not NONE:
-            boxinfos.append(BoxInfo(node.decide_on, node.aux))
+            boxinfos.setdefault(BoxInfo(node.decide_on, node.aux))
         stack.extend(reversed(node.children))
     return SimpfitCert.load(closures, boxinfos)
 

@@ -22,6 +22,7 @@ only for reproducibility, not for correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Mapping
 
 from .fittings import (
@@ -55,8 +56,10 @@ from .formulas import (
     Term,
     both_kids,
     body_kid,
+    child_kids,
     connective_count,
     fold,
+    format_formula,
     negate_nnf,
     no_kids,
 )
@@ -220,35 +223,28 @@ class _Prover:
         # propagated there borrows its eigenvariable
         self.creator: dict[Prefix, Index] = {}
 
-    def expand(self, entries: list[PrefixedFormula],
-               conj_done: frozenset[int], dia_done: frozenset[int],
-               box_done: frozenset[tuple[int, Prefix]]) -> TabStep | OpenBranch:
+    def step(self, entries: list[PrefixedFormula],
+             done: frozenset) -> tuple[partial[TabStep], list] | OpenBranch:
+        """The next step on a branch, as a TabStep still to be given its
+        children, and the (entries, done) branches it leaves, left first;
+        done holds split and diamond positions and box (position, world) pairs."""
         closing = self._find_closure(entries)
         if closing is not None:
-            return TabStep("close", source=None, closing=closing)
+            return partial(TabStep, "close", None, closing=closing), []
 
-        pos = self._pick(entries, lambda p, e: p not in conj_done
-                         and isinstance(e.body, (And, Or)))
+        pos = self._pick(entries, lambda p, e: p not in done and isinstance(e.body, (And, Or)))
         if pos is not None:
             e = entries[pos]
             left = PrefixedFormula(e.prefix, e.body.left, e.origin + ("L",), Lind(e.index))
             right = PrefixedFormula(e.prefix, e.body.right, e.origin + ("R",), Rind(e.index))
-            done = conj_done | {pos}
+            done |= {pos}
             if isinstance(e.body, And):
-                sub = self.expand(entries + [left, right], done, dia_done, box_done)
-                if isinstance(sub, OpenBranch):
-                    return sub
-                return TabStep("andF", e, created=(left, right), children=(sub,))
-            sub_l = self.expand(entries + [left], done, dia_done, box_done)
-            if isinstance(sub_l, OpenBranch):
-                return sub_l
-            sub_r = self.expand(entries + [right], done, dia_done, box_done)
-            if isinstance(sub_r, OpenBranch):
-                return sub_r
-            return TabStep("orF", e, created=(left, right), children=(sub_l, sub_r))
+                return (partial(TabStep, "andF", e, (left, right)),
+                        [(entries + [left, right], done)])
+            return (partial(TabStep, "orF", e, (left, right)),
+                    [(entries + [left], done), (entries + [right], done)])
 
-        pos = self._pick(entries, lambda p, e: p not in dia_done
-                         and isinstance(e.body, Dia))
+        pos = self._pick(entries, lambda p, e: p not in done and isinstance(e.body, Dia))
         if pos is not None:
             e = entries[pos]
             n = self.next_child.get(e.prefix, 1)
@@ -256,22 +252,17 @@ class _Prover:
             target = e.prefix + (n,)
             self.creator[target] = e.index
             child = PrefixedFormula(target, e.body.body, e.origin + ("L",), Lind(e.index))
-            sub = self.expand(entries + [child], conj_done, dia_done | {pos}, box_done)
-            if isinstance(sub, OpenBranch):
-                return sub
-            return TabStep("diaF", e, created=(child,), target=target, children=(sub,))
+            return (partial(TabStep, "diaF", e, (child,), target),
+                    [(entries + [child], done | {pos})])
 
-        box_cand = self._pick_box(entries, box_done)
+        box_cand = self._pick_box(entries, done)
         if box_cand is not None:
             pos, target = box_cand
             e = entries[pos]
             child = PrefixedFormula(target, e.body.body, e.origin + ("L",),
                                     Bind(e.index, self.creator[target]))
-            sub = self.expand(entries + [child], conj_done, dia_done,
-                              box_done | {(pos, target)})
-            if isinstance(sub, OpenBranch):
-                return sub
-            return TabStep("boxF", e, created=(child,), target=target, children=(sub,))
+            return (partial(TabStep, "boxF", e, (child,), target),
+                    [(entries + [child], done | {(pos, target)})])
 
         return self._open(entries)
 
@@ -302,8 +293,7 @@ class _Prover:
         return min(cands)[2]
 
     @staticmethod
-    def _pick_box(entries: list[PrefixedFormula],
-                  box_done: frozenset[tuple[int, Prefix]]) -> tuple[int, Prefix] | None:
+    def _pick_box(entries: list[PrefixedFormula], done: frozenset) -> tuple[int, Prefix] | None:
         prefixes = {e.prefix for e in entries}
         cands = []
         for pos, e in enumerate(entries):
@@ -312,7 +302,7 @@ class _Prover:
             for target in prefixes:
                 if (len(target) == len(e.prefix) + 1
                         and target[:len(e.prefix)] == e.prefix
-                        and (pos, target) not in box_done):
+                        and (pos, target) not in done):
                     cands.append((e.origin, target, pos))
         if not cands:
             return None
@@ -338,12 +328,28 @@ class _Prover:
 
 def prove(theorem: ModalFormula) -> ClosedTableau | OpenBranch:
     """Refute the negation of theorem.  A ClosedTableau means theorem is
-    K-valid; an OpenBranch carries a verified countermodel."""
+    K-valid; an OpenBranch carries the first countermodel found, verified.
+    One stack holds the branches to expand, left first, and the steps
+    waiting for their children."""
     root = PrefixedFormula(ROOT_WORLD, negate_nnf(theorem), (), EIND)
-    result = _Prover().expand([root], frozenset(), frozenset(), frozenset())
-    if isinstance(result, OpenBranch):
-        return result
-    return ClosedTableau(theorem, root, result)
+    prover = _Prover()
+    built: list[TabStep] = []
+    todo: list = [([root], frozenset())]
+    while todo:
+        item = todo.pop()
+        if isinstance(item[1], int):
+            # a step waiting for its n children, the last n built
+            make, n = item
+            k = len(built) - n
+            built[k:] = [make(children=tuple(built[k:]))]
+            continue
+        found = prover.step(*item)
+        if isinstance(found, OpenBranch):
+            return found
+        make, branches = found
+        todo.append((make, len(branches)))
+        todo += reversed(branches)
+    return ClosedTableau(theorem, root, built[0])
 
 
 # ---------------------------------------------------------------------------
@@ -353,35 +359,25 @@ class EmitError(ValueError):
     pass
 
 
+def _decide_node(step: TabStep, _, kids: list[DecTree]) -> DecTree:
+    if step.rule == "close":
+        neg, pos = step.closing
+        return DecTree(neg.index, pos.index, ())
+    aux = step.created[0].index.right if step.rule == "boxF" else NONE
+    return DecTree(step.source.index, aux, tuple(kids))
+
+
 def emit_dectree(ct: ClosedTableau, theorem: ModalFormula | None = None) -> DecTree:
     """The refutation read as a decide tree on the theorem side: each
     step decides on its source entry's index (its dual rule: a split
     becomes a disjunctive or conjunctive decide, a diamond a universal,
     a box an existential whose aux names the diamond that made its
     world), and a closed branch is a leaf on its (negative, positive)
-    literal pair."""
-    if theorem is not None and ct.root.body != negate_nnf(theorem):
-        raise EmitError("tableau does not refute the negation of the "
-                        "given theorem")
-    # a step is popped once to queue its children and once more, after
-    # they are built, to build its own node
-    built: list[DecTree] = []
-    stack: list[tuple[TabStep, bool]] = [(ct.step, False)]
-    while stack:
-        step, ready = stack.pop()
-        if step.rule == "close":
-            neg, pos = step.closing
-            built.append(DecTree(neg.index, pos.index, ()))
-        elif not ready:
-            stack.append((step, True))
-            stack.extend((child, False) for child in reversed(step.children))
-        else:
-            n = len(step.children)
-            kids = tuple(built[-n:])
-            del built[-n:]
-            aux = step.created[0].index.right if step.rule == "boxF" else NONE
-            built.append(DecTree(step.source.index, aux, kids))
-    return built[0]
+    literal pair.  A theorem given must be the tableau's, or print alike."""
+    if (theorem is not None and theorem is not ct.theorem
+            and format_formula(theorem) != format_formula(ct.theorem)):
+        raise EmitError("tableau does not refute the negation of the given theorem")
+    return fold(ct.step, None, {TabStep: (child_kids, _decide_node)}, "tableau")
 
 
 def emit_fitcert(ct: ClosedTableau, theorem: ModalFormula | None = None) -> FitCert:

@@ -15,7 +15,7 @@ import sys
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from kcert.fittings import Bind, DecTree, FitCert, Index, Lind, Rind
+from kcert.fittings import Bind, DecTree, FitCert, Index, Lind, NONE, Rind
 from kcert.formulas import (
     And,
     AndNeg,
@@ -45,7 +45,7 @@ from kcert.formulas import (
 )
 from kcert.kernel import Ev, Fpc
 from kcert.problems import parse_formula_text
-from kcert.simpfit import SimpfitCert
+from kcert.simpfit import BoxInfo, Closure, SimpfitCert
 from kcert.tableau import KripkeModel, Prefix
 
 ATOMS = ("p", "q")
@@ -495,6 +495,23 @@ def open_binder_reference(body: PolarizedFormula, t: Term) -> PolarizedFormula:
         return type(f)(go(f.body, depth))
 
     return go(body, 0)
+
+
+def distill_with_repeats(tree: DecTree) -> SimpfitCert:
+    """The simpfit certificate of a decide tree as it was distilled before
+    boxinfos were kept once: each boxinfo as often as it occurs.  Pinned
+    step counts were recorded on these certificates."""
+    closures: dict[Closure, None] = {}
+    boxinfos: list[BoxInfo] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not node.children:
+            closures.setdefault(Closure(node.decide_on, node.aux))
+        elif node.aux is not NONE:
+            boxinfos.append(BoxInfo(node.decide_on, node.aux))
+        stack.extend(reversed(node.children))
+    return SimpfitCert.load(closures, boxinfos)
 
 
 @contextlib.contextmanager

@@ -14,14 +14,9 @@ README = ROOT / "README.md"
 # it may still recurse; anything else walks a formula or a tree with an
 # explicit stack, so no input is too deep for it
 RECURSIVE = {
-    "tableau._Prover.expand": "one frame per tableau step, until the prover runs on "
-                              "explicit queues (ROADMAP item 2)",
     "tableau._tree_models.satisfy": "the oracle is capped at 8 connectives",
     "tableau._tree_models.satisfy.build": "the oracle is capped at 8 connectives",
     "tableau._assemble.place": "the oracle is capped at 8 connectives",
-    "fittings.node_count": "walks small fixed trees",
-    "examples.scripted_node_count": "walks small fixed trees",
-    "examples.scripted_annotation_count": "walks small fixed trees",
 }
 
 

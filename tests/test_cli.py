@@ -9,6 +9,7 @@ import pytest
 
 from kcert import cli
 from kcert.cli import main
+from helpers import recursion_limit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -75,6 +76,18 @@ class TestProve:
         assert main(["prove", "(xor (+ p) (+ q))"]) == 2
         assert "unknown connective" in capsys.readouterr().err
 
+    def test_deep_box_chain_at_the_default_recursion_limit(self, tmp_path, capsys):
+        # box^1200 (p | ~p): the prover runs on an explicit stack, so a
+        # tableau 1,200 worlds deep is proved and its certificate checked
+        depth = 1200
+        deep = "(box " * depth + "(or (+ p) (- p))" + ")" * depth
+        path = tmp_path / "deep.prob"
+        with recursion_limit(1000):
+            assert main(["prove", deep]) == 0
+            path.write_text(capsys.readouterr().out)
+            assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "accepted\n"
+
 
 class TestTranslate:
     def test_both_translations(self, capsys):
@@ -125,10 +138,11 @@ class TestErrors:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_recursion_limit_is_an_error(self, capsys):
-        # the prover still recurses once per tableau step
-        deep = "(box " * 2000 + "(+ p)" + ")" * 2000
-        assert main(["prove", deep]) == 2
+    def test_recursion_limit_is_an_error(self, monkeypatch, capsys):
+        def too_deep(*args, **kwargs):
+            raise RecursionError
+        monkeypatch.setattr(cli, "prove", too_deep)
+        assert main(["prove", "(or (+ p) (- p))"]) == 2
         self._one_error_line(capsys)
 
     def test_step_budget_is_an_error(self, monkeypatch, capsys):

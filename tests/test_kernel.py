@@ -34,6 +34,7 @@ from helpers import (
     bipole_violations,
     brute_force_accepts,
     certificate_mutants,
+    distill_with_repeats,
     formulas_of_connectives,
     kchain,
     recursion_limit,
@@ -294,9 +295,11 @@ class TestSearchOrder:
             assert (result.steps, result.choice_points) == (steps, choice_points)
 
     def test_wide3_without_its_last_boxinfo(self):
-        # of the six boxinfos only the last is needed, so the search
-        # exhausts every reconstruction before it rejects
-        cert = emit_simpfitcert(prove(WIDE3), WIDE3)
+        # recorded on the certificate that kept each boxinfo as often as
+        # the decide tree names it: of its six boxinfos only the last is
+        # needed, so the search exhausts every reconstruction before it
+        # rejects
+        cert = distill_with_repeats(emit_dectree(prove(WIDE3), WIDE3))
         mutant = dataclasses.replace(cert, boxinfos=cert.boxinfos[:-1])
         result = check(WIDE3, mutant, SIMPFIT)
         assert not result.accepted
@@ -306,22 +309,26 @@ class TestSearchOrder:
             "decide (rind (lind (lind eind)))"]
 
 
+def _simpfit_with_repeats(ct, goal):
+    return distill_with_repeats(emit_dectree(ct, goal))
+
+
 class TestDeepProofs:
-    """Proofs far taller than the recursion limit check at the default
-    limit, with the counts the recursive kernel gave under a raised one.
-    Only proving and emitting the certificate needs the raised limit."""
+    """Proofs far taller than the recursion limit are found, emitted and
+    checked at the default limit, with the counts the recursive kernel
+    gave under a raised one.  The simpfit counts were recorded on
+    certificates that kept each boxinfo as often as it occurs."""
 
     @pytest.mark.parametrize("family,n,emit,steps,choice_points", [
         (kchain, 64, emit_fitcert, 1815, 0),
         (taut, 512, emit_fitcert, 7163, 0),
-        (kchain, 14, emit_simpfitcert, 1193, 1908),
-        (wide, 10, emit_simpfitcert, 4768, 6555),
+        (kchain, 14, _simpfit_with_repeats, 1193, 1908),
+        (wide, 10, _simpfit_with_repeats, 4768, 6555),
     ], ids=["fittings-kchain64", "fittings-taut512", "simpfit-kchain14", "simpfit-wide10"])
     def test_default_recursion_limit(self, family, n, emit, steps, choice_points):
         goal = family(n)
-        with recursion_limit(10_000):
-            cert = emit(prove(goal), goal)
         with recursion_limit(1000):
+            cert = emit(prove(goal), goal)
             result = check(goal, cert)
         assert result.accepted
         assert (result.steps, result.choice_points) == (steps, choice_points)
@@ -378,10 +385,8 @@ class TestDeepProofs:
 
     def test_step_budget_stops_a_deep_proof(self):
         goal = kchain(64)
-        with recursion_limit(10_000):
-            cert = emit_fitcert(prove(goal), goal)
         with recursion_limit(1000), pytest.raises(StepBudgetExceeded):
-            check(goal, cert, max_steps=1000)
+            check(goal, emit_fitcert(prove(goal), goal), max_steps=1000)
 
 
 class TestDecideByName:
@@ -473,7 +478,9 @@ class TestAgainstBruteForce:
         (kchain, 3, emit_fitcert),
         (wide, 2, emit_fitcert),
         (wide, 2, emit_simpfitcert),
-    ], ids=["fittings-kchain2", "fittings-kchain3", "fittings-wide2", "simpfit-wide2"])
+        (kchain, 2, emit_simpfitcert),
+    ], ids=["fittings-kchain2", "fittings-kchain3", "fittings-wide2", "simpfit-wide2",
+            "simpfit-kchain2"])
     def test_family_certificates(self, family, n, emit):
         # binders under binders, and eigenvariables that reach closures
         goal = family(n)

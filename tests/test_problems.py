@@ -1,6 +1,7 @@
 """Problem-file surface syntax: parser, printer, round trips."""
 
 import gc
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -26,6 +27,38 @@ from helpers import recursion_limit
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 ALL_FIXTURES = sorted(FIXTURES.glob("*.prob"))
+
+
+def _load_fixture_generator():
+    spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURES / "make_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GENERATED = _load_fixture_generator().FIXTURES
+
+# random problem files: small formulas over a few atom names, and
+# certificates over random indexes
+_INDEXES = st.recursive(
+    st.sampled_from([EIND, NONE]),
+    lambda sub: st.one_of(st.builds(Lind, sub), st.builds(Rind, sub), st.builds(Bind, sub, sub)),
+    max_leaves=6)
+_DECTREES = st.recursive(
+    st.builds(DecTree, _INDEXES, _INDEXES),
+    lambda sub: st.builds(DecTree, _INDEXES, _INDEXES, st.lists(sub, max_size=3).map(tuple)),
+    max_leaves=8)
+_CERTIFICATES = st.one_of(
+    _DECTREES.map(FitCert.load),
+    st.builds(SimpfitCert.load, st.lists(st.builds(Closure, _INDEXES, _INDEXES), max_size=4),
+              st.lists(st.builds(BoxInfo, _INDEXES, _INDEXES), max_size=4)))
+_ATOMS = st.sampled_from(["p", "q1", "_r", "box", "x_2"])
+_FORMULAS = st.recursive(
+    st.one_of(st.builds(PosAtom, _ATOMS), st.builds(NegAtom, _ATOMS)),
+    lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub),
+                          st.builds(Box, sub), st.builds(Dia, sub)),
+    max_leaves=10)
+_NAMES = st.text(st.characters(blacklist_characters='"\n'), max_size=12)
 
 
 class TestFormulaSyntax:
@@ -301,10 +334,30 @@ class TestRoundTrips:
             once = format_problem(pf)
             assert format_problem(parse_problem(once)) == once
 
+    @given(_NAMES, _FORMULAS, _CERTIFICATES)
+    def test_random_problem_files(self, name, theorem, cert):
+        pf = ProblemFile(name, theorem, cert)
+        text = format_problem(pf)
+        back = parse_problem(text)
+        assert back == pf
+        assert format_problem(back) == text
+
     def test_certificate_printer_matches_parser(self):
         printed = format_certificate(sftab1_cert())
         embedded = f'(problem "raw" (+ p)\n{printed})'
         assert parse_problem(embedded).certificate == sftab1_cert()
+
+
+class TestFixtureFiles:
+    def test_every_fixture_is_generated(self):
+        assert sorted(entry[0] for entry in GENERATED) == [path.name for path in ALL_FIXTURES]
+
+    @pytest.mark.parametrize("filename,comment,name,theorem,cert", GENERATED,
+                             ids=[entry[0] for entry in GENERATED])
+    def test_fixture_is_its_header_and_certificate(self, filename, comment, name, theorem, cert):
+        # fixtures/make_fixtures.py would write the file unchanged
+        text = (FIXTURES / filename).read_text(encoding="utf-8")
+        assert text == comment + format_problem(ProblemFile(name, theorem, cert))
 
 
 class TestProblemPrinter:

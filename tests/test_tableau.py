@@ -1,6 +1,8 @@
 """Prover, emitters, models, and the bounded validity oracle."""
 
+import dataclasses
 import hashlib
+from functools import cache
 
 import pytest
 
@@ -53,7 +55,15 @@ from kcert.tableau import (
     format_prefix,
     prove,
 )
-from helpers import agreement_corpus, formulas_of_connectives, kchain, recursion_limit, taut, wide
+from helpers import (
+    agreement_corpus,
+    distill_with_repeats,
+    formulas_of_connectives,
+    kchain,
+    recursion_limit,
+    taut,
+    wide,
+)
 
 P = PosAtom("p")
 Q = PosAtom("q")
@@ -221,6 +231,13 @@ class TestScriptedTableaux:
         assert notes == ["x -> 1", "x -> 2"]
 
 
+@cache
+def _pinned_proofs() -> tuple:
+    theorems = [f for f in agreement_corpus() if isinstance(prove(f), ClosedTableau)][::7]
+    theorems += [family(n) for family in (taut, kchain, wide) for n in range(1, 9)]
+    return tuple((theorem, prove(theorem)) for theorem in theorems)
+
+
 class TestEmitters:
     def test_emitted_dectrees_match_the_handwritten_ones(self):
         assert emit_dectree(prove(EXAMPLE1_THEOREM)) == ftab1_dectree()
@@ -251,21 +268,48 @@ class TestEmitters:
             with pytest.raises(EmitError, match="does not refute"):
                 emit(ct, EXAMPLE2_THEOREM)
 
+    def test_theorem_cross_check_compares_deep_copies_by_text(self):
+        # two equal box^2000 p built apart: the generated == would recurse
+        # once per box, the comparison of their text does not
+        def deep():
+            a = P
+            for _ in range(2000):
+                a = Box(a)
+            return a
+
+        small = prove(Or(P, NP))
+        ct = ClosedTableau(deep(), small.root, small.step)
+        with recursion_limit(1000):
+            assert emit_dectree(ct, deep()) == taut_dectree()
+            with pytest.raises(EmitError, match="does not refute"):
+                emit_dectree(ct, Box(deep()))
+
     def test_emitted_text_is_pinned(self):
         # recorded before the prover named each entry's index and simpfit
-        # certificates were distilled from the decide tree: any change to
-        # an index, an aux, the order of the closures or the number of
-        # boxinfos moves it
+        # certificates were distilled from the decide tree, when each
+        # boxinfo was kept as often as it occurs: any change to an index,
+        # an aux, the order of the closures or the number of boxinfos
+        # moves it
         digest = hashlib.sha256()
-        theorems = [f for f in agreement_corpus() if isinstance(prove(f), ClosedTableau)][::7]
-        theorems += [family(n) for family in (taut, kchain, wide) for n in range(1, 9)]
-        for theorem in theorems:
-            ct = prove(theorem)
-            for cert in (emit_fitcert(ct, theorem), emit_simpfitcert(ct, theorem)):
+        proofs = _pinned_proofs()
+        for theorem, ct in proofs:
+            with_repeats = distill_with_repeats(emit_dectree(ct, theorem))
+            for cert in (emit_fitcert(ct, theorem), with_repeats):
                 digest.update(format_problem(ProblemFile("emitted", theorem, cert)).encode())
-        assert len(theorems) == 335
+        assert len(proofs) == 335
         assert digest.hexdigest() == (
             "e5f7ea321a054627cc6a2c917eedc1b043c1b74b27ee093bf709333a1c1c55cf")
+
+    def test_simpfit_lists_each_boxinfo_once(self):
+        # the pinned certificates with every later repeat of a boxinfo
+        # dropped; the wide family has repeats, one per branch
+        repeats = 0
+        for theorem, ct in _pinned_proofs():
+            reference = distill_with_repeats(emit_dectree(ct, theorem))
+            once = tuple(dict.fromkeys(reference.boxinfos))
+            repeats += len(reference.boxinfos) - len(once)
+            assert emit_simpfitcert(ct, theorem) == dataclasses.replace(reference, boxinfos=once)
+        assert repeats > 0
 
     def test_emitted_certificates_check(self):
         for theorem in (EXAMPLE1_THEOREM, EXAMPLE2_THEOREM, Or(P, NP)):
