@@ -5,7 +5,8 @@ them: the entry formula is eind, the subformulas of a stored conjunction
 or disjunction at I live at (lind I) and (rind I), the body of a
 universal at I lives at (lind I), and the instantiated body of an
 existential at I paired with the universal O it borrows its world from
-lives at (bind I O).  Accessibility literals are all stored at none.
+lives at (bind I O).  Accessibility literals are all stored at none,
+and only they are, so a literal stored at none closes any branch.
 
 A decide tree records one decide per node: the index to decide on, an
 auxiliary index (the closing complement for a leaf, the eigenvariable
@@ -226,7 +227,7 @@ class FittingsFpc(Fpc):
             yield cert.pending[0], FitCert(cert.pending[1:], cert.tree, cert.eigmap)
 
     def initial_e(self, cert: FitCert, index: object) -> bool:
-        return index is cert.tree.aux
+        return index is cert.tree.aux or index is NONE
 
     def orneg_c(self, cert: FitCert) -> Iterable[object]:
         if cert.pending:
@@ -236,9 +237,7 @@ class FittingsFpc(Fpc):
             yield FitCert((Lind(i), Rind(i)), cert.tree.children[0], cert.eigmap)
 
     def andneg_c(self, cert: FitCert) -> Iterable[tuple[object, object]]:
-        if cert.pending:
-            yield cert, cert
-        elif len(cert.tree.children) >= 2:
+        if len(cert.tree.children) >= 2:
             i = cert.tree.decide_on
             left, right = cert.tree.children[0], cert.tree.children[1]
             yield (FitCert((Lind(i),), left, cert.eigmap),
@@ -256,12 +255,7 @@ class FittingsFpc(Fpc):
             yield bind_eigen
 
     def andpos_e(self, cert: FitCert) -> Iterable[tuple[object, object]]:
-        # the left premise is the accessibility literal of a diamond; its
-        # complement sits at none, so point the aux there
-        tree = cert.tree
-        yield (FitCert(cert.pending, DecTree(tree.decide_on, NONE, tree.children),
-                       cert.eigmap),
-               cert)
+        yield cert, cert
 
     def some_e(self, cert: FitCert) -> Iterable[tuple[Term, object]]:
         if cert.pending or not cert.tree.children:

@@ -215,12 +215,6 @@ class AndPos:
 
 
 @dataclass(frozen=True)
-class OrPos:
-    left: PolarizedFormula
-    right: PolarizedFormula
-
-
-@dataclass(frozen=True)
 class All:
     body: PolarizedFormula
 
@@ -241,11 +235,10 @@ class DelayNeg:
 
 
 PolarizedFormula = (
-    PAtom | NAtom | AndNeg | OrNeg | AndPos | OrPos
-    | All | Exists | DelayPos | DelayNeg
+    PAtom | NAtom | AndNeg | OrNeg | AndPos | All | Exists | DelayPos | DelayNeg
 )
 
-_POSITIVE_CLASSES = (PAtom, AndPos, OrPos, Exists, DelayPos)
+_POSITIVE_CLASSES = (PAtom, AndPos, Exists, DelayPos)
 
 
 def is_positive(f: PolarizedFormula) -> bool:
@@ -364,7 +357,6 @@ _STRIP = {
     AndNeg: (both_kids, lambda f, _, v: FoAnd(*v)),
     AndPos: (both_kids, lambda f, _, v: FoAnd(*v)),
     OrNeg: (both_kids, lambda f, _, v: FoOr(*v)),
-    OrPos: (both_kids, lambda f, _, v: FoOr(*v)),
     All: (body_kid, lambda f, _, v: FoAll(*v)),
     Exists: (body_kid, lambda f, _, v: FoEx(*v)),
     DelayPos: (body_kid, lambda f, _, v: v[0]),
@@ -395,7 +387,7 @@ _SPELLING: dict[type, tuple[str, ...]] = {
     Box: ("(box ", ")"), Dia: ("(dia ", ")"),
     PAtom: ("{}",), NAtom: ("~{}",), FoAtom: ("{}",), FoNeg: ("~", ""),
     AndNeg: ("(", " &- ", ")"), OrNeg: ("(", " |- ", ")"),
-    AndPos: ("(", " &+ ", ")"), OrPos: ("(", " |+ ", ")"),
+    AndPos: ("(", " &+ ", ")"),
     FoAnd: ("(", " & ", ")"), FoOr: ("(", " | ", ")"), FoImp: ("(", " => ", ")"),
     All: ("(all {}. ", ")"), Exists: ("(ex {}. ", ")"),
     FoAll: ("(all {}. ", ")"), FoEx: ("(ex {}. ", ")"),

@@ -1,10 +1,12 @@
 """Certificate-driven checker for focused classical first-order proofs.
 
-The checker walks a two-phase focused sequent calculus.  The asynchronous
-phase decomposes negative connectives and stores everything else; once the
-workbench is empty it decides on a stored positive formula and enters the
-synchronous phase, which decomposes the focus until it closes on a literal
-or releases a negative formula back to the asynchronous phase.
+The checker walks a two-phase focused sequent calculus: the fragment of
+LKF (Liang and Miller, TCS 2009) that the polarized translation writes,
+with literals, AndNeg, OrNeg, All, AndPos, Exists and the two delays.  The
+asynchronous phase decomposes negatives and stores everything else; once
+the workbench is empty it decides on a stored positive formula and enters
+the synchronous phase, which decomposes the focus until it closes on a
+literal or releases a negative formula back to the asynchronous phase.
 
 The kernel itself makes no choices.  At every rule it consults a
 certificate through a small set of clerk predicates (asynchronous side)
@@ -19,6 +21,8 @@ is bounded by memory and the step budget.  A rule with several
 continuations leaves a choice point, undone through a trail on
 backtracking, and a cut goal under its premise drops it once the premise
 has succeeded: a later failure never re-enters a premise that closed.
+The trace shrinks only when a failure backtracks, so each failure keeps
+it if it is the longest yet: a reject reports that deepest prefix.
 
 Storage indexes are opaque to the kernel: they are whatever hashable
 values the certificate's store clerk hands out.  At a decide the
@@ -54,7 +58,6 @@ from .formulas import (
     ModalFormula,
     NAtom,
     OrNeg,
-    OrPos,
     PAtom,
     PolarizedFormula,
     Term,
@@ -75,8 +78,9 @@ class StepBudgetExceeded(RuntimeError):
 @dataclass(frozen=True)
 class Ev:
     """One checker step.  kind is the rule name; arg carries the storage
-    index (decide/store/init), the witness term (all/some), the branch
-    marker "L"/"R" (andneg/andpos), or the side 1/2 (orpos)."""
+    index (decide/store/init), the eigenvariable or witness (all/some),
+    or the branch marker "L"/"R" (andneg/andpos); orneg, strip and
+    release carry no argument."""
 
     kind: str
     arg: object = None
@@ -95,7 +99,10 @@ def trace_lines(events: Sequence[Ev]) -> list[str]:
 # certificate interface
 
 class Fpc:
-    """Clerk and expert predicates, all refusing by default.
+    """Clerk and expert predicates, one per kernel rule that consults the
+    certificate, all refusing by default: the clerks store_c, orneg_c,
+    andneg_c and all_c of the asynchronous phase and the experts decide_e,
+    release_e, initial_e, andpos_e and some_e of the synchronous one.
 
     A certificate format subclasses this and overrides the predicates it
     wants to define; leaving one alone means the corresponding kernel
@@ -140,9 +147,6 @@ class Fpc:
     def andpos_e(self, cert: object) -> Iterable[tuple[object, object]]:
         return ()
 
-    def orpos_e(self, cert: object) -> Iterable[tuple[int, object]]:
-        return ()
-
     def some_e(self, cert: object) -> Iterable[tuple[Term, object]]:
         return ()
 
@@ -150,8 +154,7 @@ class Fpc:
 @dataclass(frozen=True)
 class CheckResult:
     accepted: bool
-    # full trace of the accepting run, or the deepest prefix reached
-    # before a reject
+    # the accepting run's whole trace, or a reject's deepest prefix
     trace: tuple[Ev, ...]
     steps: int
     choice_points: int
@@ -194,11 +197,8 @@ class _Run:
         self.fpc = fpc
         self.max_steps = max_steps
         self.events: list[Ev] = []
-        # the deepest trace prefix reached: events[:deepest_len] while
-        # the live trace still holds it, else the snapshot in deepest
+        # the longest trace a failure has met: the deepest prefix reached
         self.deepest: tuple[Ev, ...] = ()
-        self.deepest_len = 0
-        self.deepest_live = False
         self.steps = 0
         self.choice_points = 0
         self.next_eigen = 1
@@ -214,25 +214,6 @@ class _Run:
         if self.max_steps is not None and self.steps > self.max_steps:
             raise StepBudgetExceeded(f"gave up after {self.max_steps} steps")
 
-    def emit(self, ev: Ev) -> None:
-        self.events.append(ev)
-        if len(self.events) > self.deepest_len:
-            self.deepest_len = len(self.events)
-            self.deepest_live = True
-
-    def rollback(self, mark: int) -> None:
-        """Cut the trace back to mark, first saving the deepest prefix if
-        the cut would destroy it."""
-        if self.deepest_live and mark < self.deepest_len:
-            self.deepest = tuple(self.events[:self.deepest_len])
-            self.deepest_live = False
-        del self.events[mark:]
-
-    def deepest_trace(self) -> tuple[Ev, ...]:
-        if self.deepest_live:
-            return tuple(self.events[:self.deepest_len])
-        return self.deepest
-
     def run(self, cert: object, gamma: tuple) -> bool:
         goals = (_ASYNC, cert, gamma, None)
         while goals is not None:
@@ -242,7 +223,7 @@ class _Run:
             elif tag == _SYNC:
                 goals = self.synchronous(a, b, goals)
             elif tag == _EMIT:
-                self.emit(a)
+                self.events.append(a)
             elif tag == _POP:
                 item = a.pop()
                 if self.choices:
@@ -252,6 +233,8 @@ class _Run:
                 if not self.choices:
                     self.trail.clear()
             if goals is _FAIL:
+                if len(self.events) > len(self.deepest):
+                    self.deepest = tuple(self.events)
                 if not self.choices:
                     return False
                 goals = self.backtrack()
@@ -281,7 +264,7 @@ class _Run:
                 bucket.pop()
             else:
                 bucket.append(item)
-        self.rollback(mark)
+        del self.events[mark:]
         return step(alt, goals)
 
     # asynchronous phase: decompose the workbench head, or decide
@@ -295,14 +278,14 @@ class _Run:
 
         if isinstance(f, OrNeg):
             def or_step(c2: object, goals: tuple | None) -> tuple:
-                self.emit(Ev("orneg"))
+                self.events.append(Ev("orneg"))
                 return (_ASYNC, c2, ((f.left, env), (f.right, env)) + rest, goals)
             return self.branch(list(self.fpc.orneg_c(cert)), or_step, goals)
 
         if isinstance(f, AndNeg):
             def and_step(pair: object, goals: tuple | None) -> tuple:
                 c_left, c_right = pair
-                self.emit(Ev("andneg", "L"))
+                self.events.append(Ev("andneg", "L"))
                 return (_ASYNC, c_left, ((f.left, env),) + rest, (_EMIT, Ev("andneg", "R"), None,
                         (_ASYNC, c_right, ((f.right, env),) + rest, goals)))
             return self.branch(list(self.fpc.andneg_c(cert)), and_step, goals)
@@ -311,12 +294,12 @@ class _Run:
             def all_step(mk: object, goals: tuple | None) -> tuple:
                 eigen = Eigen(self.next_eigen)
                 self.next_eigen += 1
-                self.emit(Ev("all", eigen))
+                self.events.append(Ev("all", eigen))
                 return (_ASYNC, mk(eigen), ((f.body, (eigen,) + env),) + rest, goals)
             return self.branch(list(self.fpc.all_c(cert)), all_step, goals)
 
         if isinstance(f, DelayNeg):
-            self.emit(Ev("strip"))
+            self.events.append(Ev("strip"))
             return (_ASYNC, cert, ((f.body, env),) + rest, goals)
 
         # everything else is storable: positives and negative literals
@@ -326,7 +309,7 @@ class _Run:
 
         def store_step(pair: object, goals: tuple | None) -> tuple:
             index, c2 = pair
-            self.emit(Ev("store", index))
+            self.events.append(Ev("store", index))
             if positive:
                 # the step count orders the entries of a branch by age
                 bucket = self.positive.setdefault(index, [])
@@ -340,11 +323,9 @@ class _Run:
         return self.branch(list(self.fpc.store_c(cert, f)), store_step, goals)
 
     def _decide(self, cert: object, goals: tuple | None) -> object:
-        # the certificate names indexes; each stored positive entry at a
-        # named index is one alternative, newest entry first: the newest
-        # entries are the current branch tip's.  The sort is stable, also
-        # when reversed, so one entry's alternatives keep the order their
-        # names came in.
+        # each stored positive entry at a named index is one alternative,
+        # newest (the branch tip's) first; the sort is stable, also when
+        # reversed, so one entry keeps the order its names came in
         alts: list[tuple] = []
         for index, c2 in self.fpc.decide_e(cert):
             for position, item in self.positive.get(index, ()):
@@ -354,7 +335,7 @@ class _Run:
 
     def _decide_step(self, alt: tuple, goals: tuple | None) -> tuple:
         _, index, item, c2 = alt
-        self.emit(Ev("decide", index))
+        self.events.append(Ev("decide", index))
         return (_SYNC, c2, item, goals)
 
     # synchronous phase: decompose the focus
@@ -366,43 +347,35 @@ class _Run:
         if isinstance(focus, AndPos):
             def and_step(pair: object, goals: tuple | None) -> tuple:
                 c_left, c_right = pair
-                self.emit(Ev("andpos", "L"))
+                self.events.append(Ev("andpos", "L"))
                 return (_SYNC, c_left, (focus.left, env), (_EMIT, Ev("andpos", "R"), None,
                         (_SYNC, c_right, (focus.right, env), goals)))
             return self.branch(list(self.fpc.andpos_e(cert)), and_step, goals)
 
-        if isinstance(focus, OrPos):
-            def or_step(pair: object, goals: tuple | None) -> tuple:
-                side, c2 = pair
-                self.emit(Ev("orpos", side))
-                return (_SYNC, c2, (focus.left if side == 1 else focus.right, env), goals)
-            return self.branch(list(self.fpc.orpos_e(cert)), or_step, goals)
-
         if isinstance(focus, Exists):
             def some_step(pair: object, goals: tuple | None) -> tuple:
                 witness, c2 = pair
-                self.emit(Ev("some", witness))
+                self.events.append(Ev("some", witness))
                 return (_SYNC, c2, (focus.body, (witness,) + env), goals)
             return self.branch(list(self.fpc.some_e(cert)), some_step, goals)
 
         if isinstance(focus, DelayPos):
-            self.emit(Ev("strip"))
+            self.events.append(Ev("strip"))
             return (_SYNC, cert, (focus.body, env), goals)
 
         if isinstance(focus, PAtom):
             key = (focus.pred, _resolve(focus.args, env))
             sanctioned = [index for index in self.negative.get(key, ())
                           if self.fpc.initial_e(cert, index)]
-            if len(sanctioned) > 1:
-                self.choice_points += len(sanctioned) - 1
-            if sanctioned:
-                self.emit(Ev("init", sanctioned[0]))
-                return goals
-            return _FAIL
+            if not sanctioned:
+                return _FAIL
+            self.choice_points += len(sanctioned) - 1
+            self.events.append(Ev("init", sanctioned[0]))
+            return goals
 
         # negative focus: hand it back to the asynchronous phase
         def release_step(c2: object, goals: tuple | None) -> tuple:
-            self.emit(Ev("release"))
+            self.events.append(Ev("release"))
             return (_ASYNC, c2, (item,), goals)
         return self.branch(list(self.fpc.release_e(cert)), release_step, goals)
 
@@ -413,7 +386,7 @@ def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,
     formulas, each in an empty environment.  Storage starts empty."""
     run = _Run(fpc, max_steps)
     accepted = run.run(cert, tuple((f, ()) for f in entry))
-    trace = tuple(run.events) if accepted else run.deepest_trace()
+    trace = tuple(run.events) if accepted else run.deepest
     return CheckResult(accepted, trace, run.steps, run.choice_points)
 
 

@@ -100,17 +100,13 @@ class SimpfitFpc(Fpc):
     """Reconstruct a proof guided only by closures and boxinfos."""
 
     def decide_e(self, cert: SimpfitCert) -> Iterable[tuple[object, object]]:
-        # each distinct token once, spending its first occurrence; none
-        # last, spending its token before the free decide
+        # each distinct token once, spending its first occurrence
         usable = cert.usable
-        seen = {NONE}
+        seen = set()
         for pos, token in enumerate(usable):
             if token not in seen:
                 seen.add(token)
                 yield token, _state(cert, 1, (token,), _drop_at(usable, pos))
-        if NONE in usable:
-            yield NONE, _state(cert, 1, (NONE,), _drop_at(usable, usable.index(NONE)))
-        yield NONE, _state(cert, 1, (NONE,), usable)
 
     def release_e(self, cert: SimpfitCert) -> Iterable[object]:
         yield cert
@@ -148,8 +144,6 @@ class SimpfitFpc(Fpc):
             i = cert.pending[0]
             yield (_state(cert, 0, (Lind(i),), cert.usable),
                    _state(cert, 0, (Rind(i),), cert.usable))
-        elif cert.flag == 0:
-            yield cert, cert
 
     def all_c(self, cert: SimpfitCert) -> Iterable[Callable[[Term], object]]:
         if len(cert.pending) != 1:

@@ -33,7 +33,6 @@ from kcert.formulas import (
     NegAtom,
     Or,
     OrNeg,
-    OrPos,
     PAtom,
     PolarizedFormula,
     PosAtom,
@@ -46,7 +45,7 @@ from kcert.formulas import (
 from kcert.kernel import Ev, Fpc
 from kcert.problems import parse_formula_text
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
-from kcert.tableau import KripkeModel, Prefix
+from kcert.tableau import ClosedTableau, KripkeModel, Prefix, prove
 
 ATOMS = ("p", "q")
 
@@ -121,6 +120,14 @@ def agreement_corpus() -> list[ModalFormula]:
         for f in formulas_of_connectives(c):
             seen.setdefault(f)
     return list(seen)
+
+
+@lru_cache(maxsize=None)
+def corpus_proofs() -> tuple[tuple[ModalFormula, ClosedTableau], ...]:
+    """The valid formulas of agreement_corpus(), in order, each with its
+    closed tableau."""
+    proofs = ((f, prove(f)) for f in agreement_corpus())
+    return tuple((f, ct) for f, ct in proofs if isinstance(ct, ClosedTableau))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +301,18 @@ def simpfit_mutants(cert: SimpfitCert) -> Iterator[tuple[str, SimpfitCert]]:
             yield "lr-flip", dataclasses.replace(cert, boxinfos=bis)
 
 
+def literal_flips(a: ModalFormula) -> list[ModalFormula]:
+    """Every formula obtained from a by negating one of its literals."""
+    if isinstance(a, PosAtom):
+        return [NegAtom(a.name)]
+    if isinstance(a, NegAtom):
+        return [PosAtom(a.name)]
+    if isinstance(a, (And, Or)):
+        return ([type(a)(left, a.right) for left in literal_flips(a.left)]
+                + [type(a)(a.left, right) for right in literal_flips(a.right)])
+    return [type(a)(body) for body in literal_flips(a.body)]
+
+
 def certificate_mutants(cert) -> Iterator[tuple[str, object]]:
     if isinstance(cert, FitCert):
         yield from fitcert_mutants(cert)
@@ -449,9 +468,6 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
             return any(sync_ok(f.left, theta, cl, k)
                        and sync_ok(f.right, theta, cr, k)
                        for cl, cr in fpc.andpos_e(cert))
-        if isinstance(f, OrPos):
-            return any(sync_ok(f.left if side == 1 else f.right, theta, c2, k)
-                       for side, c2 in fpc.orpos_e(cert))
         if isinstance(f, Exists):
             return any(sync_ok(open_binder_reference(f.body, t), theta, c2, k)
                        for t, c2 in fpc.some_e(cert))
@@ -488,7 +504,7 @@ def open_binder_reference(body: PolarizedFormula, t: Term) -> PolarizedFormula:
     def go(f: PolarizedFormula, depth: int) -> PolarizedFormula:
         if isinstance(f, (PAtom, NAtom)):
             return type(f)(f.pred, tuple(go_term(u, depth) for u in f.args))
-        if isinstance(f, (AndNeg, OrNeg, AndPos, OrPos)):
+        if isinstance(f, (AndNeg, OrNeg, AndPos)):
             return type(f)(go(f.left, depth), go(f.right, depth))
         if isinstance(f, (All, Exists)):
             return type(f)(go(f.body, depth + 1))

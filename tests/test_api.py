@@ -1,11 +1,16 @@
 """The package as a whole: kcert.__all__ is the public API the README
-lists, and only the functions allowed below call themselves."""
+lists, only the functions allowed below call themselves, and the kernel
+has just the connectives and rules that the translation needs."""
 
 import ast
 import re
 from pathlib import Path
 
 import kcert
+from kcert.formulas import PolarizedFormula, W0, delay_if_negative, polarized_translation
+from kcert.kernel import check
+from kcert.tableau import emit_fitcert, prove
+from helpers import agreement_corpus, kchain
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -58,3 +63,25 @@ def test_only_the_allowed_functions_recurse():
             else:
                 todo.append((name, child))
     assert sorted(found) == sorted(RECURSIVE)
+
+
+def test_the_kernel_has_only_what_the_translation_writes():
+    written = set()
+    for f in agreement_corpus():
+        todo = [delay_if_negative(polarized_translation(f, W0))]
+        while todo:
+            node = todo.pop()
+            written.add(type(node))
+            todo += [getattr(node, part) for part in ("left", "right", "body")
+                     if hasattr(node, part)]
+    assert set(PolarizedFormula.__args__) == written
+    # every rule the kernel can report shows in one accepted proof
+    source = (ROOT / "src" / "kcert" / "kernel.py").read_text(encoding="utf-8")
+    kinds = {node.args[0].value for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Ev"}
+    goal = kchain(1)
+    result = check(goal, emit_fitcert(prove(goal), goal))
+    assert result.accepted
+    assert {ev.kind for ev in result.trace} == kinds
+    assert len(kinds) == 10

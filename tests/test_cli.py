@@ -3,12 +3,19 @@ accept/valid, 1 for reject/invalid, 2 for any error."""
 
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kcert import cli
 from kcert.cli import main
+from kcert.fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind
+from kcert.formulas import And, Box, Dia, NegAtom, Or, PosAtom, format_formula, negate_nnf
+from kcert.problems import ProblemFile, format_problem
+from kcert.simpfit import BoxInfo, Closure, SimpfitCert
+from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, prove
 from helpers import recursion_limit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -182,3 +189,67 @@ class TestUsage:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "valid\n"
+
+
+# smaller than the strategies of tests/test_problems.py: every text here
+# is run, and simpfit's search grows fast with the formula
+_FORMULAS = st.recursive(
+    st.one_of(st.builds(PosAtom, st.sampled_from("pq")), st.builds(NegAtom, st.sampled_from("pq"))),
+    lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub),
+                          st.builds(Box, sub), st.builds(Dia, sub)),
+    max_leaves=6)
+# random formulas, and as many valid ones: f | ~f
+_THEOREMS = st.one_of(_FORMULAS, _FORMULAS.map(lambda f: Or(f, negate_nnf(f))))
+_INDEXES = st.recursive(
+    st.sampled_from([EIND, NONE]),
+    lambda sub: st.one_of(st.builds(Lind, sub), st.builds(Rind, sub), st.builds(Bind, sub, sub)),
+    max_leaves=4)
+_CERTIFICATES = st.one_of(
+    st.recursive(st.builds(DecTree, _INDEXES, _INDEXES),
+                 lambda sub: st.builds(DecTree, _INDEXES, _INDEXES,
+                                       st.lists(sub, max_size=2).map(tuple)),
+                 max_leaves=6).map(FitCert.load),
+    st.builds(SimpfitCert.load, st.lists(st.builds(Closure, _INDEXES, _INDEXES), max_size=3),
+              st.lists(st.builds(BoxInfo, _INDEXES, _INDEXES), max_size=3)))
+# pieces of the problem syntax, and some that are not
+_PIECES = st.sampled_from([
+    "(", ")", "+", "-", " ", "\n", ";", '"', '"n"', "and", "or", "box", "dia", "p", "problem",
+    "fittings", "simpfit", "dt", "eind", "none", "lind", "rind", "bind", "closures", "boxinfos",
+    "cl", "bi", "@", "\xe9"])
+
+
+def _problem_text(theorem, cert, emit) -> str:
+    # emit, when given, replaces cert by the theorem's own certificate
+    if emit is not None:
+        outcome = prove(theorem)
+        if isinstance(outcome, ClosedTableau):
+            cert = emit(outcome, theorem)
+    return format_problem(ProblemFile("random", theorem, cert))
+
+
+def _edited(texts):
+    """Texts, texts with a piece spliced over a random span, and pieces
+    strung together."""
+    splice = st.tuples(texts, st.integers(0, 300), st.integers(0, 8), _PIECES).map(
+        lambda t: t[0][:t[1]] + t[3] + t[0][t[1] + t[2]:])
+    return st.one_of(texts, splice, st.lists(_PIECES, max_size=30).map("".join))
+
+
+class TestExitCodes:
+    """Whatever the input, main returns 0, 1 or 2 and raises nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_edited(st.builds(_problem_text, _THEOREMS, _CERTIFICATES,
+                             st.sampled_from([None, emit_fitcert, emit_simpfitcert]))))
+    def test_check(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "random.prob"
+            path.write_text(text, encoding="utf-8")
+            assert main(["check", str(path)]) in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_edited(_THEOREMS.map(format_formula)))
+    def test_formula_commands(self, text):
+        for argv in (["prove", text], ["prove", text, "--emit", "simpfit"],
+                     ["translate", text], ["oracle", text]):
+            assert main(argv) in (0, 1, 2)

@@ -155,10 +155,6 @@ class TestClauses:
         assert list(FITTINGS.orneg_c(cert)) == [
             FitCert((Lind(EIND), Rind(EIND)), LEAF, ())]
 
-    def test_andneg_passes_through_while_pending(self):
-        cert = fresh(pending=(EIND,))
-        assert list(FITTINGS.andneg_c(cert)) == [(cert, cert)]
-
     def test_andneg_splits_into_both_children(self):
         left = DecTree(Lind(EIND), NONE)
         right = DecTree(Rind(EIND), NONE)
@@ -173,12 +169,15 @@ class TestClauses:
         got = mk(Eigen(7))
         assert got == FitCert((Lind(EIND),), LEAF, ((EIND, Eigen(7)),))
 
-    def test_andpos_points_the_left_premise_at_none(self):
+    def test_andpos_keeps_the_cert_and_initial_accepts_none(self):
+        # the left premise is a diamond's accessibility literal, whose
+        # complement is stored at none, as only accessibility literals are
         cert = fresh(tree=LEAF)
-        ((left, right),) = FITTINGS.andpos_e(cert)
-        assert right == cert
-        assert left.tree.aux == NONE
-        assert left.tree.decide_on == LEAF.decide_on
+        assert list(FITTINGS.andpos_e(cert)) == [(cert, cert)]
+        assert FITTINGS.initial_e(cert, NONE)
+        assert FITTINGS.initial_e(cert, LEAF.aux)
+        for other in (EIND, LEAF.decide_on, Lind(Rind(EIND)), Bind(EIND, EIND)):
+            assert not FITTINGS.initial_e(cert, other)
 
     def test_some_borrows_the_aux_eigenvariable(self):
         tree = DecTree(Rind(EIND), Lind(EIND), (LEAF,))

@@ -25,7 +25,6 @@ from kcert.formulas import (
     NegAtom,
     Or,
     OrNeg,
-    OrPos,
     PAtom,
     PosAtom,
     REL,
@@ -168,16 +167,16 @@ class TestPolarizedTranslation:
         assert got == All(OrNeg(NAtom(REL, (W0, BVar(0))), DelayPos(inner)))
 
     def test_no_positive_disjunction_and_no_double_delay(self):
-        def scan(f, under_delayneg=False):
-            assert not isinstance(f, OrPos)
+        # there is no positive disjunction to write (tests/test_api.py
+        # checks the translation's classes against PolarizedFormula)
+        def scan(f):
             if isinstance(f, DelayPos):
+                assert not isinstance(f.body, (DelayPos, DelayNeg))
                 scan(f.body)
             elif isinstance(f, DelayNeg):
                 # the only stacking is the diamond's DelayNeg(DelayPos(...))
-                if isinstance(f.body, DelayPos):
-                    scan(f.body.body)
-                else:
-                    scan(f.body)
+                assert not isinstance(f.body, DelayNeg)
+                scan(f.body)
             elif isinstance(f, (AndNeg, OrNeg, AndPos)):
                 scan(f.left)
                 scan(f.right)

@@ -1,8 +1,10 @@
 """Kernel behavior: traces, phase discipline, backtracking, storage."""
 
 import dataclasses
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kcert.examples import (
     EXAMPLE1_THEOREM,
@@ -17,7 +19,7 @@ from kcert.examples import (
     taut_dectree,
 )
 from kcert.fittings import Bind, DecTree, EIND, FITTINGS, FitCert, FittingsFpc, Lind, NONE, Rind
-from kcert.formulas import All, AndNeg, AndPos, BVar, DelayNeg, Eigen, NAtom, OrPos, PAtom
+from kcert.formulas import All, AndNeg, AndPos, BVar, DelayNeg, Eigen, NAtom, PAtom
 from kcert.kernel import (
     CheckResult,
     Ev,
@@ -29,14 +31,17 @@ from kcert.kernel import (
 )
 from kcert.simpfit import SIMPFIT
 from kcert.problems import parse_formula_text
-from kcert.tableau import ClosedTableau, emit_dectree, emit_fitcert, emit_simpfitcert, prove
+from kcert.tableau import (
+    ClosedTableau, bounded_validity_oracle, emit_dectree, emit_fitcert, emit_simpfitcert, prove)
 from helpers import (
     bipole_violations,
     brute_force_accepts,
     certificate_mutants,
+    corpus_proofs,
     distill_with_repeats,
     formulas_of_connectives,
     kchain,
+    literal_flips,
     recursion_limit,
     taut,
     trace_paths,
@@ -75,10 +80,6 @@ class Permissive(Fpc):
 
     def andpos_e(self, cert):
         yield cert, cert
-
-    def orpos_e(self, cert):
-        yield 1, cert
-        yield 2, cert
 
 
 class TestTraceUtils:
@@ -164,14 +165,13 @@ class TestPhaseRules:
         kinds = [e.kind for e in result.trace]
         assert "decide" not in kinds
 
-    def test_orpos_backtracks_to_second_side(self):
-        # side 1 focuses b with no complement stored; side 2 closes
-        entry = (NA, OrPos(B, A))
-        result = check_polarized(entry, None, Permissive())
+    def test_decide_backtracks_to_an_older_entry(self):
+        # the newest atom, b, has no complement stored; the older a closes
+        result = check_polarized((NA, A, B), None, Permissive())
         assert result.accepted
-        assert Ev("orpos", 2) in result.trace
-        assert Ev("orpos", 1) not in result.trace  # rolled back
-        assert result.choice_points >= 1
+        assert Ev("decide", ("ix", A)) in result.trace
+        assert Ev("decide", ("ix", B)) not in result.trace  # rolled back
+        assert result.choice_points == 1
 
     def test_released_negative_is_stored_and_reusable(self):
         class Countdown(Permissive):
@@ -202,6 +202,19 @@ class TestPhaseRules:
         # the search got as far as deciding on the stored disjunct
         assert "decide (lind eind)" in lines
         assert "init (rind eind)" not in lines
+
+    def test_reject_reports_an_earlier_deeper_failure(self):
+        # the newest entry, a & b, fails at b after closing a; the older
+        # c then fails at once, so the first alternative reached deepest
+        C = PAtom("c", ())
+        AB = AndPos(A, B)
+        result = check_polarized((NA, C, AB), None, Permissive())
+        assert not result.accepted
+        assert result.choice_points == 1
+        assert result.trace == (
+            Ev("store", ("ix", NA)), Ev("store", ("ix", C)), Ev("store", ("ix", AB)),
+            Ev("decide", ("ix", AB)), Ev("andpos", "L"), Ev("init", ("ix", NA)),
+            Ev("andpos", "R"))
 
 
 class TestCommit:
@@ -493,6 +506,31 @@ class TestAgainstBruteForce:
     def test_paper_certificates_agree(self):
         assert brute_force_accepts(EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS)
         assert brute_force_accepts(EXAMPLE1_THEOREM, sftab1_cert(), SIMPFIT)
+
+
+@cache
+def _small_theorems() -> tuple:
+    # the oracle decides at most 8 connectives: the corpus has at most 5,
+    # these families 1 to 6
+    families = (taut(1), taut(2), kchain(1), wide(1), wide(2))
+    return corpus_proofs() + tuple((goal, prove(goal)) for goal in families)
+
+
+class TestAcceptanceImpliesValidity:
+    """An accepted check is a proof: both certificates of a theorem,
+    checked against the theorem with one literal negated, are accepted
+    only where the oracle finds the new formula valid."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_flipped_literal(self, data):
+        # drawn by position: a drawn value is printed, and a tableau is big
+        theorems = _small_theorems()
+        goal, ct = theorems[data.draw(st.integers(0, len(theorems) - 1))]
+        flipped = data.draw(st.sampled_from(literal_flips(goal)))
+        for cert in (emit_fitcert(ct, goal), emit_simpfitcert(ct, goal)):
+            if check(flipped, cert, max_steps=100_000).accepted:
+                assert bounded_validity_oracle(flipped), (goal, flipped, cert)
 
 
 class Opening(Permissive):

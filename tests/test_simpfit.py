@@ -49,10 +49,6 @@ class TestClauses:
     def test_decide_without_token_refuses(self):
         assert decides_at(fresh(), EIND) == []
 
-    def test_decide_on_none_needs_no_token(self):
-        got = decides_at(fresh(), NONE)
-        assert got == [fresh(flag=1, pending=(NONE,))]
-
     def test_store_grants_a_token_for_decidables(self):
         cert = fresh(pending=(Lind(EIND), Rind(EIND)))
         got = list(SIMPFIT.store_c(cert, P_W0))

@@ -56,7 +56,7 @@ from kcert.tableau import (
     prove,
 )
 from helpers import (
-    agreement_corpus,
+    corpus_proofs,
     distill_with_repeats,
     formulas_of_connectives,
     kchain,
@@ -233,9 +233,8 @@ class TestScriptedTableaux:
 
 @cache
 def _pinned_proofs() -> tuple:
-    theorems = [f for f in agreement_corpus() if isinstance(prove(f), ClosedTableau)][::7]
-    theorems += [family(n) for family in (taut, kchain, wide) for n in range(1, 9)]
-    return tuple((theorem, prove(theorem)) for theorem in theorems)
+    families = [family(n) for family in (taut, kchain, wide) for n in range(1, 9)]
+    return corpus_proofs()[::7] + tuple((theorem, prove(theorem)) for theorem in families)
 
 
 class TestEmitters:
