@@ -5,11 +5,21 @@ the identity on canonical text.
     problem     := (problem "name" formula certificate)
     formula     := (+ sym) | (- sym) | (and f f) | (or f f)
                  | (box f) | (dia f)
-    certificate := (fittings dectree)
-                 | (simpfit (closures cl*) (boxinfos bi*))
+    certificate := (fittings table? dectree)
+                 | (simpfit table? (closures cl*) (boxinfos bi*))
+    table       := (indexes entry*)
+    entry       := (lind i) | (rind i) | (bind i j)
     dectree     := (dt index index (dectree*))
     cl          := (cl index index)        bi := (bi index index)
-    index       := eind | none | (lind i) | (rind i) | (bind i j)
+    index       := eind | none | i<k> | (lind i) | (rind i) | (bind i j)
+
+The table is a numbered dictionary of shared indexes, as in the
+OpenTheory article format (Hurd, NFM 2011): i<k> names its k-th entry,
+counted from 0, and an entry may name only entries before it.  The
+printer writes each distinct lind, rind and bind index once, children
+before parents, and every index after the table by name, so a file
+grows with the tree and the distinct indexes, not with their depth.
+Inline indexes stay legal everywhere.
 
 Whitespace is free-form and ; starts a comment running to end of line.
 """
@@ -100,11 +110,10 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        # every index built in this parse, by constructor and arguments.
-        # The intern tables give the same objects; this map only saves
-        # their __new__ call and weakref lookup per repeat, and as the
-        # printer writes each subindex in full, most indexes are repeats
-        self.indexes: dict[tuple, Index] = {}
+        # the index each bare word names: eind, none and, once a table
+        # is read, i<k> for its entries so far
+        self.names: dict[str, Index] = {"eind": EIND, "none": NONE}
+        self.has_table = False
         toks = _split(text)
         if toks is None:
             toks = _TOKEN.findall(text)
@@ -208,10 +217,12 @@ class _Parser:
         self.next("(")
         head = self.word("a certificate kind: fittings or simpfit")
         if head == "fittings":
+            self.table()
             tree = self.dectree()
             self.next(")")
             return FitCert.load(tree)
         if head == "simpfit":
+            self.table()
             self.next("(")
             self.next("closures")
             closures = []
@@ -230,6 +241,23 @@ class _Parser:
                 tuple(BoxInfo(a, b) for a, b in boxinfos))
         self.pos -= 1
         raise self.error(f"unknown certificate kind {head!r}")
+
+    def table(self) -> None:
+        """Read an index table if one comes next, naming entry k i<k>."""
+        if self.toks[self.pos:self.pos + 2] != ["(", "indexes"]:
+            return
+        self.pos += 2
+        self.has_table = True
+        k = 0
+        while self.peek() != ")":
+            start = self.pos
+            self.pos += self.at_open()
+            if self.pos == start or self.peek() not in _INDEX_CTORS:
+                raise self.error("expected an index table entry: (lind i), (rind i) or (bind i j)")
+            self.pos = start
+            self.names[f"i{k}"] = self.index()
+            k += 1
+        self.pos += 1
 
     def pair(self, tag: str) -> tuple[Index, Index]:
         self.next("(")
@@ -259,16 +287,13 @@ class _Parser:
                 open_nodes[-1][2].append(node)
 
     def index(self) -> Index:
-        toks, pos, n, built = self.toks, self.pos, len(self.toks), self.indexes
+        toks, pos, n, names = self.toks, self.pos, len(self.toks), self.names
         # each open constructor: its class, then the arguments read so far
         open_ctors: list[list] = []
         while True:
             t = toks[pos] if pos < n else None
-            if t == "eind":
-                value: Index = EIND
-                pos += 1
-            elif t == "none":
-                value = NONE
+            value = names.get(t)
+            if value is not None:
                 pos += 1
             elif t == "(" and pos + 1 < n and toks[pos + 1] in _INDEX_CTORS:
                 open_ctors.append([_INDEX_CTORS[toks[pos + 1]]])
@@ -278,6 +303,9 @@ class _Parser:
                 self.pos = pos
                 if t is None:
                     raise self.error("expected an index")
+                if _REFERENCE.fullmatch(t):
+                    raise self.error(f"undefined index reference {t!r}" if self.has_table
+                                     else f"index reference {t!r} without an index table")
                 self.next("(")
                 head = self.word("an index constructor: lind rind bind")
                 self.pos -= 1
@@ -294,10 +322,7 @@ class _Parser:
                     self.next(")")
                 pos += 1
                 open_ctors.pop()
-                key = tuple(ctor)
-                value = built.get(key)
-                if value is None:
-                    value = built[key] = ctor[0](*ctor[1:])
+                value = ctor[0](*ctor[1:])
             else:
                 self.pos = pos
                 return value
@@ -305,6 +330,7 @@ class _Parser:
 
 _CONNECTIVES = {"and": (And, 2), "or": (Or, 2), "box": (Box, 1), "dia": (Dia, 1)}
 _INDEX_CTORS = {"lind": Lind, "rind": Rind, "bind": Bind}
+_REFERENCE = re.compile(r"i[0-9]+")
 
 
 def parse_problem(text: str) -> ProblemFile:
@@ -321,26 +347,60 @@ def parse_formula_text(text: str) -> ModalFormula:
 # ---------------------------------------------------------------------------
 # canonical printers
 
-def format_dectree(tree: DecTree, indent: int = 0) -> str:
-    # one loop over an explicit stack of (node, indent) pairs and of the
-    # text still to print after them, so no tree is too tall to print
+class _Names:
+    """The names of the indexes a certificate prints: eind and none by
+    themselves, and each distinct lind, rind or bind i<k>, numbered on
+    first use, its arguments first, with its table entry.  Indexes are
+    hash-consed, so one identity-keyed dict lookup finds a repeat."""
+
+    def __init__(self) -> None:
+        self.names: dict[Index, str] = {EIND: "eind", NONE: "none"}
+        self.entries: list[str] = []
+
+    def __call__(self, index: Index) -> str:
+        names = self.names
+        found = names.get(index)
+        if found is not None:
+            return found
+        # an explicit stack, so no index is too deep to number
+        todo = [index]
+        while todo:
+            node = todo[-1]
+            args = (node.left, node.right) if type(node) is Bind else (node.sub,)
+            new = [arg for arg in args if arg not in names]
+            if new:
+                todo += reversed(new)
+                continue
+            todo.pop()
+            if node not in names:
+                names[node] = f"i{len(self.entries)}"
+                self.entries.append(
+                    f"({_CTOR_NAMES[type(node)]} {' '.join(names[arg] for arg in args)})")
+        return names[index]
+
+
+_CTOR_NAMES = {ctor: name for name, ctor in _INDEX_CTORS.items()}
+
+
+def _format_dectree(tree: DecTree, name: _Names, pad: str) -> str:
+    # one loop over an explicit stack of nodes and of the text still to
+    # print after them, so no tree is too tall to print
     out: list[str] = []
-    stack: list = [(tree, indent)]
+    stack: list = [tree]
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
             continue
-        node, depth = item
-        out.append(f"{'  ' * depth}(dt {node.decide_on} {node.aux} (")
+        out.append(f"{pad}(dt {name(node.decide_on)} {name(node.aux)} (")
         stack.append("))")
         for child in reversed(node.children):
-            stack.append((child, depth + 1))
+            stack.append(child)
             stack.append("\n")
     return "".join(out)
 
 
-def _block(tag: str, items: tuple, indent: int) -> list[str]:
+def _block(tag: str, items: list[str], indent: int) -> list[str]:
     pad = "  " * indent
     if not items:
         return [f"{pad}({tag})"]
@@ -352,16 +412,22 @@ def _block(tag: str, items: tuple, indent: int) -> list[str]:
 
 def format_certificate(cert: Certificate, indent: int = 0) -> str:
     pad = "  " * indent
+    name = _Names()
     match cert:
         case FitCert():
-            return f"{pad}(fittings\n{format_dectree(cert.tree, indent + 1)})"
+            body = [_format_dectree(cert.tree, name, pad + "  ")]
+            head = "fittings"
         case SimpfitCert():
-            lines = [f"{pad}(simpfit"]
-            lines += _block("closures", cert.closures, indent + 1)
-            lines += _block("boxinfos", cert.boxinfos, indent + 1)
-            lines[-1] += ")"
-            return "\n".join(lines)
-    raise TypeError(f"not a certificate: {cert!r}")
+            body = _block("closures", [f"(cl {name(c.left)} {name(c.right)})"
+                                       for c in cert.closures], indent + 1)
+            body += _block("boxinfos", [f"(bi {name(b.ex)} {name(b.univ)})"
+                                        for b in cert.boxinfos], indent + 1)
+            head = "simpfit"
+        case _:
+            raise TypeError(f"not a certificate: {cert!r}")
+    lines = [f"{pad}({head}", *_block("indexes", name.entries, indent + 1), *body]
+    lines[-1] += ")"
+    return "\n".join(lines)
 
 
 def format_problem(pf: ProblemFile) -> str:

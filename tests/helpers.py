@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import random
+import signal
 import sys
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -39,11 +40,12 @@ from kcert.formulas import (
     Term,
     W0,
     delay_if_negative,
+    format_formula,
     is_positive,
     polarized_translation,
 )
 from kcert.kernel import Ev, Fpc
-from kcert.problems import parse_formula_text
+from kcert.problems import ProblemFile, parse_formula_text
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
 from kcert.tableau import ClosedTableau, KripkeModel, Prefix, prove
 
@@ -530,6 +532,44 @@ def distill_with_repeats(tree: DecTree) -> SimpfitCert:
     return SimpfitCert.load(closures, boxinfos)
 
 
+# an index table whose i{k+1} is (bind i{k} i{k}): i200 written out
+# would have 2^200 nodes
+DOUBLING_TABLE = " ".join(["(lind eind)"] + [f"(bind i{k} i{k})" for k in range(200)])
+
+
+def format_problem_inline(pf: ProblemFile) -> str:
+    """A problem file as it was printed before the index table: every
+    index written out in full at each use, and each decide tree node
+    indented by its depth.  The emission pin was recorded on this text."""
+    def block(tag: str, items: tuple, pad: str) -> list[str]:
+        if not items:
+            return [f"{pad}({tag})"]
+        lines = [f"{pad}({tag}", *(f"{pad}  {item}" for item in items)]
+        lines[-1] += ")"
+        return lines
+
+    cert = pf.certificate
+    if isinstance(cert, FitCert):
+        out = ["  (fittings\n"]
+        stack: list = [(cert.tree, 2)]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            node, depth = item
+            out.append(f"{'  ' * depth}(dt {node.decide_on} {node.aux} (")
+            stack.append("))")
+            for child in reversed(node.children):
+                stack += ((child, depth + 1), "\n")
+        body = "".join(out)
+    else:
+        lines = ["  (simpfit", *block("closures", cert.closures, "    "),
+                 *block("boxinfos", cert.boxinfos, "    ")]
+        body = "\n".join(lines)
+    return f'(problem "{pf.name}"\n  {format_formula(pf.theorem)}\n{body}))\n'
+
+
 @contextlib.contextmanager
 def recursion_limit(limit: int) -> Iterator[None]:
     old = sys.getrecursionlimit()
@@ -538,3 +578,21 @@ def recursion_limit(limit: int) -> Iterator[None]:
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+class TimeLimitExceeded(Exception):
+    """Raised by time_limit; nothing in kcert catches it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float) -> Iterator[None]:
+    """Stop the block, rather than let it run on, once seconds have passed."""
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

@@ -16,7 +16,7 @@ from kcert.formulas import And, Box, Dia, NegAtom, Or, PosAtom, format_formula, 
 from kcert.problems import ProblemFile, format_problem
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
 from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, prove
-from helpers import recursion_limit
+from helpers import DOUBLING_TABLE, recursion_limit, time_limit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -39,6 +39,34 @@ class TestCheck:
         assert lines[0] == "store eind"
         assert lines[-1] == "accepted"
         assert "init (rind eind)" in lines
+
+    @pytest.mark.parametrize("cert_text", [
+        "(fittings (indexes (lind eind)) (dt i1 none ()))",
+        "(fittings (indexes (lind i1) (rind eind)) (dt i1 none ()))",
+        "(fittings (dt i0 none ()))",
+        "(simpfit (indexes (lind eind) none) (closures) (boxinfos))",
+    ], ids=["undefined", "forward", "no-table", "bad-entry"])
+    def test_reference_errors_exit_2(self, cert_text, tmp_path, capsys):
+        path = tmp_path / "bad.prob"
+        path.write_text(f'(problem "x" (or (+ p) (- p))\n  {cert_text})')
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2, col ")
+
+    @pytest.mark.parametrize("cert_text", [
+        f"(fittings (indexes {DOUBLING_TABLE}) (dt eind i200 ((dt i0 i200 ()))))",
+        f"(simpfit (indexes {DOUBLING_TABLE}) (closures (cl i0 i200) (cl i200 i200))"
+        " (boxinfos (bi i200 i200)))",
+    ], ids=["fittings", "simpfit"])
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["plain", "trace"])
+    def test_doubled_index_rejects_in_milliseconds(self, cert_text, trace, tmp_path, capsys):
+        # no path prints, compares or hashes a certificate's index by
+        # walking it: each of these takes a few milliseconds
+        path = tmp_path / "doubled.prob"
+        path.write_text(f'(problem "doubled" (or (+ p) (- p))\n  {cert_text})')
+        with time_limit(1.0):
+            assert main(["check", *trace, str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("rejected\n") and len(out) < 500
 
     def test_missing_file(self, capsys):
         assert main(["check", str(FIXTURES / "no-such.prob")]) == 2
@@ -215,7 +243,7 @@ _CERTIFICATES = st.one_of(
 _PIECES = st.sampled_from([
     "(", ")", "+", "-", " ", "\n", ";", '"', '"n"', "and", "or", "box", "dia", "p", "problem",
     "fittings", "simpfit", "dt", "eind", "none", "lind", "rind", "bind", "closures", "boxinfos",
-    "cl", "bi", "@", "\xe9"])
+    "cl", "bi", "indexes", "i0", "i3", "@", "\xe9"])
 
 
 def _problem_text(theorem, cert, emit) -> str:

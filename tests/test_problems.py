@@ -22,7 +22,8 @@ from kcert.problems import (
     parse_problem,
 )
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
-from helpers import recursion_limit
+from kcert.tableau import emit_fitcert, prove
+from helpers import DOUBLING_TABLE, kchain, recursion_limit, taut, time_limit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -151,6 +152,17 @@ class TestCertificateSyntax:
             '(problem "s" (+ p) (simpfit (closures) (boxinfos)))')
         assert pf.certificate == SimpfitCert.load((), ())
 
+    def test_index_table(self):
+        shared = parse_problem('(problem "t" (+ p) (fittings (indexes (lind eind) (bind i0 none))'
+                               ' (dt i1 (rind i0) ((dt eind i0 ())))))')
+        inline = parse_problem('(problem "t" (+ p) (fittings (dt (bind (lind eind) none)'
+                               ' (rind (lind eind)) ((dt eind (lind eind) ())))))')
+        assert shared == inline
+        pf = parse_problem('(problem "s" (+ p) (simpfit (indexes (rind eind))'
+                           ' (closures (cl i0 eind)) (boxinfos (bi eind i0))))')
+        assert pf.certificate == SimpfitCert.load([Closure(Rind(EIND), EIND)],
+                                                  [BoxInfo(EIND, Rind(EIND))])
+
     def test_simpfit_sections(self):
         text = """(problem "s" (+ p)
           (simpfit
@@ -187,6 +199,18 @@ class TestErrorPositions:
          '  (dt eind none ()) (ft)))))', 2, 22, "expected 'dt', found 'ft'"),
         ('(problem "x" (+ p)\n  (fittings (dt (lind eind) none ()) ; comment\n',
          3, 1, "expected ) (at end of input)"),
+        ('(problem "x" (+ p)\n  (fittings (indexes (lind eind))\n  (dt i1 none ())))',
+         3, 7, "undefined index reference 'i1'"),
+        ('(problem "x" (+ p)\n  (fittings (indexes (lind i1) (rind eind)) (dt i1 none ())))',
+         2, 28, "undefined index reference 'i1'"),
+        ('(problem "x" (+ p)\n  (fittings (indexes (lind i0)) (dt i0 none ())))',
+         2, 28, "undefined index reference 'i0'"),
+        ('(problem "x" (+ p)\n  (simpfit (closures (cl eind i3)) (boxinfos)))',
+         2, 31, "index reference 'i3' without an index table"),
+        ('(problem "x" (+ p)\n  (fittings (indexes (lind eind) eind) (dt eind none ())))',
+         2, 34, "expected an index table entry: (lind i), (rind i) or (bind i j)"),
+        ('(problem "x" (+ p)\n  (simpfit (indexes (dt eind none ())) (closures) (boxinfos)))',
+         2, 22, "expected an index table entry: (lind i), (rind i) or (bind i j)"),
     ])
     def test_line_and_column(self, text, line, col, message):
         with pytest.raises(ParseError) as info:
@@ -286,9 +310,9 @@ def _subindexes(index):
 
 
 class TestIndexSharing:
-    """The printer writes every index out in full at each node; the
-    parser builds each distinct one once, as the interned object, and
-    keeps nothing of it once the problem is dropped."""
+    """The printer writes each distinct index once; the parser builds
+    each once, as the interned object, and keeps nothing of it once the
+    problem is dropped."""
 
     TEXT = format_problem(ProblemFile("shared", EXAMPLE2_THEOREM, ftab2_cert()))
 
@@ -313,6 +337,44 @@ class TestIndexSharing:
         self._check_repeats_are_interned()
         gc.collect()
         assert [len(table) for table in tables] == before
+
+    def test_each_distinct_index_is_printed_once(self):
+        text = format_problem(ProblemFile("once", EXAMPLE2_THEOREM, ftab2_cert()))
+        distinct = {sub for index in _tree_indexes(ftab2_cert().tree)
+                    for sub in _subindexes(index) if sub not in (EIND, NONE)}
+        table, tree = text.split("(dt ", 1)
+        ctors = ("(lind ", "(rind ", "(bind ")
+        assert sum(table.count(ctor) for ctor in ctors) == len(distinct)
+        assert not any(ctor in tree for ctor in ctors)
+
+    def test_a_table_can_double_an_index_200_times(self):
+        # i200 written out would have 2^200 nodes; it is read, compared
+        # and hashed as one object, and never printed in full
+        with time_limit(1.0):
+            pf = parse_problem(f'(problem "doubled" (or (+ p) (- p))\n  (fittings'
+                               f' (indexes {DOUBLING_TABLE}) (dt eind i200 ((dt i0 i200 ())))))')
+            assert pf == parse_problem(format_problem(pf))
+        index = pf.certificate.tree.aux
+        for _ in range(200):
+            assert isinstance(index, Bind) and index.left is index.right
+            index = index.left
+        assert index == Lind(EIND)
+
+    @pytest.mark.parametrize("family,sizes", [(taut, (8, 16, 32, 64)), (kchain, (4, 8, 16, 32))],
+                             ids=["taut", "kchain"])
+    def test_printed_size_grows_with_nodes_and_distinct_indexes(self, family, sizes):
+        # the printer writes each distinct index once, so bytes per tree
+        # node and distinct index stay flat; inline text grows with
+        # index depth, which for these families grows with n
+        per_item = []
+        for n in sizes:
+            theorem = family(n)
+            cert = emit_fitcert(prove(theorem), theorem)
+            indexes = _tree_indexes(cert.tree)
+            distinct = {sub for index in indexes for sub in _subindexes(index)}
+            text = format_problem(ProblemFile("size", theorem, cert))
+            per_item.append(len(text.encode()) / (len(indexes) // 2 + len(distinct)))
+        assert max(per_item) <= 2 * min(per_item)
 
 
 class TestRoundTrips:

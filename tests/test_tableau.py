@@ -36,7 +36,7 @@ from kcert.formulas import (
     standard_translation,
 )
 from kcert.kernel import check
-from kcert.problems import ProblemFile, format_problem
+from kcert.problems import ProblemFile, format_problem, parse_problem
 from kcert.simpfit import SIMPFIT
 from kcert.tableau import (
     ClosedTableau,
@@ -58,6 +58,7 @@ from kcert.tableau import (
 from helpers import (
     corpus_proofs,
     distill_with_repeats,
+    format_problem_inline,
     formulas_of_connectives,
     kchain,
     recursion_limit,
@@ -288,13 +289,19 @@ class TestEmitters:
         # certificates were distilled from the decide tree, when each
         # boxinfo was kept as often as it occurs: any change to an index,
         # an aux, the order of the closures or the number of boxinfos
-        # moves it
+        # moves it.  The digest is over the text printed before the index
+        # table; the text printed now must read back as the same
+        # certificate, and so must the old text
         digest = hashlib.sha256()
         proofs = _pinned_proofs()
         for theorem, ct in proofs:
             with_repeats = distill_with_repeats(emit_dectree(ct, theorem))
             for cert in (emit_fitcert(ct, theorem), with_repeats):
-                digest.update(format_problem(ProblemFile("emitted", theorem, cert)).encode())
+                pf = ProblemFile("emitted", theorem, cert)
+                inline = format_problem_inline(pf)
+                digest.update(inline.encode())
+                assert parse_problem(inline).certificate == cert
+                assert parse_problem(format_problem(pf)).certificate == cert
         assert len(proofs) == 335
         assert digest.hexdigest() == (
             "e5f7ea321a054627cc6a2c917eedc1b043c1b74b27ee093bf709333a1c1c55cf")
