@@ -217,9 +217,6 @@ class FittingsFpc(Fpc):
     def decide_e(self, cert: FitCert) -> Iterable[tuple[object, object]]:
         yield cert.tree.decide_on, FitCert((), cert.tree, cert.eigmap)
 
-    def release_e(self, cert: FitCert) -> Iterable[object]:
-        yield cert
-
     def store_c(self, cert: FitCert, formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
         if is_rel_literal(formula):
             yield NONE, cert
@@ -244,7 +241,7 @@ class FittingsFpc(Fpc):
                    FitCert((Rind(i),), right, cert.eigmap))
 
     def all_c(self, cert: FitCert) -> Iterable[Callable[[Term], object]]:
-        if not cert.pending and cert.tree.children:
+        if cert.tree.children:
             i = cert.tree.decide_on
             child = cert.tree.children[0]
             eigmap = cert.eigmap
@@ -254,11 +251,8 @@ class FittingsFpc(Fpc):
 
             yield bind_eigen
 
-    def andpos_e(self, cert: FitCert) -> Iterable[tuple[object, object]]:
-        yield cert, cert
-
     def some_e(self, cert: FitCert) -> Iterable[tuple[Term, object]]:
-        if cert.pending or not cert.tree.children:
+        if not cert.tree.children:
             return
         i, aux = cert.tree.decide_on, cert.tree.aux
         child = cert.tree.children[0]

@@ -8,13 +8,14 @@ the workbench is empty it decides on a stored positive formula and enters
 the synchronous phase, which decomposes the focus until it closes on a
 literal or releases a negative formula back to the asynchronous phase.
 
-The kernel itself makes no choices.  At every rule it consults a
-certificate through a small set of clerk predicates (asynchronous side)
-and expert predicates (synchronous side); the certificate is threaded
-through, and a rule is available only when the corresponding predicate
-yields a continuation.  Where the predicates allow several continuations
-the kernel backtracks over them depth-first, so an accepted run is a
-proof under exactly the guidance the certificate supplies.
+The kernel itself makes no choices.  At every rule with a choice to
+make it consults a certificate through a small set of clerk predicates
+(asynchronous side) and expert predicates (synchronous side); the
+certificate is threaded through, and such a rule is available only when
+its predicate yields a continuation.  Where the predicates allow several
+continuations the kernel backtracks over them depth-first, so an
+accepted run is a proof under exactly the guidance the certificate
+supplies.
 
 The search is one loop over a goal stack, not recursion, so proof height
 is bounded by memory and the step budget.  A rule with several
@@ -100,9 +101,12 @@ def trace_lines(events: Sequence[Ev]) -> list[str]:
 
 class Fpc:
     """Clerk and expert predicates, one per kernel rule that consults the
-    certificate, all refusing by default: the clerks store_c, orneg_c,
-    andneg_c and all_c of the asynchronous phase and the experts decide_e,
-    release_e, initial_e, andpos_e and some_e of the synchronous one.
+    certificate, all refusing by default: the four clerks store_c,
+    orneg_c, andneg_c and all_c of the asynchronous phase and the three
+    experts decide_e, initial_e and some_e of the synchronous one.  The
+    experts choose; the clerks name storage.  Release and positive
+    conjunction ask nothing: both premises of a conjunction, and the
+    released formula, get the certificate as it is.
 
     A certificate format subclasses this and overrides the predicates it
     wants to define; leaving one alone means the corresponding kernel
@@ -126,9 +130,6 @@ class Fpc:
     def decide_e(self, cert: object) -> Iterable[tuple[object, object]]:
         return ()
 
-    def release_e(self, cert: object) -> Iterable[object]:
-        return ()
-
     def store_c(self, cert: object, formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
         return ()
 
@@ -142,9 +143,6 @@ class Fpc:
         return ()
 
     def all_c(self, cert: object) -> Iterable[Callable[[Term], object]]:
-        return ()
-
-    def andpos_e(self, cert: object) -> Iterable[tuple[object, object]]:
         return ()
 
     def some_e(self, cert: object) -> Iterable[tuple[Term, object]]:
@@ -345,12 +343,9 @@ class _Run:
         focus, env = item
 
         if isinstance(focus, AndPos):
-            def and_step(pair: object, goals: tuple | None) -> tuple:
-                c_left, c_right = pair
-                self.events.append(Ev("andpos", "L"))
-                return (_SYNC, c_left, (focus.left, env), (_EMIT, Ev("andpos", "R"), None,
-                        (_SYNC, c_right, (focus.right, env), goals)))
-            return self.branch(list(self.fpc.andpos_e(cert)), and_step, goals)
+            self.events.append(Ev("andpos", "L"))
+            return (_SYNC, cert, (focus.left, env), (_EMIT, Ev("andpos", "R"), None,
+                    (_SYNC, cert, (focus.right, env), goals)))
 
         if isinstance(focus, Exists):
             def some_step(pair: object, goals: tuple | None) -> tuple:
@@ -374,10 +369,8 @@ class _Run:
             return goals
 
         # negative focus: hand it back to the asynchronous phase
-        def release_step(c2: object, goals: tuple | None) -> tuple:
-            self.events.append(Ev("release"))
-            return (_ASYNC, c2, (item,), goals)
-        return self.branch(list(self.fpc.release_e(cert)), release_step, goals)
+        self.events.append(Ev("release"))
+        return (_ASYNC, cert, (item,), goals)
 
 
 def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,

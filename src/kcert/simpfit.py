@@ -31,9 +31,6 @@ class Closure:
     left: Index
     right: Index
 
-    def __str__(self) -> str:
-        return f"(cl {self.left} {self.right})"
-
 
 @dataclass(frozen=True, slots=True)
 class BoxInfo:
@@ -42,9 +39,6 @@ class BoxInfo:
 
     ex: Index
     univ: Index
-
-    def __str__(self) -> str:
-        return f"(bi {self.ex} {self.univ})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,9 +102,6 @@ class SimpfitFpc(Fpc):
                 seen.add(token)
                 yield token, _state(cert, 1, (token,), _drop_at(usable, pos))
 
-    def release_e(self, cert: SimpfitCert) -> Iterable[object]:
-        yield cert
-
     def store_c(self, cert: SimpfitCert,
                 formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
         if is_rel_literal(formula):
@@ -140,7 +131,7 @@ class SimpfitFpc(Fpc):
             yield cert
 
     def andneg_c(self, cert: SimpfitCert) -> Iterable[tuple[object, object]]:
-        if cert.flag == 1 and len(cert.pending) == 1:
+        if len(cert.pending) == 1:
             i = cert.pending[0]
             yield (_state(cert, 0, (Lind(i),), cert.usable),
                    _state(cert, 0, (Rind(i),), cert.usable))
@@ -155,10 +146,6 @@ class SimpfitFpc(Fpc):
                                ((i, eigen),) + cert.eigmap, cert.usable)
 
         yield bind_eigen
-
-    def andpos_e(self, cert: SimpfitCert) -> Iterable[tuple[object, object]]:
-        both = _state(cert, 0, cert.pending, cert.usable)
-        yield both, both
 
     def some_e(self, cert: SimpfitCert) -> Iterable[tuple[Term, object]]:
         if len(cert.pending) != 1:

@@ -467,9 +467,7 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
 
     def _sync(f, theta, cert, k) -> bool:
         if isinstance(f, AndPos):
-            return any(sync_ok(f.left, theta, cl, k)
-                       and sync_ok(f.right, theta, cr, k)
-                       for cl, cr in fpc.andpos_e(cert))
+            return sync_ok(f.left, theta, cert, k) and sync_ok(f.right, theta, cert, k)
         if isinstance(f, Exists):
             return any(sync_ok(open_binder_reference(f.body, t), theta, c2, k)
                        for t, c2 in fpc.some_e(cert))
@@ -480,8 +478,7 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
             return any(g == target and fpc.initial_e(cert, idx)
                        for idx, g in theta)
         # focus on a negative: release
-        return any(async_ok((f,), theta, c2, k)
-                   for c2 in fpc.release_e(cert))
+        return async_ok((f,), theta, cert, k)
 
     return async_ok((entry_of(goal),), (), cert, 1)
 
@@ -541,7 +538,7 @@ def format_problem_inline(pf: ProblemFile) -> str:
     """A problem file as it was printed before the index table: every
     index written out in full at each use, and each decide tree node
     indented by its depth.  The emission pin was recorded on this text."""
-    def block(tag: str, items: tuple, pad: str) -> list[str]:
+    def block(tag: str, items: list[str], pad: str) -> list[str]:
         if not items:
             return [f"{pad}({tag})"]
         lines = [f"{pad}({tag}", *(f"{pad}  {item}" for item in items)]
@@ -564,8 +561,10 @@ def format_problem_inline(pf: ProblemFile) -> str:
                 stack += ((child, depth + 1), "\n")
         body = "".join(out)
     else:
-        lines = ["  (simpfit", *block("closures", cert.closures, "    "),
-                 *block("boxinfos", cert.boxinfos, "    ")]
+        closures = [f"(cl {c.left} {c.right})" for c in cert.closures]
+        boxinfos = [f"(bi {b.ex} {b.univ})" for b in cert.boxinfos]
+        lines = ["  (simpfit", *block("closures", closures, "    "),
+                 *block("boxinfos", boxinfos, "    ")]
         body = "\n".join(lines)
     return f'(problem "{pf.name}"\n  {format_formula(pf.theorem)}\n{body}))\n'
 

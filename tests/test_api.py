@@ -7,10 +7,22 @@ import re
 from pathlib import Path
 
 import kcert
+from kcert.examples import (
+    EXAMPLE1_THEOREM,
+    EXAMPLE2_THEOREM,
+    TAUT_THEOREM,
+    ftab1_cert,
+    ftab2_cert,
+    sftab1_cert,
+    sftab2_cert,
+    taut_cert,
+)
+from kcert.fittings import FITTINGS
 from kcert.formulas import PolarizedFormula, W0, delay_if_negative, polarized_translation
-from kcert.kernel import check
-from kcert.tableau import emit_fitcert, prove
-from helpers import agreement_corpus, kchain
+from kcert.kernel import Fpc, check
+from kcert.simpfit import SIMPFIT
+from kcert.tableau import emit_fitcert, emit_simpfitcert, prove
+from helpers import agreement_corpus, kchain, wide
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -85,3 +97,77 @@ def test_the_kernel_has_only_what_the_translation_writes():
     assert result.accepted
     assert {ev.kind for ev in result.trace} == kinds
     assert len(kinds) == 10
+
+
+# the experts choose, the clerks name storage; the kernel asks nothing else
+PREDICATES = {"decide_e", "initial_e", "some_e", "store_c", "orneg_c", "andneg_c", "all_c"}
+
+
+def _predicates(cls: type) -> set[str]:
+    return {name for name, value in vars(cls).items()
+            if callable(value) and not name.startswith("_")}
+
+
+class _Recorder(Fpc):
+    """Delegates to an FPC, and records which predicates were called and
+    which returned a continuation other than the certificate given."""
+
+    def __init__(self, inner: Fpc):
+        self.inner = inner
+        self.called: set[str] = set()
+        self.moved: set[str] = set()
+
+    def _see(self, name, cert, alts, conts):
+        self.called.add(name)
+        alts = list(alts)
+        if any(c != cert for alt in alts for c in conts(alt)):
+            self.moved.add(name)
+        return alts
+
+    def decide_e(self, cert):
+        return self._see("decide_e", cert, self.inner.decide_e(cert), lambda alt: alt[1:])
+
+    def store_c(self, cert, formula):
+        return self._see("store_c", cert, self.inner.store_c(cert, formula), lambda alt: alt[1:])
+
+    def initial_e(self, cert, index):
+        self.called.add("initial_e")
+        return self.inner.initial_e(cert, index)
+
+    def orneg_c(self, cert):
+        return self._see("orneg_c", cert, self.inner.orneg_c(cert), lambda alt: (alt,))
+
+    def andneg_c(self, cert):
+        return self._see("andneg_c", cert, self.inner.andneg_c(cert), lambda alt: alt)
+
+    def all_c(self, cert):
+        self.called.add("all_c")
+
+        # the continuation is made only once the kernel mints the eigenvariable
+        def opened(mk):
+            return lambda eigen: self._see("all_c", cert, [mk(eigen)], lambda alt: (alt,))[0]
+        return [opened(mk) for mk in self.inner.all_c(cert)]
+
+    def some_e(self, cert):
+        return self._see("some_e", cert, self.inner.some_e(cert), lambda alt: alt[1:])
+
+
+def test_the_fpcs_answer_only_the_seven_predicates():
+    assert _predicates(Fpc) == PREDICATES
+    assert _predicates(type(FITTINGS)) == _predicates(type(SIMPFIT)) == PREDICATES
+
+
+def test_every_predicate_is_asked_and_all_but_initial_move_the_certificate():
+    runs = [(EXAMPLE1_THEOREM, ftab1_cert()), (EXAMPLE2_THEOREM, ftab2_cert()),
+            (TAUT_THEOREM, taut_cert()), (EXAMPLE1_THEOREM, sftab1_cert()),
+            (EXAMPLE2_THEOREM, sftab2_cert())]
+    for goal in (kchain(1), wide(2)):
+        ct = prove(goal)
+        runs += [(goal, emit_fitcert(ct, goal)), (goal, emit_simpfitcert(ct, goal))]
+    recorders = {FITTINGS: _Recorder(FITTINGS), SIMPFIT: _Recorder(SIMPFIT)}
+    for goal, cert in runs:
+        assert check(goal, cert, recorders[cert.fpc]).accepted
+    # FITTINGS hands a decide the certificate it already holds, so the
+    # formats are counted together
+    assert set.union(*(r.called for r in recorders.values())) == PREDICATES
+    assert set.union(*(r.moved for r in recorders.values())) == PREDICATES - {"initial_e"}

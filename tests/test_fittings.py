@@ -173,7 +173,6 @@ class TestClauses:
         # the left premise is a diamond's accessibility literal, whose
         # complement is stored at none, as only accessibility literals are
         cert = fresh(tree=LEAF)
-        assert list(FITTINGS.andpos_e(cert)) == [(cert, cert)]
         assert FITTINGS.initial_e(cert, NONE)
         assert FITTINGS.initial_e(cert, LEAF.aux)
         for other in (EIND, LEAF.decide_on, Lind(Rind(EIND)), Bind(EIND, EIND)):
@@ -206,9 +205,6 @@ class _Spy(Fpc):
     def decide_e(self, cert):
         return self._see(FITTINGS.decide_e(cert))
 
-    def release_e(self, cert):
-        return self._see(FITTINGS.release_e(cert))
-
     def store_c(self, cert, formula):
         return self._see(FITTINGS.store_c(cert, formula))
 
@@ -223,9 +219,6 @@ class _Spy(Fpc):
 
     def all_c(self, cert):
         return self._see(FITTINGS.all_c(cert))
-
-    def andpos_e(self, cert):
-        return self._see(FITTINGS.andpos_e(cert))
 
     def some_e(self, cert):
         return self._see(FITTINGS.some_e(cert))

@@ -1,6 +1,7 @@
 """Kernel behavior: traces, phase discipline, backtracking, storage."""
 
 import dataclasses
+import hashlib
 from functools import cache
 
 import pytest
@@ -68,18 +69,12 @@ class Permissive(Fpc):
     def decide_e(self, cert):
         return self.named(cert)
 
-    def release_e(self, cert):
-        yield cert
-
     def store_c(self, cert, formula):
         self.handed_out[("ix", formula)] = None
         yield ("ix", formula), cert
 
     def initial_e(self, cert, index):
         return True
-
-    def andpos_e(self, cert):
-        yield cert, cert
 
 
 class TestTraceUtils:
@@ -320,6 +315,34 @@ class TestSearchOrder:
         assert trace_lines(result.trace[-2:]) == [
             "store (bind (lind (lind (lind eind))) (rind eind))",
             "decide (rind (lind (lind eind)))"]
+
+
+class TestPinnedRuns:
+    """One digest of verdict, steps, choice points and trace for every
+    run below, recorded on the kernel that still asked the certificate at
+    release and positive conjunction: a change to any rule's behaviour
+    on these runs moves it."""
+
+    def test_digest(self):
+        certs = [(EXAMPLE1_THEOREM, ftab1_cert()), (EXAMPLE2_THEOREM, ftab2_cert()),
+                 (TAUT_THEOREM, taut_cert()), (EXAMPLE1_THEOREM, sftab1_cert()),
+                 (EXAMPLE2_THEOREM, sftab2_cert())]
+        for family in (taut, kchain, wide):
+            for n in (1, 2):
+                goal = family(n)
+                ct = prove(goal)
+                certs += [(goal, emit_fitcert(ct, goal)), (goal, emit_simpfitcert(ct, goal))]
+        digest = hashlib.sha256()
+        runs = 0
+        for goal, cert in certs:
+            for c in [cert, *(m for _, m in certificate_mutants(cert))]:
+                r = check(goal, c, max_steps=100_000)
+                digest.update(f"{r.accepted} {r.steps} {r.choice_points}\n".encode())
+                digest.update("".join(f"{line}\n" for line in trace_lines(r.trace)).encode())
+                runs += 1
+        assert runs == 357
+        assert digest.hexdigest() == (
+            "b1dfc9274def5fe31e3c89ba7109bec35b1c218ea43511f608bd61ee7b8fc27f")
 
 
 def _simpfit_with_repeats(ct, goal):

@@ -35,11 +35,6 @@ class TestClauses:
         assert cert.pending == (EIND,)
         assert cert.usable == ()
 
-    def test_rendering(self):
-        assert str(Closure(Lind(EIND), Rind(EIND))) == \
-            "(cl (lind eind) (rind eind))"
-        assert str(BoxInfo(EIND, NONE)) == "(bi eind none)"
-
     def test_decide_consumes_one_matching_token(self):
         cert = fresh(usable=(Lind(EIND), EIND, EIND))
         got = decides_at(cert, EIND)
