@@ -215,7 +215,10 @@ class FittingsFpc(Fpc):
     """Replay a decide tree, refusing every step the tree does not name."""
 
     def decide_e(self, cert: FitCert) -> Iterable[tuple[object, object]]:
-        yield cert.tree.decide_on, FitCert((), cert.tree, cert.eigmap)
+        # a translated entry is decided on with nothing pending
+        if cert.pending:
+            cert = FitCert((), cert.tree, cert.eigmap)
+        yield cert.tree.decide_on, cert
 
     def store_c(self, cert: FitCert, formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
         if is_rel_literal(formula):

@@ -3,14 +3,24 @@
 Instead of a full decide tree, this format carries just two relations
 distilled from one (`distill`): which pairs of storage indexes close a
 branch, and which universal each existential borrows its witness world
-from.  The checker reconstructs the decide structure itself, searching
-depth-first; a use-token multiset meters the decides so the search
-always terminates.
+from.  The checker rebuilds the rest by committed saturation.  Every
+tableau rule but closure is proof-confluent (Haehnle, "Tableaux and
+related methods", 2001) and weakening is admissible in LKF (Liang and
+Miller, TCS 2009), so a decide that only adds formulas to the branch
+never has to be undone: only closures branch.
 
-Tokens are granted once per stored decidable formula and once more per
-consumed box instantiation, so a certificate can make one diamond fire
-at several successor worlds by listing its index in several boxinfo
-entries, one per universal.
+A decide token is granted to each stored positive literal, delayed
+negative and existential whose index is relevant: an ancestor of some
+closure or boxinfo index.  At each decide the certificate offers every
+literal token, each a leaf that closes or fails at once, and then
+commits to one expansion: the oldest delayed negative (a split, or a
+new world) or, when none is left, the oldest existential with a
+boxinfo whose universal is already bound (a box propagation).  An
+expansion spends its token.  An existential gets its token back, as
+the newest, for the boxinfo it consumes, so each expansion uses up a
+token or a boxinfo and the search terminates; a certificate makes one
+diamond fire at several successor worlds by listing its index in
+several boxinfo entries, one per universal.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable
 
 from .fittings import Bind, DecTree, EIND, Index, Lind, NONE, Rind
-from .formulas import NAtom, PolarizedFormula, Term, is_rel_literal
+from .formulas import DelayPos, Exists, PAtom, PolarizedFormula, Term, is_rel_literal
 from .kernel import Fpc
 
 
@@ -45,22 +55,46 @@ class BoxInfo:
 class SimpfitCert:
     """Checker-side state.  flag is 1 right after a decide, telling the
     first connective rule of the bipole to mint child indexes; pending
-    carries indexes for upcoming stores; usable is the multiset of
-    decide tokens still available."""
+    carries indexes for upcoming stores; usable holds the branch's
+    decide tokens, oldest first, each a pair (class of the stored
+    formula, index).  relevant, the indexes that may get tokens, is
+    derived by load from the closures and boxinfos: give a certificate
+    other evidence through load, not dataclasses.replace."""
 
     flag: int
     pending: tuple[Index, ...]
     closures: tuple[Closure, ...]
     boxinfos: tuple[BoxInfo, ...]
     eigmap: tuple[tuple[Index, Term], ...]
-    usable: tuple[Index, ...]
+    usable: tuple[tuple[type, Index], ...]
+    relevant: frozenset[Index]
     # the FPC that reads this format; set once SIMPFIT exists
     fpc: ClassVar[Fpc]
 
     @staticmethod
     def load(closures: Iterable[Closure], boxinfos: Iterable[BoxInfo]) -> SimpfitCert:
+        closures, boxinfos = tuple(closures), tuple(boxinfos)
         # seed one pending index so the entry formula is stored at eind
-        return SimpfitCert(1, (EIND,), tuple(closures), tuple(boxinfos), (), ())
+        return SimpfitCert(1, (EIND,), closures, boxinfos, (), (),
+                           _relevant(closures, boxinfos))
+
+
+def _relevant(closures: tuple[Closure, ...], boxinfos: tuple[BoxInfo, ...]) -> frozenset[Index]:
+    """Every index a closure or boxinfo names, with its ancestors through
+    the sub of lind and rind and both sides of bind: only these are ever
+    decided on."""
+    todo = [i for cl in closures for i in (cl.left, cl.right)]
+    todo += [i for bi in boxinfos for i in (bi.ex, bi.univ)]
+    seen: set[Index] = set()
+    while todo:
+        i = todo.pop()
+        if i not in seen:
+            seen.add(i)
+            if isinstance(i, (Lind, Rind)):
+                todo.append(i.sub)
+            elif isinstance(i, Bind):
+                todo += (i.left, i.right)
+    return frozenset(seen)
 
 
 def distill(tree: DecTree) -> SimpfitCert:
@@ -85,22 +119,40 @@ def _drop_at(items: tuple, pos: int) -> tuple:
 
 
 def _state(cert: SimpfitCert, flag: int, pending: tuple[Index, ...],
-           usable: tuple[Index, ...]) -> SimpfitCert:
+           usable: tuple[tuple[type, Index], ...]) -> SimpfitCert:
     """cert with a new flag, pending indexes and tokens."""
-    return SimpfitCert(flag, pending, cert.closures, cert.boxinfos, cert.eigmap, usable)
+    return SimpfitCert(flag, pending, cert.closures, cert.boxinfos, cert.eigmap,
+                       usable, cert.relevant)
+
+
+# the classes of stored formula that get a decide token
+_DECIDABLE = frozenset((PAtom, DelayPos, Exists))
 
 
 class SimpfitFpc(Fpc):
-    """Reconstruct a proof guided only by closures and boxinfos."""
+    """Reconstruct a proof guided only by closures and boxinfos, by
+    committed saturation: offer every literal, commit to one expansion."""
 
     def decide_e(self, cert: SimpfitCert) -> Iterable[tuple[object, object]]:
-        # each distinct token once, spending its first occurrence
         usable = cert.usable
+        # each distinct literal, none spent: init closes or fails at once
         seen = set()
-        for pos, token in enumerate(usable):
-            if token not in seen:
+        for kind, token in usable:
+            if kind is PAtom and token not in seen:
                 seen.add(token)
+                yield token, _state(cert, 1, (token,), usable)
+        # then one expansion, spending its token: the oldest delayed
+        # negative, or else the oldest existential some_e can instantiate
+        for pos, (kind, token) in enumerate(usable):
+            if kind is DelayPos:
                 yield token, _state(cert, 1, (token,), _drop_at(usable, pos))
+                return
+        bound = {key for key, _ in cert.eigmap}
+        ready = {info.ex for info in cert.boxinfos if info.univ in bound}
+        for pos, (kind, token) in enumerate(usable):
+            if kind is Exists and token in ready:
+                yield token, _state(cert, 1, (token,), _drop_at(usable, pos))
+                return
 
     def store_c(self, cert: SimpfitCert,
                 formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
@@ -108,11 +160,10 @@ class SimpfitFpc(Fpc):
             yield NONE, _state(cert, 0, cert.pending, cert.usable)
         elif cert.pending:
             head, rest = cert.pending[0], cert.pending[1:]
-            if isinstance(formula, NAtom):
-                # negative literals can never be decided on: no token
-                yield head, _state(cert, 0, rest, cert.usable)
-            else:
-                yield head, _state(cert, 0, rest, (head,) + cert.usable)
+            kind, usable = type(formula), cert.usable
+            if kind in _DECIDABLE and head in cert.relevant:
+                usable += ((kind, head),)
+            yield head, _state(cert, 0, rest, usable)
 
     def initial_e(self, cert: SimpfitCert, index: object) -> bool:
         if not cert.pending:
@@ -143,7 +194,7 @@ class SimpfitFpc(Fpc):
 
         def bind_eigen(eigen: Term) -> SimpfitCert:
             return SimpfitCert(0, (Lind(i),), cert.closures, cert.boxinfos,
-                               ((i, eigen),) + cert.eigmap, cert.usable)
+                               ((i, eigen),) + cert.eigmap, cert.usable, cert.relevant)
 
         yield bind_eigen
 
@@ -151,15 +202,15 @@ class SimpfitFpc(Fpc):
         if len(cert.pending) != 1:
             return
         i = cert.pending[0]
-        for key, eigen in cert.eigmap:
-            for pos, info in enumerate(cert.boxinfos):
-                if info.ex is i and info.univ is key:
-                    # consume the instantiation but hand back a decide
-                    # token, so the same diamond may fire again under a
-                    # different boxinfo entry
-                    yield eigen, SimpfitCert(
-                        0, (Bind(i, key),), cert.closures,
-                        _drop_at(cert.boxinfos, pos), cert.eigmap, (i,) + cert.usable)
+        eigens = dict(reversed(cert.eigmap))
+        for pos, info in enumerate(cert.boxinfos):
+            if info.ex is i and info.univ in eigens:
+                # consume the first usable instantiation and hand back
+                # the token: the others stay for later decides
+                yield eigens[info.univ], SimpfitCert(
+                    0, (Bind(i, info.univ),), cert.closures, _drop_at(cert.boxinfos, pos),
+                    cert.eigmap, cert.usable + ((Exists, i),), cert.relevant)
+                return
 
 
 SIMPFIT = SimpfitFpc()

@@ -281,26 +281,27 @@ def fitcert_mutants(cert: FitCert) -> Iterator[tuple[str, FitCert]]:
 
 
 def simpfit_mutants(cert: SimpfitCert) -> Iterator[tuple[str, SimpfitCert]]:
+    # each mutant is built through load, so it gets its own relevant set
     for i in range(len(cert.closures)):
         dropped = cert.closures[:i] + cert.closures[i + 1:]
-        yield "drop-closure", dataclasses.replace(cert, closures=dropped)
+        yield "drop-closure", SimpfitCert.load(dropped, cert.boxinfos)
     for i in range(len(cert.boxinfos)):
         dropped = cert.boxinfos[:i] + cert.boxinfos[i + 1:]
-        yield "drop-boxinfo", dataclasses.replace(cert, boxinfos=dropped)
+        yield "drop-boxinfo", SimpfitCert.load(cert.closures, dropped)
     for i, cl in enumerate(cert.closures):
         for idx in index_lr_flips(cl.left):
             cls = cert.closures[:i] + (dataclasses.replace(cl, left=idx),) + cert.closures[i + 1:]
-            yield "lr-flip", dataclasses.replace(cert, closures=cls)
+            yield "lr-flip", SimpfitCert.load(cls, cert.boxinfos)
         for idx in index_lr_flips(cl.right):
             cls = cert.closures[:i] + (dataclasses.replace(cl, right=idx),) + cert.closures[i + 1:]
-            yield "lr-flip", dataclasses.replace(cert, closures=cls)
+            yield "lr-flip", SimpfitCert.load(cls, cert.boxinfos)
     for i, bi in enumerate(cert.boxinfos):
         for idx in index_lr_flips(bi.ex):
             bis = cert.boxinfos[:i] + (dataclasses.replace(bi, ex=idx),) + cert.boxinfos[i + 1:]
-            yield "lr-flip", dataclasses.replace(cert, boxinfos=bis)
+            yield "lr-flip", SimpfitCert.load(cert.closures, bis)
         for idx in index_lr_flips(bi.univ):
             bis = cert.boxinfos[:i] + (dataclasses.replace(bi, univ=idx),) + cert.boxinfos[i + 1:]
-            yield "lr-flip", dataclasses.replace(cert, boxinfos=bis)
+            yield "lr-flip", SimpfitCert.load(cert.closures, bis)
 
 
 def literal_flips(a: ModalFormula) -> list[ModalFormula]:

@@ -30,7 +30,7 @@ from kcert.kernel import (
     check_polarized,
     trace_lines,
 )
-from kcert.simpfit import SIMPFIT
+from kcert.simpfit import SIMPFIT, SimpfitCert, distill
 from kcert.problems import parse_formula_text
 from kcert.tableau import (
     ClosedTableau, bounded_validity_oracle, emit_dectree, emit_fitcert, emit_simpfitcert, prove)
@@ -285,16 +285,17 @@ WIDE3 = wide(3)
 
 
 class TestSearchOrder:
-    """Exact step and choice-point counts, recorded before decide-by-name
-    replaced the per-entry poll: any change to the order or number of
+    """Exact step and choice-point counts, the FITTINGS ones recorded
+    before decide-by-name replaced the per-entry poll, the SIMPFIT ones
+    on committed saturation: any change to the order or number of
     decide alternatives moves them."""
 
     @pytest.mark.parametrize("goal,cert,fpc,steps,choice_points", [
         (EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS, 44, 0),
         (EXAMPLE2_THEOREM, ftab2_cert(), FITTINGS, 57, 0),
         (TAUT_THEOREM, taut_cert(), FITTINGS, 9, 0),
-        (EXAMPLE1_THEOREM, sftab1_cert(), SIMPFIT, 48, 15),
-        (EXAMPLE2_THEOREM, sftab2_cert(), SIMPFIT, 60, 11),
+        (EXAMPLE1_THEOREM, sftab1_cert(), SIMPFIT, 47, 6),
+        (EXAMPLE2_THEOREM, sftab2_cert(), SIMPFIT, 59, 4),
     ], ids=["ftab1", "ftab2", "taut", "sftab1", "sftab2"])
     def test_pinned_counts(self, goal, cert, fpc, steps, choice_points):
         # by the FPC named, and by the one the certificate carries
@@ -303,35 +304,33 @@ class TestSearchOrder:
             assert (result.steps, result.choice_points) == (steps, choice_points)
 
     def test_wide3_without_its_last_boxinfo(self):
-        # recorded on the certificate that kept each boxinfo as often as
-        # the decide tree names it: of its six boxinfos only the last is
-        # needed, so the search exhausts every reconstruction before it
-        # rejects
+        # on the certificate that keeps each boxinfo as often as the
+        # decide tree names it: of its six boxinfos only the last is
+        # needed, and the check rejects once the others have fired and
+        # no expansion is left
         cert = distill_with_repeats(emit_dectree(prove(WIDE3), WIDE3))
-        mutant = dataclasses.replace(cert, boxinfos=cert.boxinfos[:-1])
+        mutant = SimpfitCert.load(cert.closures, cert.boxinfos[:-1])
         result = check(WIDE3, mutant, SIMPFIT)
         assert not result.accepted
-        assert (result.steps, result.choice_points) == (78317, 32764)
+        assert (result.steps, result.choice_points) == (108, 10)
         assert trace_lines(result.trace[-2:]) == [
             "store (bind (lind (lind (lind eind))) (rind eind))",
-            "decide (rind (lind (lind eind)))"]
+            "decide (rind (lind (rind eind)))"]
 
 
 class TestPinnedRuns:
-    """One digest of verdict, steps, choice points and trace for every
-    run below, recorded on the kernel that still asked the certificate at
-    release and positive conjunction: a change to any rule's behaviour
-    on these runs moves it."""
+    """One digest per format of verdict, steps, choice points and trace
+    for every run below: a change to any rule's behaviour on these runs
+    moves it.  The FITTINGS digest was recorded on the kernel that still
+    asked the certificate at release and positive conjunction, the
+    SIMPFIT one on committed saturation."""
 
-    def test_digest(self):
-        certs = [(EXAMPLE1_THEOREM, ftab1_cert()), (EXAMPLE2_THEOREM, ftab2_cert()),
-                 (TAUT_THEOREM, taut_cert()), (EXAMPLE1_THEOREM, sftab1_cert()),
-                 (EXAMPLE2_THEOREM, sftab2_cert())]
+    @staticmethod
+    def digest(certs, emit):
         for family in (taut, kchain, wide):
             for n in (1, 2):
                 goal = family(n)
-                ct = prove(goal)
-                certs += [(goal, emit_fitcert(ct, goal)), (goal, emit_simpfitcert(ct, goal))]
+                certs.append((goal, emit(prove(goal), goal)))
         digest = hashlib.sha256()
         runs = 0
         for goal, cert in certs:
@@ -340,9 +339,18 @@ class TestPinnedRuns:
                 digest.update(f"{r.accepted} {r.steps} {r.choice_points}\n".encode())
                 digest.update("".join(f"{line}\n" for line in trace_lines(r.trace)).encode())
                 runs += 1
-        assert runs == 357
-        assert digest.hexdigest() == (
-            "b1dfc9274def5fe31e3c89ba7109bec35b1c218ea43511f608bd61ee7b8fc27f")
+        return runs, digest.hexdigest()
+
+    def test_fittings_digest(self):
+        certs = [(EXAMPLE1_THEOREM, ftab1_cert()), (EXAMPLE2_THEOREM, ftab2_cert()),
+                 (TAUT_THEOREM, taut_cert())]
+        assert self.digest(certs, emit_fitcert) == (
+            194, "ce52532de0f247bd29aa7a833a5beaba7c1b5c19d64a17058e8e747af2b4bced")
+
+    def test_simpfit_digest(self):
+        certs = [(EXAMPLE1_THEOREM, sftab1_cert()), (EXAMPLE2_THEOREM, sftab2_cert())]
+        assert self.digest(certs, emit_simpfitcert) == (
+            163, "dd9d10d133a8c1bb0babfde6a75c744fa460c6d0458086f2e1e08e6f1bbb0ddf")
 
 
 def _simpfit_with_repeats(ct, goal):
@@ -358,8 +366,8 @@ class TestDeepProofs:
     @pytest.mark.parametrize("family,n,emit,steps,choice_points", [
         (kchain, 64, emit_fitcert, 1815, 0),
         (taut, 512, emit_fitcert, 7163, 0),
-        (kchain, 14, _simpfit_with_repeats, 1193, 1908),
-        (wide, 10, _simpfit_with_repeats, 4768, 6555),
+        (kchain, 14, _simpfit_with_repeats, 715, 137),
+        (wide, 10, _simpfit_with_repeats, 757, 93),
     ], ids=["fittings-kchain64", "fittings-taut512", "simpfit-kchain14", "simpfit-wide10"])
     def test_default_recursion_limit(self, family, n, emit, steps, choice_points):
         goal = family(n)
@@ -394,30 +402,41 @@ class TestDeepProofs:
         assert result.accepted
         assert result.choice_points == 0
 
-    def test_disjunct_chain_3000_long(self):
+    @staticmethod
+    def disjunct_chain(n):
         # box (q0 | (q1 | ... | (p | ~p))): the box's bound world occurs
         # in every disjunct, all in one quantifier body.  Its decide tree
         # is built by a loop as above: decide on the box, on its body,
         # then down the right disjuncts, and close on p and ~p.
-        def disjunct_chain(n):
-            goal = parse_formula_text("(box " + "".join(f"(or (+ q{i}) " for i in range(n))
-                                      + "(or (+ p) (- p))" + ")" * n + ")")
-            chain = [EIND, Lind(EIND)]
-            for _ in range(n):
-                chain.append(Rind(chain[-1]))
-            tree = DecTree(Lind(chain[-1]), Rind(chain[-1]), ())
-            for index in reversed(chain):
-                tree = DecTree(index, NONE, (tree,))
-            return goal, tree
+        goal = parse_formula_text("(box " + "".join(f"(or (+ q{i}) " for i in range(n))
+                                  + "(or (+ p) (- p))" + ")" * n + ")")
+        chain = [EIND, Lind(EIND)]
+        for _ in range(n):
+            chain.append(Rind(chain[-1]))
+        tree = DecTree(Lind(chain[-1]), Rind(chain[-1]), ())
+        for index in reversed(chain):
+            tree = DecTree(index, NONE, (tree,))
+        return goal, tree
 
+    def test_disjunct_chain_3000_long(self):
         for n in range(4):
-            goal, tree = disjunct_chain(n)
+            goal, tree = self.disjunct_chain(n)
             assert emit_dectree(prove(goal), goal) == tree
-        goal, tree = disjunct_chain(3000)
+        goal, tree = self.disjunct_chain(3000)
         with recursion_limit(1000):
             result = check(goal, FitCert.load(tree))
         assert result.accepted
         assert (result.steps, result.choice_points) == (18016, 0)
+
+    def test_disjunct_chain_under_simpfit(self):
+        # no q is an ancestor of the closure, so none gets a decide
+        # token and none is a choice point
+        n = 600
+        goal, tree = self.disjunct_chain(n)
+        with recursion_limit(1000):
+            result = check(goal, distill(tree))
+        assert result.accepted
+        assert result.choice_points <= n
 
     def test_step_budget_stops_a_deep_proof(self):
         goal = kchain(64)
