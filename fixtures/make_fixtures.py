@@ -105,7 +105,7 @@ def mutate_last_leaf_aux(cert: FitCert) -> FitCert:
             return dataclasses.replace(t, aux=EIND)
         kids = t.children[:-1] + (walk(t.children[-1]),)
         return dataclasses.replace(t, children=kids)
-    return dataclasses.replace(cert, tree=walk(cert.tree))
+    return cert._replace(tree=walk(cert.tree))
 
 
 FIXTURES = [

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .formulas import PolarizedFormula, Term, child_kids, fold, is_rel_literal
 from .kernel import Fpc
@@ -193,17 +193,16 @@ def node_count(tree: DecTree) -> int:
 # ---------------------------------------------------------------------------
 # certificate state
 
-@dataclass(frozen=True, slots=True)
-class FitCert:
+class FitCert(NamedTuple):
     """Checker-side state: indexes waiting to be handed to stores, the
     decide (sub)tree still to replay, and universal-index-to-eigenvariable
-    bindings seen so far."""
+    bindings seen so far.  Tuple-backed, so the FPC's answer at each
+    step builds a plain tuple.  fpc, the FPC that reads this format, is a
+    class attribute set once FITTINGS exists."""
 
     pending: tuple[Index, ...]
     tree: DecTree
     eigmap: tuple[tuple[Index, Term], ...]
-    # the FPC that reads this format; set once FITTINGS exists
-    fpc: ClassVar[Fpc]
 
     @staticmethod
     def load(tree: DecTree) -> FitCert:

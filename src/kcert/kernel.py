@@ -13,9 +13,8 @@ make it consults a certificate through a small set of clerk predicates
 (asynchronous side) and expert predicates (synchronous side); the
 certificate is threaded through, and such a rule is available only when
 its predicate yields a continuation.  Where the predicates allow several
-continuations the kernel backtracks over them depth-first, so an
-accepted run is a proof under exactly the guidance the certificate
-supplies.
+continuations the kernel backtracks over them depth-first, so an accepted
+run is a proof under exactly the guidance the certificate supplies.
 
 The search is one loop over a goal stack, not recursion, so proof height
 is bounded by memory and the step budget.  A rule with several
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .formulas import (
     All,
@@ -76,20 +75,22 @@ class StepBudgetExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # trace events
 
-@dataclass(frozen=True)
-class Ev:
+class Ev(NamedTuple):
     """One checker step.  kind is the rule name; arg carries the storage
     index (decide/store/init), the eigenvariable or witness (all/some),
-    or the branch marker "L"/"R" (andneg/andpos); orneg, strip and
-    release carry no argument."""
+    or the branch marker "L"/"R" (andneg/andpos).  The events without a
+    payload of the run are the shared constants below, built once."""
 
     kind: str
     arg: object = None
 
     def __str__(self) -> str:
-        if self.arg is None:
-            return self.kind
-        return f"{self.kind} {self.arg}"
+        return self.kind if self.arg is None else f"{self.kind} {self.arg}"
+
+
+ORNEG, STRIP, RELEASE = Ev("orneg"), Ev("strip"), Ev("release")
+ANDNEG_L, ANDNEG_R = Ev("andneg", "L"), Ev("andneg", "R")
+ANDPOS_L, ANDPOS_R = Ev("andpos", "L"), Ev("andpos", "R")
 
 
 def trace_lines(events: Sequence[Ev]) -> list[str]:
@@ -276,15 +277,15 @@ class _Run:
 
         if isinstance(f, OrNeg):
             def or_step(c2: object, goals: tuple | None) -> tuple:
-                self.events.append(Ev("orneg"))
+                self.events.append(ORNEG)
                 return (_ASYNC, c2, ((f.left, env), (f.right, env)) + rest, goals)
             return self.branch(list(self.fpc.orneg_c(cert)), or_step, goals)
 
         if isinstance(f, AndNeg):
             def and_step(pair: object, goals: tuple | None) -> tuple:
                 c_left, c_right = pair
-                self.events.append(Ev("andneg", "L"))
-                return (_ASYNC, c_left, ((f.left, env),) + rest, (_EMIT, Ev("andneg", "R"), None,
+                self.events.append(ANDNEG_L)
+                return (_ASYNC, c_left, ((f.left, env),) + rest, (_EMIT, ANDNEG_R, None,
                         (_ASYNC, c_right, ((f.right, env),) + rest, goals)))
             return self.branch(list(self.fpc.andneg_c(cert)), and_step, goals)
 
@@ -297,7 +298,7 @@ class _Run:
             return self.branch(list(self.fpc.all_c(cert)), all_step, goals)
 
         if isinstance(f, DelayNeg):
-            self.events.append(Ev("strip"))
+            self.events.append(STRIP)
             return (_ASYNC, cert, ((f.body, env),) + rest, goals)
 
         # everything else is storable: positives and negative literals
@@ -343,8 +344,8 @@ class _Run:
         focus, env = item
 
         if isinstance(focus, AndPos):
-            self.events.append(Ev("andpos", "L"))
-            return (_SYNC, cert, (focus.left, env), (_EMIT, Ev("andpos", "R"), None,
+            self.events.append(ANDPOS_L)
+            return (_SYNC, cert, (focus.left, env), (_EMIT, ANDPOS_R, None,
                     (_SYNC, cert, (focus.right, env), goals)))
 
         if isinstance(focus, Exists):
@@ -355,7 +356,7 @@ class _Run:
             return self.branch(list(self.fpc.some_e(cert)), some_step, goals)
 
         if isinstance(focus, DelayPos):
-            self.events.append(Ev("strip"))
+            self.events.append(STRIP)
             return (_SYNC, cert, (focus.body, env), goals)
 
         if isinstance(focus, PAtom):
@@ -369,7 +370,7 @@ class _Run:
             return goals
 
         # negative focus: hand it back to the asynchronous phase
-        self.events.append(Ev("release"))
+        self.events.append(RELEASE)
         return (_ASYNC, cert, (item,), goals)
 
 
@@ -389,7 +390,6 @@ def check(goal: ModalFormula, cert: object, fpc: Fpc | None = None,
     the goal's polarized translation at the initial world, delayed into
     storable shape.  The certificate is read by its own FPC, cert.fpc,
     unless fpc is given."""
-    if fpc is None:
-        fpc = cert.fpc
+    fpc = cert.fpc if fpc is None else fpc
     entry = delay_if_negative(polarized_translation(goal, W0))
     return check_polarized((entry,), cert, fpc, max_steps)

@@ -311,13 +311,16 @@ class _Prover:
 
     @staticmethod
     def _open(entries: list[PrefixedFormula]) -> OpenBranch:
-        worlds = frozenset(e.prefix for e in entries)
+        # one pass: every prefix on the branch is a world, true at it
+        # exactly the positive atoms stored there
+        atoms: dict[Prefix, set[str]] = {}
+        for e in entries:
+            here = atoms.setdefault(e.prefix, set())
+            if isinstance(e.body, PosAtom):
+                here.add(e.body.name)
+        worlds = frozenset(atoms)
         rel = frozenset((w[:-1], w) for w in worlds if w[:-1] in worlds)
-        val: dict[Prefix, frozenset[str]] = {
-            w: frozenset(e.body.name for e in entries
-                         if e.prefix == w and isinstance(e.body, PosAtom))
-            for w in worlds
-        }
+        val = {w: frozenset(names) for w, names in atoms.items()}
         model = KripkeModel(worlds, rel, val)
         root = entries[0]
         if not eval_modal(model, root.prefix, root.body):

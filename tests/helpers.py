@@ -163,6 +163,20 @@ def wide(n: int) -> ModalFormula:
         + ["(box " + _chain("and", [f"(+ p{i})" for i in range(n)]) + ")"]))
 
 
+def kchain_bad(n: int) -> ModalFormula:
+    """dia^n ~p | box^n (p & q), not valid"""
+    return parse_formula_text(_chain("or", [
+        "(dia " * n + "(- p)" + ")" * n,
+        "(box " * n + "(and (+ p) (+ q))" + ")" * n]))
+
+
+def wide_bad(n: int) -> ModalFormula:
+    """dia ~p0 | ... | dia ~p(n-2) | box (p0 & ... & p(n-1)), not valid"""
+    return parse_formula_text(_chain(
+        "or", [f"(dia (- p{i}))" for i in range(n - 1)]
+        + ["(box " + _chain("and", [f"(+ p{i})" for i in range(n)]) + ")"]))
+
+
 # ---------------------------------------------------------------------------
 # seeded random formulas and models
 
@@ -275,9 +289,9 @@ def dectree_lr_flips(tree: DecTree) -> Iterator[DecTree]:
 
 def fitcert_mutants(cert: FitCert) -> Iterator[tuple[str, FitCert]]:
     for tree in leaf_aux_swaps(cert.tree):
-        yield "leaf-aux-swap", dataclasses.replace(cert, tree=tree)
+        yield "leaf-aux-swap", cert._replace(tree=tree)
     for tree in dectree_lr_flips(cert.tree):
-        yield "lr-flip", dataclasses.replace(cert, tree=tree)
+        yield "lr-flip", cert._replace(tree=tree)
 
 
 def simpfit_mutants(cert: SimpfitCert) -> Iterator[tuple[str, SimpfitCert]]:

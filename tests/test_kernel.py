@@ -22,6 +22,13 @@ from kcert.examples import (
 from kcert.fittings import Bind, DecTree, EIND, FITTINGS, FitCert, FittingsFpc, Lind, NONE, Rind
 from kcert.formulas import All, AndNeg, AndPos, BVar, DelayNeg, Eigen, NAtom, PAtom
 from kcert.kernel import (
+    ANDNEG_L,
+    ANDNEG_R,
+    ANDPOS_L,
+    ANDPOS_R,
+    ORNEG,
+    RELEASE,
+    STRIP,
     CheckResult,
     Ev,
     Fpc,
@@ -115,6 +122,48 @@ class TestTraceUtils:
     def test_paths_unbalanced(self):
         with pytest.raises(ValueError):
             trace_paths((Ev("andneg", "L"), Ev("store", 1)))
+
+
+class TestSharedRecords:
+    """Events and FITTINGS states are immutable tuple-backed records; an
+    event without a payload of the run is one shared constant."""
+
+    SHARED = (ORNEG, STRIP, RELEASE, ANDNEG_L, ANDNEG_R, ANDPOS_L, ANDPOS_R)
+
+    def test_payload_free_events_are_the_shared_constants(self):
+        result = check(EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS)
+        assert result.accepted
+        free = [ev for ev in result.trace
+                if ev.kind in ("orneg", "strip", "release", "andneg", "andpos")]
+        for ev in free:
+            assert any(ev is shared for shared in self.SHARED), ev
+        # ftab1 uses every one of the seven, and each prints as before
+        assert [str(ev) for ev in self.SHARED] == [
+            "orneg", "strip", "release", "andneg L", "andneg R", "andpos L", "andpos R"]
+        assert {str(ev) for ev in free} == {str(ev) for ev in self.SHARED}
+
+    def test_events_are_immutable(self):
+        ev = Ev("store", EIND)
+        with pytest.raises(AttributeError):
+            ev.kind = "decide"
+        with pytest.raises(AttributeError):
+            ev.extra = 1
+        with pytest.raises(AttributeError):
+            ORNEG.arg = "L"
+
+    def test_fitcert_is_an_immutable_value(self):
+        cert = ftab1_cert()
+        with pytest.raises(AttributeError):
+            cert.tree = taut_dectree()
+        with pytest.raises(AttributeError):
+            cert.fpc = SIMPFIT
+        with pytest.raises(AttributeError):
+            cert.extra = 1
+        t = taut_dectree()
+        assert FitCert.load(t) == FitCert((EIND,), t, ())
+        assert FitCert.load(t)._replace(tree=ftab2_dectree()) == FitCert.load(ftab2_dectree())
+        assert FitCert.fpc is FITTINGS
+        assert cert.fpc is FITTINGS
 
 
 class TestTautology:
@@ -606,6 +655,28 @@ class TestEnvironment:
         # under one binder the entry's free BVar(0) reads BVar(1); BVar(0)
         # is the binder's own eigenvariable
         entry = (NAtom("r", (BVar(0),)), All(PAtom("r", (BVar(index),))))
+        result = check_polarized(entry, None, Opening())
+        assert result.accepted == accepted
+
+
+class TestTermsAreClassed:
+    """Terms are values told apart by class: an eigenvariable and a
+    variable with the same number are different keys in negative
+    storage, so init never closes on an atom of the other class."""
+
+    def test_equal_fields_different_classes(self):
+        assert Eigen(1) != BVar(1)
+        assert len({Eigen(1): "e", BVar(1): "b"}) == 2
+        assert len({("r", (Eigen(1),)), ("r", (BVar(1),))}) == 2
+
+    @pytest.mark.parametrize("stored,accepted", [
+        (Eigen(1), True),
+        (BVar(1), False),
+    ], ids=["same-class", "other-class"])
+    def test_complement_must_match_the_term_class(self, stored, accepted):
+        # the universal opens at e1; the stored atom's only candidate
+        # complement is r(e1), equal in number but not always in class
+        entry = (NAtom("r", (stored,)), All(PAtom("r", (BVar(0),))))
         result = check_polarized(entry, None, Opening())
         assert result.accepted == accepted
 

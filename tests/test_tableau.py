@@ -56,14 +56,17 @@ from kcert.tableau import (
     prove,
 )
 from helpers import (
+    agreement_corpus,
     corpus_proofs,
     distill_with_repeats,
     format_problem_inline,
     formulas_of_connectives,
     kchain,
+    kchain_bad,
     recursion_limit,
     taut,
     wide,
+    wide_bad,
 )
 
 P = PosAtom("p")
@@ -203,6 +206,36 @@ class TestProver:
         for a in formulas_of_connectives(2):
             closed = isinstance(prove(a), ClosedTableau)
             assert closed == bounded_validity_oracle(a), a
+
+
+def _valuation_per_world(entries) -> dict:
+    """The countermodel valuation as first defined: one scan of the
+    branch per world, keeping the positive atoms at that prefix."""
+    return {w: frozenset(e.body.name for e in entries
+                         if e.prefix == w and isinstance(e.body, PosAtom))
+            for w in {e.prefix for e in entries}}
+
+
+class TestOpenValuation:
+    """The valuation of an open branch's countermodel, built in one pass,
+    gives each world exactly the positive atoms stored at its prefix."""
+
+    def test_refuted_corpus_formulas(self):
+        refuted = 0
+        for a in agreement_corpus():
+            result = prove(a)
+            if isinstance(result, OpenBranch):
+                refuted += 1
+                assert dict(result.model.val) == _valuation_per_world(result.entries), a
+                assert result.model.worlds == {e.prefix for e in result.entries}
+        assert refuted > 0
+
+    @pytest.mark.parametrize("family", [kchain_bad, wide_bad])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_invalid_families(self, family, n):
+        result = prove(family(n))
+        assert isinstance(result, OpenBranch)
+        assert dict(result.model.val) == _valuation_per_world(result.entries)
 
 
 class TestScriptedTableaux:
