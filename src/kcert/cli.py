@@ -9,9 +9,9 @@ Subcommands:
   oracle <formula>         bounded semantic validity check
 
 Every check, prove's self-check included, runs under a budget of
-10,000,000 kernel steps (DEFAULT_MAX_STEPS), over a hundred times the
-largest check in the tests and the benchmark; a check that runs out of
-steps is an error, not a verdict.
+10,000,000 kernel steps: kernel.DEFAULT_MAX_STEPS, the default of every
+library check too, passed here by name so that tests can lower it.  A
+check that runs out of steps is an error, not a verdict.
 
 Exit codes: 0 accept/valid/proved, 1 reject/invalid/refuted, 2 errors
 (bad usage, unreadable file, parse failure, oracle bound exceeded, input
@@ -33,7 +33,7 @@ from .formulas import (
     render_polarized,
     standard_translation,
 )
-from .kernel import StepBudgetExceeded, check, trace_lines
+from .kernel import DEFAULT_MAX_STEPS, StepBudgetExceeded, check, trace_lines
 from .problems import (
     ProblemFile,
     format_problem,
@@ -48,9 +48,6 @@ from .tableau import (
     format_model,
     prove,
 )
-
-
-DEFAULT_MAX_STEPS = 10_000_000
 
 
 @functools.cache

@@ -46,9 +46,9 @@ class Index:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __copy__(self) -> Index:
-        return self
-
+    # copy.copy rebuilds through __reduce__, which interns, so it returns
+    # the same object; deepcopy would first copy the arguments, one call
+    # per level of the index
     def __deepcopy__(self, memo: dict) -> Index:
         return self
 

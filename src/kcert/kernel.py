@@ -68,8 +68,13 @@ from .formulas import (
 )
 
 
+# the step budget of every check that names none: over four hundred
+# times the largest check in the tests and the benchmark
+DEFAULT_MAX_STEPS = 10_000_000
+
+
 class StepBudgetExceeded(RuntimeError):
-    """Raised when a check exceeds an explicit max_steps bound."""
+    """Raised when a check exceeds its max_steps bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +197,7 @@ class _Run:
     branch sees the entries of its path; while a choice point is live
     both go on the trail."""
 
-    def __init__(self, fpc: Fpc, max_steps: int | None):
+    def __init__(self, fpc: Fpc, max_steps: int):
         self.fpc = fpc
         self.max_steps = max_steps
         self.events: list[Ev] = []
@@ -210,7 +215,7 @@ class _Run:
 
     def tick(self) -> None:
         self.steps += 1
-        if self.max_steps is not None and self.steps > self.max_steps:
+        if self.steps > self.max_steps:
             raise StepBudgetExceeded(f"gave up after {self.max_steps} steps")
 
     def run(self, cert: object, gamma: tuple) -> bool:
@@ -375,7 +380,7 @@ class _Run:
 
 
 def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,
-                    max_steps: int | None = None) -> CheckResult:
+                    max_steps: int = DEFAULT_MAX_STEPS) -> CheckResult:
     """Check a certificate against an initial workbench of polarized
     formulas, each in an empty environment.  Storage starts empty."""
     run = _Run(fpc, max_steps)
@@ -385,7 +390,7 @@ def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,
 
 
 def check(goal: ModalFormula, cert: object, fpc: Fpc | None = None,
-          max_steps: int | None = None) -> CheckResult:
+          max_steps: int = DEFAULT_MAX_STEPS) -> CheckResult:
     """Check a certificate for a modal theorem: the entry workbench is
     the goal's polarized translation at the initial world, delayed into
     storable shape.  The certificate is read by its own FPC, cert.fpc,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .fittings import Bind, DecTree, EIND, FitCert, Index, Lind, NONE, Rind
 from .formulas import And, Box, Dia, ModalFormula, NegAtom, Or, PosAtom, format_formula
@@ -53,40 +54,61 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # scanner
 #
-# _TOKEN defines the tokens: each match skips blanks and comments, then
-# captures a token, a stray character, or the empty string at the end.
-# Tokens stay plain strings; a quoted string keeps its quotes, so it can
-# never be mistaken for a word or a parenthesis.  One match per token is
-# slow on large files, so _split gives the same tokens with str.split,
-# and _TOKEN only locates errors: line and column are worked out from the
-# offset only when an error is raised.
+# Strings and comments are cut out first.  The plain pieces between
+# them may hold only word characters, blanks and ()+-, and split on
+# blanks once ()+- are padded with them.  A string token keeps its
+# quotes, so it is never mistaken for a word or a parenthesis.  Offsets
+# are worked out only for an error, by walking the same pieces.
 
-_TOKEN = re.compile(r'[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*'
-                    r'([()+\-]|\w+|"[^"\n]*"|[^ \t\r\n;]|\Z)')
 _STRING_OR_COMMENT = re.compile(r'("[^"\n]*"|;[^\n]*)')
 _NOT_PLAIN = re.compile(r'[^\w \t\r\n()+\-]')
 
 
-def _split(text: str) -> list[str] | None:
-    """The tokens of text, or None when it holds a stray character.
-    Between strings and comments, text of word characters, blanks and
-    ()+- splits on blanks once ()+- are padded with them."""
+def _pieces(text: str) -> Iterator[tuple[int, str, bool]]:
+    """The strings, the comments and the plain text between them, in
+    order, each with its offset and whether it is plain."""
+    start = 0
+    for k, piece in enumerate(_STRING_OR_COMMENT.split(text)):
+        yield start, piece, k % 2 == 0
+        start += len(piece)
+
+
+def _tokens(piece: str, plain: bool) -> list[str]:
+    if not plain:
+        return [piece] if piece[0] == '"' else []
+    for ch in "()+-":
+        piece = piece.replace(ch, f" {ch} ")
+    return piece.split()
+
+
+def _split(text: str) -> list[str]:
+    """The tokens of text; a stray character raises ParseError."""
     toks: list[str] = []
-    for k, part in enumerate(_STRING_OR_COMMENT.split(text)):
-        if k % 2:
-            if part[0] == '"':
-                toks.append(part)
-        elif _NOT_PLAIN.search(part):
-            return None
-        else:
-            for ch in "()+-":
-                part = part.replace(ch, f" {ch} ")
-            toks += part.split()
+    for start, piece, plain in _pieces(text):
+        stray = _NOT_PLAIN.search(piece) if plain else None
+        if stray:
+            start += stray.start()
+            ch = text[start]
+            message = f"unexpected character {ch!r}"
+            if ch == '"':
+                # a quote is stray when no closing quote follows it on its line
+                message = "newline in string" if "\n" in text[start:] else "unterminated string"
+            raise ParseError(message, *_line_col(text, start))
+        toks += _tokens(piece, plain)
     return toks
 
 
-def _is_stray(tok: str) -> bool:
-    return len(tok) == 1 and tok not in "()+-_" and not tok.isalnum()
+def _offset(text: str, k: int) -> int:
+    """Where token k of text starts.  Only blanks separate the tokens of
+    a piece, so each one is the next str.find of its text."""
+    for start, piece, plain in _pieces(text):
+        for tok in _tokens(piece, plain):
+            start = text.find(tok, start)
+            if not k:
+                return start
+            k -= 1
+            start += len(tok)
+    raise IndexError(k)
 
 
 def _is_string(tok: str) -> bool:
@@ -109,47 +131,20 @@ def _line_col(text: str, offset: int) -> tuple[int, int]:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
+        self.toks = _split(text)
         self.pos = 0
         # the index each bare word names: eind, none and, once a table
         # is read, i<k> for its entries so far
         self.names: dict[str, Index] = {"eind": EIND, "none": NONE}
         self.has_table = False
-        toks = _split(text)
-        if toks is None:
-            toks = _TOKEN.findall(text)
-            self.pos = next(k for k, tok in enumerate(toks) if _is_stray(tok))
-            raise self._stray_error()
-        self.toks = toks
-
-    def _offset(self, pos: int) -> int:
-        for k, match in enumerate(_TOKEN.finditer(self.text)):
-            if k == pos:
-                return match.start(1)
-        raise IndexError(pos)
-
-    def _stray_error(self) -> ParseError:
-        start = self._offset(self.pos)
-        ch = self.text[start]
-        close = self.text.find('"', start + 1)
-        newline = self.text.find("\n", start + 1)
-        if ch != '"':
-            message = f"unexpected character {ch!r}"
-        elif newline != -1 and (close == -1 or newline < close):
-            message = "newline in string"
-        else:
-            message = "unterminated string"
-        return ParseError(message, *_line_col(self.text, start))
 
     def error(self, message: str) -> ParseError:
         if self.pos < len(self.toks):
-            return ParseError(message, *_line_col(self.text, self._offset(self.pos)))
+            return ParseError(message, *_line_col(self.text, _offset(self.text, self.pos)))
         return ParseError(message + " (at end of input)", self.text.count("\n") + 1, 1)
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def at_open(self) -> bool:
-        return self.peek() == "("
 
     def next(self, expect: str | None = None) -> str:
         t = self.peek()
@@ -184,35 +179,6 @@ class _Parser:
         if self.peek() is not None:
             raise self.error("trailing input after the closing parenthesis")
 
-    def formula(self) -> ModalFormula:
-        # each open connective: its class and arity, then the subformulas
-        # read so far
-        open_nodes: list[list] = []
-        while True:
-            self.next("(")
-            head = self.word("a connective: + - and or box dia")
-            if head in _CONNECTIVES:
-                open_nodes.append(list(_CONNECTIVES[head]))
-                continue
-            if head not in ("+", "-"):
-                self.pos -= 1
-                raise self.error(f"unknown connective {head!r}")
-            sym = self.word("an atom name")
-            value: ModalFormula = PosAtom(sym) if head == "+" else NegAtom(sym)
-            self.next(")")
-            # the value completes the innermost connective, which may
-            # complete the next one out, and so on
-            while open_nodes:
-                node = open_nodes[-1]
-                node.append(value)
-                if len(node) < 2 + node[1]:
-                    break
-                open_nodes.pop()
-                value = node[0](*node[2:])
-                self.next(")")
-            else:
-                return value
-
     def certificate(self) -> Certificate:
         self.next("(")
         head = self.word("a certificate kind: fittings or simpfit")
@@ -223,22 +189,10 @@ class _Parser:
             return FitCert.load(tree)
         if head == "simpfit":
             self.table()
-            self.next("(")
-            self.next("closures")
-            closures = []
-            while self.at_open():
-                closures.append(self.pair("cl"))
+            closures = self.block("closures", "cl", Closure)
+            boxinfos = self.block("boxinfos", "bi", BoxInfo)
             self.next(")")
-            self.next("(")
-            self.next("boxinfos")
-            boxinfos = []
-            while self.at_open():
-                boxinfos.append(self.pair("bi"))
-            self.next(")")
-            self.next(")")
-            return SimpfitCert.load(
-                tuple(Closure(a, b) for a, b in closures),
-                tuple(BoxInfo(a, b) for a, b in boxinfos))
+            return SimpfitCert.load(closures, boxinfos)
         self.pos -= 1
         raise self.error(f"unknown certificate kind {head!r}")
 
@@ -251,7 +205,7 @@ class _Parser:
         k = 0
         while self.peek() != ")":
             start = self.pos
-            self.pos += self.at_open()
+            self.pos += self.peek() == "("
             if self.pos == start or self.peek() not in _INDEX_CTORS:
                 raise self.error("expected an index table entry: (lind i), (rind i) or (bind i j)")
             self.pos = start
@@ -259,13 +213,18 @@ class _Parser:
             k += 1
         self.pos += 1
 
-    def pair(self, tag: str) -> tuple[Index, Index]:
+    def block(self, name: str, tag: str, cls: type) -> tuple:
+        """Read (name (tag i j)*) as a tuple of cls(i, j)."""
         self.next("(")
-        self.next(tag)
-        a = self.index()
-        b = self.index()
+        self.next(name)
+        items = []
+        while self.peek() == "(":
+            self.next("(")
+            self.next(tag)
+            items.append(cls(self.index(), self.index()))
+            self.next(")")
         self.next(")")
-        return a, b
+        return tuple(items)
 
     def dectree(self) -> DecTree:
         # each open node: its decide index, its aux, the children so far
@@ -277,7 +236,7 @@ class _Parser:
             aux = self.index()
             self.next("(")
             open_nodes.append((decide_on, aux, []))
-            while not self.at_open():
+            while self.peek() != "(":
                 self.next(")")
                 self.next(")")
                 decide_on, aux, children = open_nodes.pop()
@@ -286,50 +245,73 @@ class _Parser:
                     return node
                 open_nodes[-1][2].append(node)
 
+    def formula(self) -> ModalFormula:
+        return self.read(_CONNECTIVES, {})
+
     def index(self) -> Index:
-        toks, pos, n, names = self.toks, self.pos, len(self.toks), self.names
-        # each open constructor: its class, then the arguments read so far
+        return self.read(_INDEX_CTORS, self.names)
+
+    def read(self, ctors: dict[str, tuple[type, int]], names: dict[str, object]):
+        """Read one formula or index.  ctors gives each constructor word
+        its class and arity, names each bare word its value.  An arity-0
+        constructor is an atom: its one argument is a word."""
+        toks, pos, n = self.toks, self.pos, len(self.toks)
+        # each open constructor: its class, its arity, the arguments so far
         open_ctors: list[list] = []
         while True:
             t = toks[pos] if pos < n else None
             value = names.get(t)
             if value is not None:
                 pos += 1
-            elif t == "(" and pos + 1 < n and toks[pos + 1] in _INDEX_CTORS:
-                open_ctors.append([_INDEX_CTORS[toks[pos + 1]]])
-                pos += 2
-                continue
             else:
+                ctor = ctors.get(toks[pos + 1]) if t == "(" and pos + 1 < n else None
+                if ctor is None:
+                    self.pos = pos
+                    raise self.bad_start(ctors)
+                pos += 2
+                if ctor[1]:
+                    open_ctors.append(list(ctor))
+                    continue
                 self.pos = pos
-                if t is None:
-                    raise self.error("expected an index")
-                if _REFERENCE.fullmatch(t):
-                    raise self.error(f"undefined index reference {t!r}" if self.has_table
-                                     else f"index reference {t!r} without an index table")
-                self.next("(")
-                head = self.word("an index constructor: lind rind bind")
-                self.pos -= 1
-                raise self.error(f"unknown index constructor {head!r}")
+                value = self.word("an atom name")
+                pos = self.pos
+                open_ctors.append([ctor[0], 1])
             # the value completes the innermost constructor, which may
             # complete the next one out, and so on
             while open_ctors:
                 ctor = open_ctors[-1]
                 ctor.append(value)
-                if ctor[0] is Bind and len(ctor) == 2:
+                if len(ctor) < 2 + ctor[1]:
                     break
                 if pos >= n or toks[pos] != ")":
                     self.pos = pos
                     self.next(")")
                 pos += 1
                 open_ctors.pop()
-                value = ctor[0](*ctor[1:])
+                value = ctor[0](*ctor[2:])
             else:
                 self.pos = pos
                 return value
 
+    def bad_start(self, ctors: dict[str, tuple[type, int]]) -> ParseError:
+        """The error for a token that starts no formula or index."""
+        t = self.peek()
+        index = ctors is _INDEX_CTORS
+        if index and t is None:
+            return self.error("expected an index")
+        if index and _REFERENCE.fullmatch(t):
+            return self.error(f"undefined index reference {t!r}" if self.has_table
+                              else f"index reference {t!r} without an index table")
+        kind = "index constructor" if index else "connective"
+        self.next("(")
+        head = self.word(f"{'an' if index else 'a'} {kind}: {' '.join(ctors)}")
+        self.pos -= 1
+        return self.error(f"unknown {kind} {head!r}")
 
-_CONNECTIVES = {"and": (And, 2), "or": (Or, 2), "box": (Box, 1), "dia": (Dia, 1)}
-_INDEX_CTORS = {"lind": Lind, "rind": Rind, "bind": Bind}
+
+_CONNECTIVES = {"+": (PosAtom, 0), "-": (NegAtom, 0), "and": (And, 2), "or": (Or, 2),
+                "box": (Box, 1), "dia": (Dia, 1)}
+_INDEX_CTORS = {"lind": (Lind, 1), "rind": (Rind, 1), "bind": (Bind, 2)}
 _REFERENCE = re.compile(r"i[0-9]+")
 
 
@@ -379,7 +361,7 @@ class _Names:
         return names[index]
 
 
-_CTOR_NAMES = {ctor: name for name, ctor in _INDEX_CTORS.items()}
+_CTOR_NAMES = {ctor: name for name, (ctor, _) in _INDEX_CTORS.items()}
 
 
 def _format_dectree(tree: DecTree, name: _Names, pad: str) -> str:

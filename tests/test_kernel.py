@@ -2,11 +2,13 @@
 
 import dataclasses
 import hashlib
+import inspect
 from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kcert import cli
 from kcert.examples import (
     EXAMPLE1_THEOREM,
     EXAMPLE2_THEOREM,
@@ -26,6 +28,7 @@ from kcert.kernel import (
     ANDNEG_R,
     ANDPOS_L,
     ANDPOS_R,
+    DEFAULT_MAX_STEPS,
     ORNEG,
     RELEASE,
     STRIP,
@@ -236,6 +239,11 @@ class TestPhaseRules:
     def test_step_budget(self):
         with pytest.raises(StepBudgetExceeded):
             check(EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS, max_steps=5)
+
+    def test_every_check_has_one_default_budget(self):
+        for fn in (check, check_polarized):
+            assert inspect.signature(fn).parameters["max_steps"].default is DEFAULT_MAX_STEPS
+        assert cli.DEFAULT_MAX_STEPS is DEFAULT_MAX_STEPS
 
     def test_reject_keeps_deepest_trace_prefix(self):
         bad_leaf = dataclasses.replace(taut_dectree().children[0], aux=EIND)

@@ -218,26 +218,114 @@ class TestErrorPositions:
         assert (info.value.line, info.value.col) == (line, col)
         assert str(info.value) == f"line {line}, col {col}: {message}"
 
+    # the remaining error paths of the formula, index, block and tag
+    # readers, each with the message and position it gives
+    @pytest.mark.parametrize("text,line,col,message", [
+        ('(problem "x" (+ ) (fittings (dt eind none ())))', 1, 17, "expected an atom name"),
+        ('(problem "x" (+ "p") (fittings (dt eind none ())))', 1, 17, "expected an atom name"),
+        ('(problem "x"\n  (- ( p)) (fittings (dt eind none ())))', 2, 6, "expected an atom name"),
+        ('(problem "x" () (fittings (dt eind none ())))',
+         1, 15, "expected a connective: + - and or box dia"),
+        ('(problem "x" (', 1, 1, "expected a connective: + - and or box dia (at end of input)"),
+        ('(problem "x" (and (+ p)', 1, 1, "expected ( (at end of input)"),
+        ('(problem "x" (or (+ p) (box)) (fittings (dt eind none ())))',
+         1, 28, "expected '(', found ')'"),
+        ('(problem "x" (+ p) ())', 1, 21, "expected a certificate kind: fittings or simpfit"),
+        ('(problem "x" (+ p) (fittings (dt () none ())))',
+         1, 35, "expected an index constructor: lind rind bind"),
+        ('(problem "x" (+ p) (fittings (dt ("lind" eind) none ())))',
+         1, 35, "expected an index constructor: lind rind bind"),
+        ('(problem "x" (+ p) (fittings (dt (+ eind) none ())))',
+         1, 35, "unknown index constructor '+'"),
+        ('(problem "x" (+ p) (fittings (dt (lind ) none ())))', 1, 40, "expected '(', found ')'"),
+        ('(problem "x" (+ p) (fittings (indexes (lind eind)) (dt (rind i0 i0) none ())))',
+         1, 65, "expected ')', found 'i0'"),
+        ('(problem "x" (+ p) (fittings (dt (bind eind', 1, 1, "expected an index (at end of input)"),
+        ('(problem "x" (+ p) (fittings (indexes (lind eind)',
+         1, 1, "expected an index table entry: (lind i), (rind i) or (bind i j) (at end of input)"),
+        ('(problem "x" (+ p) (simpfit (closures eind) (boxinfos)))',
+         1, 39, "expected ')', found 'eind'"),
+        ('(problem "x" (+ p) (simpfit (closures (bi eind eind)) (boxinfos)))',
+         1, 40, "expected 'cl', found 'bi'"),
+        ('(problem "x" (+ p) (simpfit (closures) (boxinfos (cl eind eind))))',
+         1, 51, "expected 'bi', found 'cl'"),
+        ('(problem "x" (+ p) (simpfit (closures (cl eind eind eind)) (boxinfos)))',
+         1, 53, "expected ')', found 'eind'"),
+        ('(problem "x" (+ p) (simpfit (closures) (boxinfos (bi eind))))',
+         1, 58, "expected '(', found ')'"),
+        ('(problem "x" (+ p) (simpfit (boxinfos)))', 1, 30, "expected 'closures', found 'boxinfos'"),
+        ('(problem "x" (+ p) (simpfit (closures) (boxinfos) extra))',
+         1, 51, "expected ')', found 'extra'"),
+        ('(problem "x" (+ p q) (fittings (dt eind none ())))', 1, 19, "expected ')', found 'q'"),
+        ('(problem "x" (and (+ p) (+ q) (+ r)) (fittings (dt eind none ())))',
+         1, 31, "expected ')', found '('"),
+        ('(problem "x" (dia (+ p) (+ q)) (fittings (dt eind none ())))',
+         1, 25, "expected ')', found '('"),
+        ('(problem "x" (+ p) (fittings (dt eind none (eind))))', 1, 45, "expected ')', found 'eind'"),
+        ('(problem "x" (+ p)\n  (fittings (dt eind none ((dt eind none ())',
+         2, 1, "expected ) (at end of input)"),
+        ('(prob "x" (+ p) (fittings (dt eind none ())))', 1, 2, "expected 'problem', found 'prob'"),
+        ('"x"', 1, 1, "expected '(', found 'x'"),
+        ('   ; only a comment', 1, 1, "expected ( (at end of input)"),
+    ])
+    def test_message(self, text, line, col, message):
+        self.test_line_and_column(text, line, col, message)
 
-class TestScanner:
-    """The str.split scanner against the token pattern it stands in for:
-    the same tokens, or None exactly when the pattern finds a stray
-    character."""
 
-    @given(st.text(alphabet=st.sampled_from(list('()+-_ab9 \t\r\n;"@\xe9\xb2\f\xa0\u0301')),
-                   max_size=40))
-    def test_same_tokens_as_the_pattern(self, text):
-        reference = [tok for tok in problems._TOKEN.findall(text) if tok]
-        stray = any(problems._is_stray(tok) for tok in reference)
-        got = problems._split(text)
-        assert (got is None) == stray
-        if got is not None:
-            assert got == reference
+def _first_bad_character(text):
+    """The offset and message of the first character outside strings
+    and comments that starts no token, found one character at a time,
+    or None."""
+    k = 0
+    while k < len(text):
+        ch = text[k]
+        if ch == ";":
+            newline = text.find("\n", k)
+            k = len(text) if newline == -1 else newline
+        elif ch == '"':
+            close, newline = text.find('"', k + 1), text.find("\n", k + 1)
+            if close == -1 or -1 < newline < close:
+                return k, "unterminated string" if newline == -1 else "newline in string"
+            k = close + 1
+        elif ch.isalnum() or ch in "_()+- \t\r\n":
+            k += 1
+        else:
+            return k, f"unexpected character {ch!r}"
+    return None
+
+
+class TestTokenizer:
+    """The one tokenizer checked against itself: a stray character, an
+    unterminated string or a newline in a string is reported where it
+    stands; otherwise each token is located at its own text, in order."""
+
+    def _check(self, text):
+        bad = _first_bad_character(text)
+        if bad is not None:
+            offset, message = bad
+            line = text.count("\n", 0, offset) + 1
+            col = offset - (text.rfind("\n", 0, offset) + 1) + 1
+            with pytest.raises(ParseError) as info:
+                parse_problem(text)
+            assert str(info.value) == f"line {line}, col {col}: {message}"
+            return
+        toks = problems._split(text)
+        offsets = [problems._offset(text, k) for k in range(len(toks))]
+        assert all(text.startswith(tok, at) for tok, at in zip(toks, offsets))
+        assert offsets == sorted(set(offsets))
+
+    # the second alphabet has no stray character but the quote, so that
+    # string errors are not hidden behind an earlier stray character
+    @given(st.one_of(
+        st.text(alphabet=st.sampled_from(list('()+-_ab9 \t\r\n;"@\xe9\xb2\f\xa0\u0301')),
+                max_size=40),
+        st.text(alphabet=st.sampled_from(list('()+-_ab9 \t\n;"')), max_size=40)))
+    def test_errors_and_offsets(self, text):
+        self._check(text)
 
     @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.stem)
     def test_fixtures(self, path):
-        text = path.read_text()
-        assert problems._split(text) == [tok for tok in problems._TOKEN.findall(text) if tok]
+        self._check(path.read_text())
 
 
 class TestDeepInput:
