@@ -81,10 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args: argparse.Namespace) -> int:
     with open(args.file, encoding="utf-8") as handle:
         problem = parse_problem(handle.read())
-    result = check(problem.theorem, problem.certificate, max_steps=DEFAULT_MAX_STEPS)
-    if args.trace:
-        for line in trace_lines(result.trace):
-            print(line)
+    result = check(problem.theorem, problem.certificate, max_steps=DEFAULT_MAX_STEPS,
+                   trace=args.trace)
+    for line in trace_lines(result.trace):
+        print(line)
     print("accepted" if result.accepted else "rejected")
     return 0 if result.accepted else 1
 
@@ -100,7 +100,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         cert = emit_simpfitcert(outcome, theorem)
     else:
         cert = emit_fitcert(outcome, theorem)
-    if not check(theorem, cert, max_steps=DEFAULT_MAX_STEPS):
+    if not check(theorem, cert, max_steps=DEFAULT_MAX_STEPS, trace=False):
         print("internal error: emitted certificate was rejected", file=sys.stderr)
         return 2
     sys.stdout.write(format_problem(ProblemFile("emitted", theorem, cert)))

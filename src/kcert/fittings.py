@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .formulas import PolarizedFormula, Term, child_kids, fold, is_rel_literal
 from .kernel import Fpc
@@ -211,38 +211,42 @@ class FitCert(NamedTuple):
 
 
 class FittingsFpc(Fpc):
-    """Replay a decide tree, refusing every step the tree does not name."""
+    """Replay a decide tree, refusing every step the tree does not name.
+    Each predicate answers with a tuple, which the kernel reads as it is."""
 
-    def decide_e(self, cert: FitCert) -> Iterable[tuple[object, object]]:
+    def decide_e(self, cert: FitCert) -> tuple[tuple[object, object], ...]:
         # a translated entry is decided on with nothing pending
         if cert.pending:
             cert = FitCert((), cert.tree, cert.eigmap)
-        yield cert.tree.decide_on, cert
+        return ((cert.tree.decide_on, cert),)
 
-    def store_c(self, cert: FitCert, formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
+    def store_c(self, cert: FitCert, formula: PolarizedFormula) -> tuple[tuple[object, object], ...]:
         if is_rel_literal(formula):
-            yield NONE, cert
-        elif cert.pending:
-            yield cert.pending[0], FitCert(cert.pending[1:], cert.tree, cert.eigmap)
+            return ((NONE, cert),)
+        if cert.pending:
+            return ((cert.pending[0], FitCert(cert.pending[1:], cert.tree, cert.eigmap)),)
+        return ()
 
     def initial_e(self, cert: FitCert, index: object) -> bool:
         return index is cert.tree.aux or index is NONE
 
-    def orneg_c(self, cert: FitCert) -> Iterable[object]:
+    def orneg_c(self, cert: FitCert) -> tuple[object, ...]:
         if cert.pending:
-            yield cert
-        elif cert.tree.children:
+            return (cert,)
+        if cert.tree.children:
             i = cert.tree.decide_on
-            yield FitCert((Lind(i), Rind(i)), cert.tree.children[0], cert.eigmap)
+            return (FitCert((Lind(i), Rind(i)), cert.tree.children[0], cert.eigmap),)
+        return ()
 
-    def andneg_c(self, cert: FitCert) -> Iterable[tuple[object, object]]:
+    def andneg_c(self, cert: FitCert) -> tuple[tuple[object, object], ...]:
         if len(cert.tree.children) >= 2:
             i = cert.tree.decide_on
             left, right = cert.tree.children[0], cert.tree.children[1]
-            yield (FitCert((Lind(i),), left, cert.eigmap),
-                   FitCert((Rind(i),), right, cert.eigmap))
+            return ((FitCert((Lind(i),), left, cert.eigmap),
+                     FitCert((Rind(i),), right, cert.eigmap)),)
+        return ()
 
-    def all_c(self, cert: FitCert) -> Iterable[Callable[[Term], object]]:
+    def all_c(self, cert: FitCert) -> tuple[Callable[[Term], object], ...]:
         if cert.tree.children:
             i = cert.tree.decide_on
             child = cert.tree.children[0]
@@ -251,16 +255,16 @@ class FittingsFpc(Fpc):
             def bind_eigen(eigen: Term) -> FitCert:
                 return FitCert((Lind(i),), child, ((i, eigen),) + eigmap)
 
-            yield bind_eigen
+            return (bind_eigen,)
+        return ()
 
-    def some_e(self, cert: FitCert) -> Iterable[tuple[Term, object]]:
+    def some_e(self, cert: FitCert) -> tuple[tuple[Term, object], ...]:
         if not cert.tree.children:
-            return
+            return ()
         i, aux = cert.tree.decide_on, cert.tree.aux
         child = cert.tree.children[0]
-        for key, eigen in cert.eigmap:
-            if key is aux:
-                yield eigen, FitCert((Bind(i, aux),), child, cert.eigmap)
+        return tuple((eigen, FitCert((Bind(i, aux),), child, cert.eigmap))
+                     for key, eigen in cert.eigmap if key is aux)
 
 
 FITTINGS = FittingsFpc()

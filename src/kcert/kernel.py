@@ -21,8 +21,10 @@ is bounded by memory and the step budget.  A rule with several
 continuations leaves a choice point, undone through a trail on
 backtracking, and a cut goal under its premise drops it once the premise
 has succeeded: a later failure never re-enters a premise that closed.
-The trace shrinks only when a failure backtracks, so each failure keeps
-it if it is the longest yet: a reject reports that deepest prefix.
+A traced check records each step.  Its trace shrinks only when a failure
+backtracks, so each failure keeps it if it is the longest yet: a reject
+reports that deepest prefix.  An untraced check builds no event and
+keeps no prefix.
 
 Storage indexes are opaque to the kernel: they are whatever hashable
 values the certificate's store clerk hands out.  At a decide the
@@ -46,26 +48,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .formulas import (
-    All,
-    AndNeg,
-    AndPos,
-    BVar,
-    DelayNeg,
-    DelayPos,
-    Eigen,
-    Exists,
-    ModalFormula,
-    NAtom,
-    OrNeg,
-    PAtom,
-    PolarizedFormula,
-    Term,
-    W0,
-    delay_if_negative,
-    is_positive,
-    polarized_translation,
-)
+from .formulas import (All, AndNeg, AndPos, BVar, DelayNeg, DelayPos, Eigen, Exists,
+                       ModalFormula, NAtom, OrNeg, PAtom, PolarizedFormula, Term, W0,
+                       delay_if_negative, is_positive, polarized_translation)
 
 
 # the step budget of every check that names none: over four hundred
@@ -118,7 +103,8 @@ class Fpc:
     wants to define; leaving one alone means the corresponding kernel
     rule is never available under that format.  Predicates return
     iterables of continuations (or, for initial_e, a plain truth value)
-    and may yield several to make the kernel backtrack.  The kernel only
+    and may yield several to make the kernel backtrack.  The kernel reads
+    each answer once into a tuple, so a tuple answer costs nothing.  It only
     threads the certificates an FPC's own predicates return, so a
     predicate may assume its format's certificate type as long as the
     check starts from one.
@@ -158,7 +144,7 @@ class Fpc:
 @dataclass(frozen=True)
 class CheckResult:
     accepted: bool
-    # the accepting run's whole trace, or a reject's deepest prefix
+    # the accepting run's whole trace, a reject's deepest prefix, or ()
     trace: tuple[Ev, ...]
     steps: int
     choice_points: int
@@ -173,8 +159,8 @@ class CheckResult:
 # A goal is a cons cell (tag, a, b, next): prove an asynchronous sequent
 # (a = certificate, b = workbench, a tuple of items) or a synchronous one
 # (a = certificate, b = focus item), an item being a pair (formula, env);
-# emit the branch marker a, pop the storage bucket a, or cut the choice
-# stack back to height a.  next is the rest of the goal stack.
+# emit the branch marker a (traced runs only), pop the storage bucket a,
+# or cut the choice stack back to height a.  next is the rest of the stack.
 
 _ASYNC, _SYNC, _EMIT, _POP, _CUT = range(5)
 _FAIL = object()    # a rule with no continuation: backtrack
@@ -197,9 +183,10 @@ class _Run:
     branch sees the entries of its path; while a choice point is live
     both go on the trail."""
 
-    def __init__(self, fpc: Fpc, max_steps: int):
+    def __init__(self, fpc: Fpc, max_steps: int, trace: bool):
         self.fpc = fpc
         self.max_steps = max_steps
+        self.trace = trace
         self.events: list[Ev] = []
         # the longest trace a failure has met: the deepest prefix reached
         self.deepest: tuple[Ev, ...] = ()
@@ -209,23 +196,20 @@ class _Run:
         self.positive: dict[object, list[tuple[int, tuple]]] = {}
         self.negative: dict[tuple, list[object]] = {}
         # choice points: (step, untried alternatives, last first, and the
-        # goals, trace length and trail length that backtracking restores)
+        # goals, trace length (None untraced) and trail length that
+        # backtracking restores)
         self.choices: list[tuple] = []
         self.trail: list[tuple[list, object]] = []
-
-    def tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise StepBudgetExceeded(f"gave up after {self.max_steps} steps")
 
     def run(self, cert: object, gamma: tuple) -> bool:
         goals = (_ASYNC, cert, gamma, None)
         while goals is not None:
             tag, a, b, goals = goals
-            if tag == _ASYNC:
-                goals = self.asynchronous(a, b, goals)
-            elif tag == _SYNC:
-                goals = self.synchronous(a, b, goals)
+            if tag <= _SYNC:
+                self.steps += 1
+                if self.steps > self.max_steps:
+                    raise StepBudgetExceeded(f"gave up after {self.max_steps} steps")
+                goals = (self.asynchronous if tag == _ASYNC else self.synchronous)(a, b, goals)
             elif tag == _EMIT:
                 self.events.append(a)
             elif tag == _POP:
@@ -237,14 +221,14 @@ class _Run:
                 if not self.choices:
                     self.trail.clear()
             if goals is _FAIL:
-                if len(self.events) > len(self.deepest):
+                if self.trace and len(self.events) > len(self.deepest):
                     self.deepest = tuple(self.events)
                 if not self.choices:
                     return False
                 goals = self.backtrack()
         return True
 
-    def branch(self, alts: list, step: Callable, goals: tuple | None) -> object:
+    def branch(self, alts: Sequence, step: Callable, goals: tuple | None) -> object:
         """Apply a rule: run its first alternative on top of goals, and
         keep the others in a choice point that a cut goal under the
         premise drops once the premise has succeeded."""
@@ -253,7 +237,8 @@ class _Run:
         if len(alts) > 1:
             self.choice_points += len(alts) - 1
             goals = (_CUT, len(self.choices), None, goals)
-            self.choices.append((step, alts[:0:-1], goals, len(self.events), len(self.trail)))
+            mark = len(self.events) if self.trace else None
+            self.choices.append((step, list(alts[:0:-1]), goals, mark, len(self.trail)))
         return step(alts[0], goals)
 
     def backtrack(self) -> tuple:
@@ -268,13 +253,13 @@ class _Run:
                 bucket.pop()
             else:
                 bucket.append(item)
-        del self.events[mark:]
+        if self.trace:
+            del self.events[mark:]
         return step(alt, goals)
 
     # asynchronous phase: decompose the workbench head, or decide
 
     def asynchronous(self, cert: object, gamma: tuple, goals: tuple | None) -> object:
-        self.tick()
         if not gamma:
             return self._decide(cert, goals)
         item, rest = gamma[0], gamma[1:]
@@ -282,28 +267,33 @@ class _Run:
 
         if isinstance(f, OrNeg):
             def or_step(c2: object, goals: tuple | None) -> tuple:
-                self.events.append(ORNEG)
+                if self.trace:
+                    self.events.append(ORNEG)
                 return (_ASYNC, c2, ((f.left, env), (f.right, env)) + rest, goals)
-            return self.branch(list(self.fpc.orneg_c(cert)), or_step, goals)
+            return self.branch(tuple(self.fpc.orneg_c(cert)), or_step, goals)
 
         if isinstance(f, AndNeg):
             def and_step(pair: object, goals: tuple | None) -> tuple:
                 c_left, c_right = pair
-                self.events.append(ANDNEG_L)
-                return (_ASYNC, c_left, ((f.left, env),) + rest, (_EMIT, ANDNEG_R, None,
-                        (_ASYNC, c_right, ((f.right, env),) + rest, goals)))
-            return self.branch(list(self.fpc.andneg_c(cert)), and_step, goals)
+                right = (_ASYNC, c_right, ((f.right, env),) + rest, goals)
+                if self.trace:
+                    self.events.append(ANDNEG_L)
+                    right = (_EMIT, ANDNEG_R, None, right)
+                return (_ASYNC, c_left, ((f.left, env),) + rest, right)
+            return self.branch(tuple(self.fpc.andneg_c(cert)), and_step, goals)
 
         if isinstance(f, All):
             def all_step(mk: object, goals: tuple | None) -> tuple:
                 eigen = Eigen(self.next_eigen)
                 self.next_eigen += 1
-                self.events.append(Ev("all", eigen))
+                if self.trace:
+                    self.events.append(Ev("all", eigen))
                 return (_ASYNC, mk(eigen), ((f.body, (eigen,) + env),) + rest, goals)
-            return self.branch(list(self.fpc.all_c(cert)), all_step, goals)
+            return self.branch(tuple(self.fpc.all_c(cert)), all_step, goals)
 
         if isinstance(f, DelayNeg):
-            self.events.append(STRIP)
+            if self.trace:
+                self.events.append(STRIP)
             return (_ASYNC, cert, ((f.body, env),) + rest, goals)
 
         # everything else is storable: positives and negative literals
@@ -313,7 +303,8 @@ class _Run:
 
         def store_step(pair: object, goals: tuple | None) -> tuple:
             index, c2 = pair
-            self.events.append(Ev("store", index))
+            if self.trace:
+                self.events.append(Ev("store", index))
             if positive:
                 # the step count orders the entries of a branch by age
                 bucket = self.positive.setdefault(index, [])
@@ -324,7 +315,7 @@ class _Run:
             if self.choices:
                 self.trail.append((bucket, _PUSHED))
             return (_ASYNC, c2, rest, (_POP, bucket, None, goals))
-        return self.branch(list(self.fpc.store_c(cert, f)), store_step, goals)
+        return self.branch(tuple(self.fpc.store_c(cert, f)), store_step, goals)
 
     def _decide(self, cert: object, goals: tuple | None) -> object:
         # each stored positive entry at a named index is one alternative,
@@ -339,29 +330,33 @@ class _Run:
 
     def _decide_step(self, alt: tuple, goals: tuple | None) -> tuple:
         _, index, item, c2 = alt
-        self.events.append(Ev("decide", index))
+        if self.trace:
+            self.events.append(Ev("decide", index))
         return (_SYNC, c2, item, goals)
 
     # synchronous phase: decompose the focus
 
     def synchronous(self, cert: object, item: tuple, goals: tuple | None) -> object:
-        self.tick()
         focus, env = item
 
         if isinstance(focus, AndPos):
-            self.events.append(ANDPOS_L)
-            return (_SYNC, cert, (focus.left, env), (_EMIT, ANDPOS_R, None,
-                    (_SYNC, cert, (focus.right, env), goals)))
+            right = (_SYNC, cert, (focus.right, env), goals)
+            if self.trace:
+                self.events.append(ANDPOS_L)
+                right = (_EMIT, ANDPOS_R, None, right)
+            return (_SYNC, cert, (focus.left, env), right)
 
         if isinstance(focus, Exists):
             def some_step(pair: object, goals: tuple | None) -> tuple:
                 witness, c2 = pair
-                self.events.append(Ev("some", witness))
+                if self.trace:
+                    self.events.append(Ev("some", witness))
                 return (_SYNC, c2, (focus.body, (witness,) + env), goals)
-            return self.branch(list(self.fpc.some_e(cert)), some_step, goals)
+            return self.branch(tuple(self.fpc.some_e(cert)), some_step, goals)
 
         if isinstance(focus, DelayPos):
-            self.events.append(STRIP)
+            if self.trace:
+                self.events.append(STRIP)
             return (_SYNC, cert, (focus.body, env), goals)
 
         if isinstance(focus, PAtom):
@@ -371,30 +366,34 @@ class _Run:
             if not sanctioned:
                 return _FAIL
             self.choice_points += len(sanctioned) - 1
-            self.events.append(Ev("init", sanctioned[0]))
+            if self.trace:
+                self.events.append(Ev("init", sanctioned[0]))
             return goals
 
         # negative focus: hand it back to the asynchronous phase
-        self.events.append(RELEASE)
+        if self.trace:
+            self.events.append(RELEASE)
         return (_ASYNC, cert, (item,), goals)
 
 
 def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,
-                    max_steps: int = DEFAULT_MAX_STEPS) -> CheckResult:
+                    max_steps: int = DEFAULT_MAX_STEPS, trace: bool = True) -> CheckResult:
     """Check a certificate against an initial workbench of polarized
-    formulas, each in an empty environment.  Storage starts empty."""
-    run = _Run(fpc, max_steps)
+    formulas, each in an empty environment.  Storage starts empty.  With
+    trace false nothing is recorded: the result's trace is (), and its
+    verdict, steps and choice points are those of a traced check."""
+    run = _Run(fpc, max_steps, trace)
     accepted = run.run(cert, tuple((f, ()) for f in entry))
     trace = tuple(run.events) if accepted else run.deepest
     return CheckResult(accepted, trace, run.steps, run.choice_points)
 
 
 def check(goal: ModalFormula, cert: object, fpc: Fpc | None = None,
-          max_steps: int = DEFAULT_MAX_STEPS) -> CheckResult:
+          max_steps: int = DEFAULT_MAX_STEPS, trace: bool = True) -> CheckResult:
     """Check a certificate for a modal theorem: the entry workbench is
     the goal's polarized translation at the initial world, delayed into
     storable shape.  The certificate is read by its own FPC, cert.fpc,
-    unless fpc is given."""
+    unless fpc is given; trace is as for check_polarized."""
     fpc = cert.fpc if fpc is None else fpc
     entry = delay_if_negative(polarized_translation(goal, W0))
-    return check_polarized((entry,), cert, fpc, max_steps)
+    return check_polarized((entry,), cert, fpc, max_steps, trace)

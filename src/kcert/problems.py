@@ -5,6 +5,7 @@ the identity on canonical text.
     problem     := (problem "name" formula certificate)
     formula     := (+ sym) | (- sym) | (and f f) | (or f f)
                  | (box f) | (dia f)
+    sym         := a word, or + or -: (+ and) is the atom named and
     certificate := (fittings table? dectree)
                  | (simpfit table? (closures cl*) (boxinfos bi*))
     table       := (indexes entry*)
@@ -21,7 +22,8 @@ before parents, and every index after the table by name, so a file
 grows with the tree and the distinct indexes, not with their depth.
 Inline indexes stay legal everywhere.
 
-Whitespace is free-form and ; starts a comment running to end of line.
+A word is a run of letters, digits and _.  Whitespace is free-form and
+; starts a comment running to end of line.
 """
 
 from __future__ import annotations
@@ -196,22 +198,41 @@ class _Parser:
         self.pos -= 1
         raise self.error(f"unknown certificate kind {head!r}")
 
+    # the table, the blocks and the decide tree compare tokens through
+    # locals; what pair and dectree do not expect, an error included, is
+    # read again through next and index, so each message stays the same
+
     def table(self) -> None:
         """Read an index table if one comes next, naming entry k i<k>."""
-        if self.toks[self.pos:self.pos + 2] != ["(", "indexes"]:
+        toks, names, n = self.toks, self.names, len(self.toks)
+        if toks[self.pos:self.pos + 2] != ["(", "indexes"]:
             return
         self.pos += 2
         self.has_table = True
         k = 0
-        while self.peek() != ")":
-            start = self.pos
-            self.pos += self.peek() == "("
-            if self.pos == start or self.peek() not in _INDEX_CTORS:
+        while (t := toks[self.pos] if self.pos < n else None) != ")":
+            if t != "(" or self.pos + 1 == n or toks[self.pos + 1] not in _INDEX_CTORS:
+                self.pos += t == "("
                 raise self.error("expected an index table entry: (lind i), (rind i) or (bind i j)")
-            self.pos = start
-            self.names[f"i{k}"] = self.index()
+            names[f"i{k}"] = self.read(_INDEX_CTORS, names)
             k += 1
         self.pos += 1
+
+    def pair(self, tag: str, close: str) -> tuple[Index, Index]:
+        """Read (tag i j followed by close, giving i and j.  Both named, as
+        the printer writes them, are looked up in place."""
+        toks, names, pos = self.toks, self.names, self.pos
+        group = toks[pos:pos + 5]
+        if len(group) == 5 and group[0] == "(" and group[1] == tag and group[4] == close:
+            i, j = names.get(group[2]), names.get(group[3])
+            if i is not None and j is not None:
+                self.pos = pos + 5
+                return i, j
+        self.next("(")
+        self.next(tag)
+        i, j = self.index(), self.index()
+        self.next(close)
+        return i, j
 
     def block(self, name: str, tag: str, cls: type) -> tuple:
         """Read (name (tag i j)*) as a tuple of cls(i, j)."""
@@ -219,31 +240,30 @@ class _Parser:
         self.next(name)
         items = []
         while self.peek() == "(":
-            self.next("(")
-            self.next(tag)
-            items.append(cls(self.index(), self.index()))
-            self.next(")")
+            items.append(cls(*self.pair(tag, ")")))
         self.next(")")
         return tuple(items)
 
     def dectree(self) -> DecTree:
+        toks, n = self.toks, len(self.toks)
         # each open node: its decide index, its aux, the children so far
         open_nodes: list[tuple[Index, Index, list[DecTree]]] = []
         while True:
-            self.next("(")
-            self.next("dt")
-            decide_on = self.index()
-            aux = self.index()
-            self.next("(")
-            open_nodes.append((decide_on, aux, []))
-            while self.peek() != "(":
-                self.next(")")
-                self.next(")")
+            open_nodes.append((*self.pair("dt", "("), []))
+            pos = self.pos
+            while pos >= n or toks[pos] != "(":
+                if toks[pos:pos + 2] != [")", ")"]:
+                    self.pos = pos
+                    self.next(")")
+                    self.next(")")
+                pos += 2
                 decide_on, aux, children = open_nodes.pop()
                 node = DecTree(decide_on, aux, tuple(children))
                 if not open_nodes:
+                    self.pos = pos
                     return node
                 open_nodes[-1][2].append(node)
+            self.pos = pos
 
     def formula(self) -> ModalFormula:
         return self.read(_CONNECTIVES, {})

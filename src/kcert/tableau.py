@@ -163,12 +163,17 @@ def eval_fo(model: KripkeModel, f: FoFormula, env: Mapping[Term, Prefix]) -> boo
 
 
 def format_model(model: KripkeModel) -> str:
+    # each world is named once, from its parent's name where it has one:
+    # a parent sorts before its children
+    names: dict[Prefix, str] = {}
     lines = []
     for w in sorted(model.worlds):
+        parent = names.get(w[:-1])
+        name = names[w] = format_prefix(w) if parent is None else f"{parent}.{w[-1]}"
         atoms = ", ".join(sorted(model.val[w]))
-        lines.append(f"world {format_prefix(w)}: {{{atoms}}}")
+        lines.append(f"world {name}: {{{atoms}}}")
     for src, dst in sorted(model.rel):
-        lines.append(f"edge {format_prefix(src)} {format_prefix(dst)}")
+        lines.append(f"edge {names[src]} {names[dst]}")
     return "\n".join(lines)
 
 

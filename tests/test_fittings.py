@@ -192,12 +192,15 @@ class TestClauses:
 
 
 class _Spy(Fpc):
-    """Delegates to the fittings format and records continuation counts."""
+    """Delegates to the fittings format and records continuation counts
+    and the types of its answers."""
 
     def __init__(self):
         self.max_continuations = 0
+        self.answer_types = set()
 
     def _see(self, got):
+        self.answer_types.add(type(got))
         got = list(got)
         self.max_continuations = max(self.max_continuations, len(got))
         return got
@@ -277,6 +280,8 @@ class TestEndToEnd:
             spy = _Spy()
             assert check(goal, cert, spy).accepted
             assert spy.max_continuations == 1
+            # each answer is a tuple, which the kernel reads without a copy
+            assert spy.answer_types == {tuple}
 
     def test_mutants_reject(self):
         for cert_maker, goal in ((ftab1_cert, EXAMPLE1_THEOREM),

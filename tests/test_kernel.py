@@ -8,7 +8,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcert import cli
+from kcert import cli, kernel
 from kcert.examples import (
     EXAMPLE1_THEOREM,
     EXAMPLE2_THEOREM,
@@ -41,7 +41,7 @@ from kcert.kernel import (
     trace_lines,
 )
 from kcert.simpfit import SIMPFIT, SimpfitCert, distill
-from kcert.problems import parse_formula_text
+from kcert.problems import ProblemFile, format_problem, parse_formula_text
 from kcert.tableau import (
     ClosedTableau, bounded_validity_oracle, emit_dectree, emit_fitcert, emit_simpfitcert, prove)
 from helpers import (
@@ -408,6 +408,64 @@ class TestPinnedRuns:
         certs = [(EXAMPLE1_THEOREM, sftab1_cert()), (EXAMPLE2_THEOREM, sftab2_cert())]
         assert self.digest(certs, emit_simpfitcert) == (
             163, "dd9d10d133a8c1bb0babfde6a75c744fa460c6d0458086f2e1e08e6f1bbb0ddf")
+
+
+def _pinned_runs():
+    """Every (goal, certificate) run of TestPinnedRuns: both certificate
+    sets, each certificate with its mutants."""
+    for certs, emit in (
+            ([(EXAMPLE1_THEOREM, ftab1_cert()), (EXAMPLE2_THEOREM, ftab2_cert()),
+              (TAUT_THEOREM, taut_cert())], emit_fitcert),
+            ([(EXAMPLE1_THEOREM, sftab1_cert()), (EXAMPLE2_THEOREM, sftab2_cert())],
+             emit_simpfitcert)):
+        for family in (taut, kchain, wide):
+            for n in (1, 2):
+                goal = family(n)
+                certs.append((goal, emit(prove(goal), goal)))
+        for goal, cert in certs:
+            for c in [cert, *(m for _, m in certificate_mutants(cert))]:
+                yield goal, c
+
+
+class TestUntracedRuns:
+    """A check that asks for no trace gives the traced verdict, steps and
+    choice points, trace (), and builds no event on the way."""
+
+    def test_untraced_runs_match_the_traced_ones(self):
+        runs = 0
+        for goal, cert in _pinned_runs():
+            traced = check(goal, cert, max_steps=100_000)
+            untraced = check(goal, cert, max_steps=100_000, trace=False)
+            assert (untraced.accepted, untraced.steps, untraced.choice_points) == (
+                traced.accepted, traced.steps, traced.choice_points)
+            assert untraced.trace == ()
+            runs += 1
+        assert runs == 357
+
+    @pytest.fixture
+    def no_events(self, monkeypatch):
+        def no_event(*args):
+            raise AssertionError("an untraced check built a trace event")
+
+        monkeypatch.setattr(kernel, "Ev", no_event)
+
+    def test_untraced_checks_build_no_event(self, no_events):
+        assert check(EXAMPLE1_THEOREM, ftab1_cert(), trace=False).accepted
+        assert check(EXAMPLE1_THEOREM, sftab1_cert(), trace=False).accepted
+        mutant = next(m for _, m in certificate_mutants(ftab1_cert()))
+        assert not check(EXAMPLE1_THEOREM, mutant, trace=False).accepted
+        # a traced check does build them
+        with pytest.raises(AssertionError, match="built a trace event"):
+            check(EXAMPLE1_THEOREM, ftab1_cert())
+
+    def test_the_cli_traces_only_when_asked(self, no_events, tmp_path, capsys):
+        path = tmp_path / "ftab1.prob"
+        path.write_text(format_problem(ProblemFile("ftab1", EXAMPLE1_THEOREM, ftab1_cert())))
+        assert cli.main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == "accepted\n"
+        # prove checks what it emits without a trace
+        assert cli.main(["prove", "(or (+ p) (- p))"]) == 0
+        assert capsys.readouterr().out.startswith('(problem "emitted"')
 
 
 def _simpfit_with_repeats(ct, goal):

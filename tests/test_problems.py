@@ -478,6 +478,11 @@ class TestRoundTrips:
         assert printed == stripped
         assert parse_problem(printed) == pf
 
+    # a sym is any word, or + or -: connective names and signs included
+    @pytest.mark.parametrize("text", ["(+ p)", "(- p_1)", "(+ +)", "(- -)", "(+ and)"])
+    def test_formula_parse_then_print_is_identity(self, text):
+        assert format_formula(parse_formula_text(text)) == text
+
     def test_print_is_idempotent(self):
         for cert in (ftab1_cert(), sftab1_cert()):
             pf = ProblemFile("again", EXAMPLE1_THEOREM, cert)

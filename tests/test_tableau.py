@@ -113,6 +113,15 @@ class TestModels:
         assert format_model(TWO_WORLDS) == (
             "world 1: {p}\nworld 1.1: {q}\nedge 1 1.1")
 
+    def test_format_model_names_every_world_by_its_prefix(self):
+        # 1.2.3 has no parent world, so it is named from its own prefix
+        worlds = [(1,), (1, 1), (1, 1, 4), (1, 2, 3), (1, 10), (2,)]
+        model = KripkeModel(frozenset(worlds), frozenset({((1,), (1, 2, 3)), ((1, 10), (1, 1, 4))}),
+                            {w: frozenset({"p"}) if len(w) > 2 else frozenset() for w in worlds})
+        assert format_model(model) == (
+            "world 1: {}\nworld 1.1: {}\nworld 1.1.4: {p}\nworld 1.2.3: {p}\n"
+            "world 1.10: {}\nworld 2: {}\nedge 1 1.2.3\nedge 1.10 1.1.4")
+
     def test_format_prefix(self):
         assert format_prefix((1, 2, 1)) == "1.2.1"
 
