@@ -10,13 +10,16 @@ Subcommands:
 
 Every check, prove's self-check included, runs under a budget of
 10,000,000 kernel steps: kernel.DEFAULT_MAX_STEPS, the default of every
-library check too, passed here by name so that tests can lower it.  A
-check that runs out of steps is an error, not a verdict.
+library check too, passed here by name so that tests can lower it.
+prove's search runs under tableau.DEFAULT_MAX_TABLEAU_STEPS, 153,500
+tableau steps, passed the same way.  A check or a search that runs out
+of steps is an error, not a verdict.
 
 Exit codes: 0 accept/valid/proved, 1 reject/invalid/refuted, 2 errors
 (bad usage, unreadable file, parse failure, oracle bound exceeded, input
-nested too deeply, out of memory, step budget exhausted).  check and
-prove recurse nowhere; only the oracle, capped at 8 connectives, does.
+nested too deeply, out of memory, kernel or tableau step budget
+exhausted).  check and prove recurse nowhere; only the oracle, capped at
+8 connectives, does.
 An error is reported as one line on stderr, never as a traceback.
 """
 
@@ -41,6 +44,7 @@ from .problems import (
     parse_problem,
 )
 from .tableau import (
+    DEFAULT_MAX_TABLEAU_STEPS,
     OpenBranch,
     bounded_validity_oracle,
     emit_fitcert,
@@ -91,7 +95,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_prove(args: argparse.Namespace) -> int:
     theorem = parse_formula_text(args.formula)
-    outcome = prove(theorem)
+    outcome = prove(theorem, max_steps=DEFAULT_MAX_TABLEAU_STEPS)
     if isinstance(outcome, OpenBranch):
         print("countermodel:")
         print(format_model(outcome.model))

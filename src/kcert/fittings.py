@@ -210,61 +210,75 @@ class FitCert(NamedTuple):
         return FitCert((EIND,), tree, ())
 
 
+# a FitCert is built by tuple.__new__ itself, one C call, not through the
+# Python-level __new__ that NamedTuple generates
+_new = tuple.__new__
+
+
 class FittingsFpc(Fpc):
     """Replay a decide tree, refusing every step the tree does not name.
     Each predicate answers with a tuple, which the kernel reads as it is."""
 
     def decide_e(self, cert: FitCert) -> tuple[tuple[object, object], ...]:
         # a translated entry is decided on with nothing pending
-        if cert.pending:
-            cert = FitCert((), cert.tree, cert.eigmap)
-        return ((cert.tree.decide_on, cert),)
+        pending, tree, eigmap = cert
+        if pending:
+            cert = _new(FitCert, ((), tree, eigmap))
+        return ((tree.decide_on, cert),)
 
     def store_c(self, cert: FitCert, formula: PolarizedFormula) -> tuple[tuple[object, object], ...]:
         if is_rel_literal(formula):
             return ((NONE, cert),)
-        if cert.pending:
-            return ((cert.pending[0], FitCert(cert.pending[1:], cert.tree, cert.eigmap)),)
+        pending, tree, eigmap = cert
+        if pending:
+            return ((pending[0], _new(FitCert, (pending[1:], tree, eigmap))),)
         return ()
 
     def initial_e(self, cert: FitCert, index: object) -> bool:
         return index is cert.tree.aux or index is NONE
 
     def orneg_c(self, cert: FitCert) -> tuple[object, ...]:
-        if cert.pending:
+        pending, tree, eigmap = cert
+        if pending:
             return (cert,)
-        if cert.tree.children:
-            i = cert.tree.decide_on
-            return (FitCert((Lind(i), Rind(i)), cert.tree.children[0], cert.eigmap),)
+        if tree.children:
+            i = tree.decide_on
+            return (_new(FitCert, ((Lind(i), Rind(i)), tree.children[0], eigmap)),)
         return ()
 
     def andneg_c(self, cert: FitCert) -> tuple[tuple[object, object], ...]:
-        if len(cert.tree.children) >= 2:
-            i = cert.tree.decide_on
-            left, right = cert.tree.children[0], cert.tree.children[1]
-            return ((FitCert((Lind(i),), left, cert.eigmap),
-                     FitCert((Rind(i),), right, cert.eigmap)),)
+        _, tree, eigmap = cert
+        if len(tree.children) >= 2:
+            i = tree.decide_on
+            left, right = tree.children[0], tree.children[1]
+            return ((_new(FitCert, ((Lind(i),), left, eigmap)),
+                     _new(FitCert, ((Rind(i),), right, eigmap))),)
         return ()
 
     def all_c(self, cert: FitCert) -> tuple[Callable[[Term], object], ...]:
-        if cert.tree.children:
-            i = cert.tree.decide_on
-            child = cert.tree.children[0]
-            eigmap = cert.eigmap
+        _, tree, eigmap = cert
+        if tree.children:
+            i = tree.decide_on
+            child = tree.children[0]
 
             def bind_eigen(eigen: Term) -> FitCert:
-                return FitCert((Lind(i),), child, ((i, eigen),) + eigmap)
+                return _new(FitCert, ((Lind(i),), child, ((i, eigen),) + eigmap))
 
             return (bind_eigen,)
         return ()
 
     def some_e(self, cert: FitCert) -> tuple[tuple[Term, object], ...]:
-        if not cert.tree.children:
+        # every eigenvariable bound to the aux universal, newest first
+        _, tree, eigmap = cert
+        if not tree.children:
             return ()
-        i, aux = cert.tree.decide_on, cert.tree.aux
-        child = cert.tree.children[0]
-        return tuple((eigen, FitCert((Bind(i, aux),), child, cert.eigmap))
-                     for key, eigen in cert.eigmap if key is aux)
+        aux = tree.aux
+        c2 = _new(FitCert, ((Bind(tree.decide_on, aux),), tree.children[0], eigmap))
+        found = ()
+        for key, eigen in eigmap:
+            if key is aux:
+                found += ((eigen, c2),)
+        return found
 
 
 FITTINGS = FittingsFpc()

@@ -50,7 +50,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .formulas import (All, AndNeg, AndPos, BVar, DelayNeg, DelayPos, Eigen, Exists,
                        ModalFormula, NAtom, OrNeg, PAtom, PolarizedFormula, Term, W0,
-                       delay_if_negative, is_positive, polarized_translation)
+                       WorldConst, delay_if_negative, is_positive, polarized_translation)
 
 
 # the step budget of every check that names none: over four hundred
@@ -116,7 +116,8 @@ class Fpc:
 
     store_c sees the formula as the translation wrote it, its bound
     variables unresolved: its class, predicate and arity are meaningful,
-    its arguments are not.
+    its arguments are not.  A witness some_e names must be an Eigen
+    numbered by an int, or a WorldConst; the rule fails on any other.
     """
 
     def decide_e(self, cert: object) -> Iterable[tuple[object, object]]:
@@ -195,21 +196,21 @@ class _Run:
         self.next_eigen = 1
         self.positive: dict[object, list[tuple[int, tuple]]] = {}
         self.negative: dict[tuple, list[object]] = {}
-        # choice points: (step, untried alternatives, last first, and the
-        # goals, trace length (None untraced) and trail length that
-        # backtracking restores)
+        # choice points: (step, its context, untried alternatives last first,
+        # then the goals, trace length or None and trail length to restore)
         self.choices: list[tuple] = []
         self.trail: list[tuple[list, object]] = []
 
     def run(self, cert: object, gamma: tuple) -> bool:
         goals = (_ASYNC, cert, gamma, None)
+        phases = (self.asynchronous, self.synchronous)  # by tag
         while goals is not None:
             tag, a, b, goals = goals
             if tag <= _SYNC:
                 self.steps += 1
                 if self.steps > self.max_steps:
                     raise StepBudgetExceeded(f"gave up after {self.max_steps} steps")
-                goals = (self.asynchronous if tag == _ASYNC else self.synchronous)(a, b, goals)
+                goals = phases[tag](a, b, goals)
             elif tag == _EMIT:
                 self.events.append(a)
             elif tag == _POP:
@@ -220,7 +221,8 @@ class _Run:
                 del self.choices[a:]
                 if not self.choices:
                     self.trail.clear()
-            if goals is _FAIL:
+            # an alternative resumed by backtracking may fail at once too
+            while goals is _FAIL:
                 if self.trace and len(self.events) > len(self.deepest):
                     self.deepest = tuple(self.events)
                 if not self.choices:
@@ -228,22 +230,22 @@ class _Run:
                 goals = self.backtrack()
         return True
 
-    def branch(self, alts: Sequence, step: Callable, goals: tuple | None) -> object:
-        """Apply a rule: run its first alternative on top of goals, and
-        keep the others in a choice point that a cut goal under the
-        premise drops once the premise has succeeded."""
+    def branch(self, alts: Sequence, step: Callable, ctx: object, goals: tuple | None) -> object:
+        """Apply a rule: run its step, a method given the rule's context,
+        on the first alternative, and keep the others in a choice point
+        that a cut goal under the premise drops once it has succeeded."""
         if not alts:
             return _FAIL
         if len(alts) > 1:
             self.choice_points += len(alts) - 1
             goals = (_CUT, len(self.choices), None, goals)
             mark = len(self.events) if self.trace else None
-            self.choices.append((step, list(alts[:0:-1]), goals, mark, len(self.trail)))
-        return step(alts[0], goals)
+            self.choices.append((step, ctx, list(alts[:0:-1]), goals, mark, len(self.trail)))
+        return step(ctx, alts[0], goals)
 
-    def backtrack(self) -> tuple:
+    def backtrack(self) -> object:
         """Resume the newest choice point with its next alternative."""
-        step, untried, goals, mark, trail_len = self.choices[-1]
+        step, ctx, untried, goals, mark, trail_len = self.choices[-1]
         alt = untried.pop()
         if not untried:
             self.choices.pop()
@@ -255,80 +257,77 @@ class _Run:
                 bucket.append(item)
         if self.trace:
             del self.events[mark:]
-        return step(alt, goals)
+        return step(ctx, alt, goals)
 
-    # asynchronous phase: decompose the workbench head, or decide
+    # asynchronous phase: decompose the workbench, a step's context, or decide
 
     def asynchronous(self, cert: object, gamma: tuple, goals: tuple | None) -> object:
         if not gamma:
             return self._decide(cert, goals)
-        item, rest = gamma[0], gamma[1:]
-        f, env = item
-
+        f = gamma[0][0]
         if isinstance(f, OrNeg):
-            def or_step(c2: object, goals: tuple | None) -> tuple:
-                if self.trace:
-                    self.events.append(ORNEG)
-                return (_ASYNC, c2, ((f.left, env), (f.right, env)) + rest, goals)
-            return self.branch(tuple(self.fpc.orneg_c(cert)), or_step, goals)
-
+            return self.branch(tuple(self.fpc.orneg_c(cert)), self.or_step, gamma, goals)
         if isinstance(f, AndNeg):
-            def and_step(pair: object, goals: tuple | None) -> tuple:
-                c_left, c_right = pair
-                right = (_ASYNC, c_right, ((f.right, env),) + rest, goals)
-                if self.trace:
-                    self.events.append(ANDNEG_L)
-                    right = (_EMIT, ANDNEG_R, None, right)
-                return (_ASYNC, c_left, ((f.left, env),) + rest, right)
-            return self.branch(tuple(self.fpc.andneg_c(cert)), and_step, goals)
-
+            return self.branch(tuple(self.fpc.andneg_c(cert)), self.and_step, gamma, goals)
         if isinstance(f, All):
-            def all_step(mk: object, goals: tuple | None) -> tuple:
-                eigen = Eigen(self.next_eigen)
-                self.next_eigen += 1
-                if self.trace:
-                    self.events.append(Ev("all", eigen))
-                return (_ASYNC, mk(eigen), ((f.body, (eigen,) + env),) + rest, goals)
-            return self.branch(tuple(self.fpc.all_c(cert)), all_step, goals)
-
+            return self.branch(tuple(self.fpc.all_c(cert)), self.all_step, gamma, goals)
         if isinstance(f, DelayNeg):
             if self.trace:
                 self.events.append(STRIP)
-            return (_ASYNC, cert, ((f.body, env),) + rest, goals)
-
+            return (_ASYNC, cert, ((f.body, gamma[0][1]),) + gamma[1:], goals)
         # everything else is storable: positives and negative literals
-        positive = is_positive(f)
-        if not positive and not isinstance(f, NAtom):
+        if not is_positive(f) and not isinstance(f, NAtom):
             return _FAIL
+        return self.branch(tuple(self.fpc.store_c(cert, f)), self.store_step, gamma, goals)
 
-        def store_step(pair: object, goals: tuple | None) -> tuple:
-            index, c2 = pair
-            if self.trace:
-                self.events.append(Ev("store", index))
-            if positive:
-                # the step count orders the entries of a branch by age
-                bucket = self.positive.setdefault(index, [])
-                bucket.append((self.steps, item))
-            else:
-                bucket = self.negative.setdefault((f.pred, _resolve(f.args, env)), [])
-                bucket.append(index)
-            if self.choices:
-                self.trail.append((bucket, _PUSHED))
-            return (_ASYNC, c2, rest, (_POP, bucket, None, goals))
-        return self.branch(tuple(self.fpc.store_c(cert, f)), store_step, goals)
+    def or_step(self, gamma: tuple, c2: object, goals: tuple | None) -> tuple:
+        (f, env), rest = gamma[0], gamma[1:]
+        if self.trace:
+            self.events.append(ORNEG)
+        return (_ASYNC, c2, ((f.left, env), (f.right, env)) + rest, goals)
+
+    def and_step(self, gamma: tuple, pair: object, goals: tuple | None) -> tuple:
+        (f, env), rest, (c_left, c_right) = gamma[0], gamma[1:], pair
+        right = (_ASYNC, c_right, ((f.right, env),) + rest, goals)
+        if self.trace:
+            self.events.append(ANDNEG_L)
+            right = (_EMIT, ANDNEG_R, None, right)
+        return (_ASYNC, c_left, ((f.left, env),) + rest, right)
+
+    def all_step(self, gamma: tuple, mk: object, goals: tuple | None) -> tuple:
+        (f, env), rest = gamma[0], gamma[1:]
+        eigen = Eigen(self.next_eigen)
+        self.next_eigen += 1
+        if self.trace:
+            self.events.append(Ev("all", eigen))
+        return (_ASYNC, mk(eigen), ((f.body, (eigen,) + env),) + rest, goals)
+
+    def store_step(self, gamma: tuple, pair: object, goals: tuple | None) -> tuple:
+        (index, c2), (f, env) = pair, gamma[0]
+        if self.trace:
+            self.events.append(Ev("store", index))
+        if isinstance(f, NAtom):
+            bucket = self.negative.setdefault((f.pred, _resolve(f.args, env)), [])
+            bucket.append(index)
+        else:
+            # the step count orders the entries of a branch by age
+            bucket = self.positive.setdefault(index, [])
+            bucket.append((self.steps, gamma[0]))
+        if self.choices:
+            self.trail.append((bucket, _PUSHED))
+        return (_ASYNC, c2, gamma[1:], (_POP, bucket, None, goals))
 
     def _decide(self, cert: object, goals: tuple | None) -> object:
-        # each stored positive entry at a named index is one alternative,
-        # newest (the branch tip's) first; the sort is stable, also when
-        # reversed, so one entry keeps the order its names came in
+        # one alternative per stored positive entry at a named index, newest
+        # first; the stable sort keeps one entry's names in their order
         alts: list[tuple] = []
         for index, c2 in self.fpc.decide_e(cert):
             for position, item in self.positive.get(index, ()):
                 alts.append((position, index, item, c2))
         alts.sort(key=itemgetter(0), reverse=True)
-        return self.branch(alts, self._decide_step, goals)
+        return self.branch(alts, self.decide_step, None, goals)
 
-    def _decide_step(self, alt: tuple, goals: tuple | None) -> tuple:
+    def decide_step(self, _: None, alt: tuple, goals: tuple | None) -> tuple:
         _, index, item, c2 = alt
         if self.trace:
             self.events.append(Ev("decide", index))
@@ -338,27 +337,18 @@ class _Run:
 
     def synchronous(self, cert: object, item: tuple, goals: tuple | None) -> object:
         focus, env = item
-
         if isinstance(focus, AndPos):
             right = (_SYNC, cert, (focus.right, env), goals)
             if self.trace:
                 self.events.append(ANDPOS_L)
                 right = (_EMIT, ANDPOS_R, None, right)
             return (_SYNC, cert, (focus.left, env), right)
-
         if isinstance(focus, Exists):
-            def some_step(pair: object, goals: tuple | None) -> tuple:
-                witness, c2 = pair
-                if self.trace:
-                    self.events.append(Ev("some", witness))
-                return (_SYNC, c2, (focus.body, (witness,) + env), goals)
-            return self.branch(tuple(self.fpc.some_e(cert)), some_step, goals)
-
+            return self.branch(tuple(self.fpc.some_e(cert)), self.some_step, item, goals)
         if isinstance(focus, DelayPos):
             if self.trace:
                 self.events.append(STRIP)
             return (_SYNC, cert, (focus.body, env), goals)
-
         if isinstance(focus, PAtom):
             key = (focus.pred, _resolve(focus.args, env))
             sanctioned = [index for index in self.negative.get(key, ())
@@ -369,11 +359,21 @@ class _Run:
             if self.trace:
                 self.events.append(Ev("init", sanctioned[0]))
             return goals
-
         # negative focus: hand it back to the asynchronous phase
         if self.trace:
             self.events.append(RELEASE)
         return (_ASYNC, cert, (item,), goals)
+
+    def some_step(self, item: tuple, pair: object, goals: tuple | None) -> object:
+        # no later all may introduce the witness's eigenvariable as fresh
+        (focus, env), (witness, c2) = item, pair
+        if type(witness) is Eigen and type(witness.id) is int:
+            self.next_eigen = max(self.next_eigen, witness.id + 1)
+        elif type(witness) is not WorldConst:
+            return _FAIL
+        if self.trace:
+            self.events.append(Ev("some", witness))
+        return (_SYNC, c2, (focus.body, (witness,) + env), goals)
 
 
 def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,

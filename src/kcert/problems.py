@@ -203,20 +203,35 @@ class _Parser:
     # read again through next and index, so each message stays the same
 
     def table(self) -> None:
-        """Read an index table if one comes next, naming entry k i<k>."""
+        """Read an index table if one comes next, naming entry k i<k>.  An
+        entry whose arguments are names, as the printer writes it, is read
+        in place; any other through read."""
         toks, names, n = self.toks, self.names, len(self.toks)
         if toks[self.pos:self.pos + 2] != ["(", "indexes"]:
             return
-        self.pos += 2
+        pos = self.pos + 2
         self.has_table = True
         k = 0
-        while (t := toks[self.pos] if self.pos < n else None) != ")":
-            if t != "(" or self.pos + 1 == n or toks[self.pos + 1] not in _INDEX_CTORS:
-                self.pos += t == "("
+        while (t := toks[pos] if pos < n else None) != ")":
+            ctor = _INDEX_CTORS.get(toks[pos + 1]) if t == "(" and pos + 1 < n else None
+            if ctor is None:
+                self.pos = pos + (t == "(")
                 raise self.error("expected an index table entry: (lind i), (rind i) or (bind i j)")
-            names[f"i{k}"] = self.read(_INDEX_CTORS, names)
+            # the arguments stand from pos + 2 to just before the closer;
+            # for lind and rind the first is the last
+            cls, arity = ctor
+            end = pos + 2 + arity
+            i = names.get(toks[pos + 2]) if end < n and toks[end] == ")" else None
+            j = names.get(toks[end - 1]) if i is not None else None
+            if j is not None:
+                names[f"i{k}"] = cls(i) if arity == 1 else cls(i, j)
+                pos = end + 1
+            else:
+                self.pos = pos
+                names[f"i{k}"] = self.read(_INDEX_CTORS, names)
+                pos = self.pos
             k += 1
-        self.pos += 1
+        self.pos = pos + 1
 
     def pair(self, tag: str, close: str) -> tuple[Index, Index]:
         """Read (tag i j followed by close, giving i and j.  Both named, as

@@ -63,9 +63,14 @@ from .formulas import (
     negate_nnf,
     no_kids,
 )
+from .kernel import StepBudgetExceeded
 from .simpfit import SimpfitCert, distill
 
 Prefix = tuple[int, ...]
+
+# the step budget of every proof search that names none: a hundred times
+# the largest search in the tests and the benchmark (1,535 steps, taut(512))
+DEFAULT_MAX_TABLEAU_STEPS = 153_500
 
 ROOT_WORLD: Prefix = (1,)
 
@@ -334,15 +339,18 @@ class _Prover:
         return OpenBranch(model, tuple(entries))
 
 
-def prove(theorem: ModalFormula) -> ClosedTableau | OpenBranch:
+def prove(theorem: ModalFormula,
+          max_steps: int = DEFAULT_MAX_TABLEAU_STEPS) -> ClosedTableau | OpenBranch:
     """Refute the negation of theorem.  A ClosedTableau means theorem is
     K-valid; an OpenBranch carries the first countermodel found, verified.
     One stack holds the branches to expand, left first, and the steps
-    waiting for their children."""
+    waiting for their children.  Each step on a branch counts against
+    max_steps, and the search raises StepBudgetExceeded past it."""
     root = PrefixedFormula(ROOT_WORLD, negate_nnf(theorem), (), EIND)
     prover = _Prover()
     built: list[TabStep] = []
     todo: list = [([root], frozenset())]
+    steps = 0
     while todo:
         item = todo.pop()
         if isinstance(item[1], int):
@@ -351,6 +359,9 @@ def prove(theorem: ModalFormula) -> ClosedTableau | OpenBranch:
             k = len(built) - n
             built[k:] = [make(children=tuple(built[k:]))]
             continue
+        steps += 1
+        if steps > max_steps:
+            raise StepBudgetExceeded(f"proof search gave up after {max_steps} tableau steps")
         found = prover.step(*item)
         if isinstance(found, OpenBranch):
             return found

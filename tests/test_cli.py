@@ -1,6 +1,7 @@
 """Command-line behavior.  Exit codes are the machine contract: 0 for
 accept/valid, 1 for reject/invalid, 2 for any error."""
 
+import hashlib
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,9 @@ from kcert.formulas import And, Box, Dia, NegAtom, Or, PosAtom, format_formula, 
 from kcert.problems import ProblemFile, format_problem
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
 from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, prove
-from helpers import DOUBLING_TABLE, recursion_limit, time_limit
+from helpers import (
+    DOUBLING_TABLE, agreement_corpus, kchain, kchain_bad, recursion_limit, taut, time_limit,
+    wide, wide_bad)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -164,6 +167,33 @@ class TestOracle:
         assert "capped" in capsys.readouterr().err
 
 
+class TestProveOutput:
+    """What kcert prove prints, countermodels included, and its exit code,
+    pinned as one digest before the prover's search is reworked."""
+
+    @staticmethod
+    def runs():
+        # every 7th corpus formula, proved or refuted, then the families
+        # at small n in both formats
+        for formula in agreement_corpus()[::7]:
+            yield format_formula(formula), "fittings"
+        for family in (taut, kchain, wide, kchain_bad, wide_bad):
+            for n in (1, 2, 3, 4):
+                for emit in ("fittings", "simpfit"):
+                    yield format_formula(family(n)), emit
+
+    def test_stdout_and_exit_codes_are_pinned(self, capsys):
+        # recorded before the tableau had a step budget
+        digest = hashlib.sha256()
+        runs = 0
+        for text, emit in self.runs():
+            code = main(["prove", text, "--emit", emit])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+            runs += 1
+        assert (runs, digest.hexdigest()) == (
+            2851, "83dd1b224da788db6f8900618fc5b229867e323dacc0aa66402241470b204947")
+
+
 class TestErrors:
     """Failures that are not verdicts exit 2 with one line on stderr."""
 
@@ -189,6 +219,18 @@ class TestErrors:
         self._one_error_line(capsys)
         monkeypatch.setattr(cli, "DEFAULT_MAX_STEPS", 9)
         assert main(["check", str(FIXTURES / "taut.prob")]) == 0
+        capsys.readouterr()
+
+    def test_tableau_step_budget_is_an_error(self, monkeypatch, capsys):
+        # proving p | ~p takes 2 tableau steps, the split and the closure;
+        # refuting p takes 1, the look that finds its branch open
+        monkeypatch.setattr(cli, "DEFAULT_MAX_TABLEAU_STEPS", 1)
+        assert main(["prove", "(or (+ p) (- p))"]) == 2
+        self._one_error_line(capsys)
+        assert main(["prove", "(+ p)"]) == 1
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "DEFAULT_MAX_TABLEAU_STEPS", 2)
+        assert main(["prove", "(or (+ p) (- p))"]) == 0
         capsys.readouterr()
 
     def test_memory_error_is_an_error(self, monkeypatch, capsys):

@@ -22,7 +22,8 @@ from kcert.examples import (
     taut_dectree,
 )
 from kcert.fittings import Bind, DecTree, EIND, FITTINGS, FitCert, FittingsFpc, Lind, NONE, Rind
-from kcert.formulas import All, AndNeg, AndPos, BVar, DelayNeg, Eigen, NAtom, PAtom
+from kcert.formulas import (
+    W0, All, AndNeg, AndPos, BVar, DelayNeg, DelayPos, Eigen, Exists, NAtom, OrNeg, PAtom)
 from kcert.kernel import (
     ANDNEG_L,
     ANDNEG_R,
@@ -757,6 +758,86 @@ class TestEigenNumbering:
         result = check(EXAMPLE2_THEOREM, ftab2_cert(), FITTINGS)
         alls = [str(e) for e in result.trace if e.kind == "all"]
         assert alls == ["all e1", "all e2"]
+
+
+class Witnessing(Opening):
+    """Opening, splits every disjunction, and answers every existential
+    with the given witnesses in turn, whatever they are; records each
+    eigenvariable the kernel introduces."""
+
+    def __init__(self, *witnesses):
+        super().__init__()
+        self.witnesses = witnesses
+        self.eigens = []
+
+    def orneg_c(self, cert):
+        yield cert
+
+    def all_c(self, cert):
+        yield lambda eigen: self.eigens.append(eigen) or cert
+
+    def some_e(self, cert):
+        for witness in self.witnesses:
+            yield witness, cert
+
+
+class Rigged:
+    """Equal to everything, hashed as e1."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return hash(Eigen(1))
+
+
+class TestWitnesses:
+    """The some rule is sound whatever witness the FPC names: a witness
+    is a term, an Eigen numbered by an int or a WorldConst, and no later
+    all introduces a witness's eigenvariable as fresh."""
+
+    # exists x. all y. S(x, y) | ~S(y, x): invalid, false on the naturals
+    # with S(y, x) iff y = x + 1
+    INVALID = Exists(DelayPos(All(OrNeg(PAtom("S", (BVar(1), BVar(0))),
+                                        NAtom("S", (BVar(0), BVar(1)))))))
+    # exists x. p(x) | ~p(x): valid, any term witnesses it
+    VALID = Exists(DelayPos(OrNeg(PAtom("p", (BVar(0),)), NAtom("p", (BVar(0),)))))
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_a_witness_eigenvariable_is_never_fresh_again(self, k):
+        # answering e1 (or e2) got INVALID accepted in 11 (20) steps,
+        # the later all opening the witness itself as fresh
+        fpc = Witnessing(Eigen(k))
+        try:
+            accepted = check_polarized((self.INVALID,), None, fpc, max_steps=2_000).accepted
+        except StepBudgetExceeded:
+            accepted = False
+        assert not accepted
+        assert fpc.eigens[0] == Eigen(k + 1)
+        assert len(set(fpc.eigens)) == len(fpc.eigens)
+
+    @pytest.mark.parametrize("witness", [W0, Eigen(1), Eigen(7)], ids=str)
+    def test_terms_witness(self, witness):
+        result = check_polarized((self.VALID,), None, Witnessing(witness))
+        assert result.accepted
+        assert Ev("some", witness) in result.trace
+
+    @pytest.mark.parametrize("witness", [
+        "e1", BVar(0), Eigen(True), Eigen("1"), Eigen(Rigged()), Rigged(),
+        type("SubEigen", (Eigen,), {})(1)],
+        ids=["str", "bvar", "bool-eigen", "str-eigen", "rigged-eigen", "rigged", "subclass"])
+    def test_anything_else_fails_the_rule(self, witness):
+        result = check_polarized((self.VALID,), None, Witnessing(witness))
+        assert not result.accepted
+        # store, decide, and the some rule that fails
+        assert result.steps == 3
+        assert trace_lines(result.trace)[-1].startswith("decide")
+
+    def test_a_foreign_witness_tried_on_backtracking_fails_too(self):
+        # p(w0) finds no complement; the next alternative is no term
+        result = check_polarized((Exists(PAtom("p", (BVar(0),))),), None, Witnessing(W0, "x"))
+        assert not result.accepted
+        assert (result.steps, result.choice_points) == (4, 1)
 
 
 class TestBipoleShape:

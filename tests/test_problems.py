@@ -272,6 +272,49 @@ class TestErrorPositions:
         self.test_line_and_column(text, line, col, message)
 
 
+class TestIndexTableEntries:
+    """An entry over names, as the printer writes it, is read in place;
+    any other entry is read by the general reader.  Both give the same
+    indexes, and the same errors at the same places (pinned from the
+    reader that read every entry the general way)."""
+
+    HEAD = '(problem "x" (+ p)\n  (fittings (indexes '
+
+    @pytest.mark.parametrize("tail,tree", [
+        ('(lind (rind eind)) (bind i0 (lind eind))) (dt i1 i0 ())))',
+         DecTree(Bind(Lind(Rind(EIND)), Lind(EIND)), Lind(Rind(EIND)))),
+        ('(bind eind none) (rind i0)) (dt i1 none ())))',
+         DecTree(Rind(Bind(EIND, NONE)), NONE)),
+        ('(lind ; the left side\n   eind) (bind i0 ; then\n none)) (dt i1 none ())))',
+         DecTree(Bind(Lind(EIND), NONE), NONE)),
+        ('(  lind\teind  )\n  ( bind   i0\n\n i0 )) (dt i1 none ())))',
+         DecTree(Bind(Lind(EIND), Lind(EIND)), NONE)),
+    ], ids=["nested", "eind-and-none", "comments", "blanks"])
+    def test_entries_read_alike(self, tail, tree):
+        assert parse_problem(self.HEAD + tail).certificate == FitCert.load(tree)
+
+    @pytest.mark.parametrize("tail,line,col,message", [
+        ('(lind eind) (bind i0 i2)) (dt i1 none ())))', 2, 43, "undefined index reference 'i2'"),
+        ('(lind eind) (rind i1)) (dt i1 none ())))', 2, 40, "undefined index reference 'i1'"),
+        ('(lind eind) (rind i)) (dt i1 none ())))', 2, 40, "expected '(', found 'i'"),
+        ('(lind eind eind)) (dt i0 none ())))', 2, 33, "expected ')', found 'eind'"),
+        ('(bind eind)) (dt i0 none ())))', 2, 32, "expected '(', found ')'"),
+        ('(bind eind none none)) (dt i0 none ())))', 2, 38, "expected ')', found 'none'"),
+        ('(rind)) (dt i0 none ())))', 2, 27, "expected '(', found ')'"),
+        ('(lind eind (rind i0)) (dt i0 none ())))', 2, 33, "expected ')', found '('"),
+        ('(lind eind) (dt i0 none ())))', 2, 35,
+         "expected an index table entry: (lind i), (rind i) or (bind i j)"),
+        ('(lind eind', 2, 1, "expected ) (at end of input)"),
+        ('(bind i0', 2, 28, "undefined index reference 'i0'"),
+        ('(lind "eind")) (dt i0 none ())))', 2, 28, "expected '(', found 'eind'"),
+        ('(lind lind)) (dt i0 none ())))', 2, 28, "expected '(', found 'lind'"),
+    ], ids=["undefined", "undefined-self", "not-a-name", "unary-two-args", "bind-one-arg",
+            "bind-three-args", "no-argument", "missing-close", "missing-table-close",
+            "cut-after-argument", "cut-before-argument", "string-argument", "constructor-word"])
+    def test_errors_stay_the_same(self, tail, line, col, message):
+        TestErrorPositions().test_line_and_column(self.HEAD + tail, line, col, message)
+
+
 def _first_bad_character(text):
     """The offset and message of the first character outside strings
     and comments that starts no token, found one character at a time,

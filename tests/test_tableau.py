@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 from functools import cache
 
 import pytest
@@ -35,10 +36,12 @@ from kcert.formulas import (
     negate_nnf,
     standard_translation,
 )
-from kcert.kernel import check
+from kcert import cli
+from kcert.kernel import StepBudgetExceeded, check
 from kcert.problems import ProblemFile, format_problem, parse_problem
 from kcert.simpfit import SIMPFIT
 from kcert.tableau import (
+    DEFAULT_MAX_TABLEAU_STEPS,
     ClosedTableau,
     EmitError,
     KripkeModel,
@@ -156,6 +159,22 @@ class TestProver:
         assert ct.theorem == EXAMPLE1_THEOREM
         assert ct.root.prefix == ROOT_WORLD
         assert ct.root.body == negate_nnf(EXAMPLE1_THEOREM)
+
+    @pytest.mark.parametrize("goal,steps,found", [
+        (taut(3), 8, ClosedTableau),
+        (kchain_bad(2), 10, OpenBranch),
+    ], ids=["proof", "countermodel"])
+    def test_step_budget(self, goal, steps, found):
+        # one step per call of _Prover.step, closures and the open
+        # branch's last look included
+        assert isinstance(prove(goal, max_steps=steps), found)
+        with pytest.raises(StepBudgetExceeded, match=f"after {steps - 1} tableau steps"):
+            prove(goal, max_steps=steps - 1)
+
+    def test_every_search_has_one_default_budget(self):
+        default = inspect.signature(prove).parameters["max_steps"].default
+        assert default is DEFAULT_MAX_TABLEAU_STEPS
+        assert cli.DEFAULT_MAX_TABLEAU_STEPS is DEFAULT_MAX_TABLEAU_STEPS
 
     def test_branch_worlds_share_one_counter(self):
         ct = prove(EXAMPLE2_THEOREM)
