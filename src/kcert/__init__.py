@@ -23,6 +23,9 @@ from .formulas import (
     W0,
     delay_if_negative,
     polarized_translation,
+)
+from .firstorder import (
+    format_formula,
     render_fo,
     render_polarized,
     standard_translation,
@@ -49,7 +52,6 @@ from .tableau import (
 from .problems import (
     ParseError,
     ProblemFile,
-    format_formula,
     format_problem,
     parse_formula_text,
     parse_problem,

@@ -28,15 +28,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Sequence
 
-from .formulas import (
-    W0,
-    polarized_translation,
-    render_fo,
-    render_polarized,
-    standard_translation,
-)
-from .kernel import DEFAULT_MAX_STEPS, StepBudgetExceeded, check, trace_lines
+from .firstorder import render_fo, render_polarized, standard_translation
+from .formulas import W0, polarized_translation
+from .kernel import DEFAULT_MAX_STEPS, Ev, StepBudgetExceeded, check
 from .problems import (
     ProblemFile,
     format_problem,
@@ -80,6 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("formula", help="formula in problem-file syntax")
 
     return parser
+
+
+def trace_lines(events: Sequence[Ev]) -> list[str]:
+    return [str(ev) for ev in events]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind
-from .formulas import (And, Box, Dia, ModalFormula, NegAtom, Or, PosAtom, child_kids, fold,
-                       negate_nnf)
+from .fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind, child_kids
+from .formulas import And, Box, Dia, ModalFormula, NegAtom, Or, PosAtom, fold
 from .simpfit import BoxInfo, Closure, SimpfitCert
+from .tableau import negate_nnf
 
 _P = PosAtom("p")
 _Q = PosAtom("q")

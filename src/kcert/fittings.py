@@ -21,7 +21,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .formulas import PolarizedFormula, Term, child_kids, fold, is_rel_literal
+from .formulas import NAtom, PAtom, PolarizedFormula, REL, Term, fold
 from .kernel import Fpc
 
 
@@ -186,6 +186,10 @@ class DecTree:
     children: tuple[DecTree, ...] = ()
 
 
+def child_kids(node, ctx) -> list:
+    return [(child, ctx) for child in node.children]
+
+
 def node_count(tree: DecTree) -> int:
     return fold(tree, None, {DecTree: (child_kids, lambda t, _, v: 1 + sum(v))}, "decide tree")
 
@@ -213,6 +217,11 @@ class FitCert(NamedTuple):
 # a FitCert is built by tuple.__new__ itself, one C call, not through the
 # Python-level __new__ that NamedTuple generates
 _new = tuple.__new__
+
+
+def is_rel_literal(f: PolarizedFormula) -> bool:
+    """Atom over the binary accessibility relation, either polarity."""
+    return isinstance(f, (PAtom, NAtom)) and f.pred == REL and len(f.args) == 2
 
 
 class FittingsFpc(Fpc):

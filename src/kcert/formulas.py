@@ -1,16 +1,9 @@
-"""Formula syntax and translations for the modal-K certificate checker.
-
-Three syntax layers live here:
-
-* modal formulas in negation normal form (negation occurs only on atoms),
-* the polarized first-order correspondence language that the checking
-  kernel works on, with positive/negative connective variants and two
-  delay wrappers that control how far an inference phase may run,
-* a plain first-order syntax used for semantic cross-checks, so meaning
-  can be evaluated on a path that never involves polarities.
-
-World terms are shared by the last two layers.  Binders use de Bruijn
-indices (BVar), which keeps instantiation capture-free and makes formula
+"""The trusted syntax: modal formulas in negation normal form, the
+polarized first-order formulas the kernel works on, with positive and
+negative connectives and two delays that bound an inference phase, and
+the translation between them.  With kernel.py this module is the trusted
+base, and it imports nothing from kcert.  Binders use de Bruijn indices
+(BVar), which keeps instantiation capture-free and makes formula
 comparison plain structural equality.
 """
 
@@ -103,38 +96,6 @@ def both_kids(f, ctx) -> tuple:
 
 def body_kid(f, ctx) -> tuple:
     return ((f.body, ctx),)
-
-
-def child_kids(node, ctx) -> list:
-    return [(child, ctx) for child in node.children]
-
-
-_NEGATE = {
-    PosAtom: (no_kids, lambda a, _, __: NegAtom(a.name)),
-    NegAtom: (no_kids, lambda a, _, __: PosAtom(a.name)),
-    And: (both_kids, lambda a, _, v: Or(*v)),
-    Or: (both_kids, lambda a, _, v: And(*v)),
-    Box: (body_kid, lambda a, _, v: Dia(*v)),
-    Dia: (body_kid, lambda a, _, v: Box(*v)),
-}
-
-_COUNT = {
-    PosAtom: (no_kids, lambda *_: 0),
-    NegAtom: (no_kids, lambda *_: 0),
-    And: (both_kids, lambda a, _, v: 1 + sum(v)),
-    Or: (both_kids, lambda a, _, v: 1 + sum(v)),
-    Box: (body_kid, lambda a, _, v: 1 + sum(v)),
-    Dia: (body_kid, lambda a, _, v: 1 + sum(v)),
-}
-
-
-def negate_nnf(a: ModalFormula) -> ModalFormula:
-    """De Morgan negation, staying inside negation normal form."""
-    return fold(a, None, _NEGATE, "modal")
-
-
-def connective_count(a: ModalFormula) -> int:
-    return fold(a, None, _COUNT, "modal")
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +206,6 @@ def is_positive(f: PolarizedFormula) -> bool:
     return isinstance(f, _POSITIVE_CLASSES)
 
 
-def is_rel_literal(f: PolarizedFormula) -> bool:
-    """Atom over the binary accessibility relation, either polarity."""
-    return isinstance(f, (PAtom, NAtom)) and f.pred == REL and len(f.args) == 2
-
-
 def delay_if_negative(f: PolarizedFormula) -> PolarizedFormula:
     """Wrap a decomposable negative formula in a positive delay.
 
@@ -263,7 +219,7 @@ def delay_if_negative(f: PolarizedFormula) -> PolarizedFormula:
 
 
 # ---------------------------------------------------------------------------
-# the two translations of modal formulas
+# the polarized translation of modal formulas
 
 
 def _bound_world(a: Box | Dia, world: Term) -> tuple:
@@ -294,152 +250,3 @@ def polarized_translation(a: ModalFormula, world: Term) -> PolarizedFormula:
     world's formula.
     """
     return fold(a, world, _POLARIZED, "modal")
-
-
-# ---------------------------------------------------------------------------
-# plain first-order formulas
-
-
-@dataclass(frozen=True)
-class FoAtom:
-    pred: str
-    args: tuple[Term, ...]
-
-
-@dataclass(frozen=True)
-class FoNeg:
-    body: FoFormula
-
-
-@dataclass(frozen=True)
-class FoAnd:
-    left: FoFormula
-    right: FoFormula
-
-
-@dataclass(frozen=True)
-class FoOr:
-    left: FoFormula
-    right: FoFormula
-
-
-@dataclass(frozen=True)
-class FoImp:
-    left: FoFormula
-    right: FoFormula
-
-
-@dataclass(frozen=True)
-class FoAll:
-    body: FoFormula
-
-
-@dataclass(frozen=True)
-class FoEx:
-    body: FoFormula
-
-
-FoFormula = FoAtom | FoNeg | FoAnd | FoOr | FoImp | FoAll | FoEx
-
-
-_STANDARD = {
-    PosAtom: (no_kids, lambda a, w, _: FoAtom(a.name, (w,))),
-    NegAtom: (no_kids, lambda a, w, _: FoNeg(FoAtom(a.name, (w,)))),
-    And: (both_kids, lambda a, w, v: FoAnd(*v)),
-    Or: (both_kids, lambda a, w, v: FoOr(*v)),
-    Box: (_bound_world, lambda a, w, v: FoAll(FoImp(FoAtom(REL, (_shift(w), BVar(0))), *v))),
-    Dia: (_bound_world, lambda a, w, v: FoEx(FoAnd(FoAtom(REL, (_shift(w), BVar(0))), *v))),
-}
-
-_STRIP = {
-    PAtom: (no_kids, lambda f, _, __: FoAtom(f.pred, f.args)),
-    NAtom: (no_kids, lambda f, _, __: FoNeg(FoAtom(f.pred, f.args))),
-    AndNeg: (both_kids, lambda f, _, v: FoAnd(*v)),
-    AndPos: (both_kids, lambda f, _, v: FoAnd(*v)),
-    OrNeg: (both_kids, lambda f, _, v: FoOr(*v)),
-    All: (body_kid, lambda f, _, v: FoAll(*v)),
-    Exists: (body_kid, lambda f, _, v: FoEx(*v)),
-    DelayPos: (body_kid, lambda f, _, v: v[0]),
-    DelayNeg: (body_kid, lambda f, _, v: v[0]),
-}
-
-
-def standard_translation(a: ModalFormula, world: Term) -> FoFormula:
-    """The textbook relational translation into unpolarized first-order logic."""
-    return fold(a, world, _STANDARD, "modal")
-
-
-def strip_polarities(f: PolarizedFormula) -> FoFormula:
-    """Forget polarities and delays, keeping the classical content."""
-    return fold(f, None, _STRIP, "polarized")
-
-
-# ---------------------------------------------------------------------------
-# human-readable renderings
-
-
-# each connective's text before, between and after its subformulas; an
-# atom's "{}" is its name, with its arguments in the first-order
-# syntaxes, and a binder's "{}" the name of the variable it binds
-_SPELLING: dict[type, tuple[str, ...]] = {
-    PosAtom: ("(+ {})",), NegAtom: ("(- {})",),
-    And: ("(and ", " ", ")"), Or: ("(or ", " ", ")"),
-    Box: ("(box ", ")"), Dia: ("(dia ", ")"),
-    PAtom: ("{}",), NAtom: ("~{}",), FoAtom: ("{}",), FoNeg: ("~", ""),
-    AndNeg: ("(", " &- ", ")"), OrNeg: ("(", " |- ", ")"),
-    AndPos: ("(", " &+ ", ")"),
-    FoAnd: ("(", " & ", ")"), FoOr: ("(", " | ", ")"), FoImp: ("(", " => ", ")"),
-    All: ("(all {}. ", ")"), Exists: ("(ex {}. ", ")"),
-    FoAll: ("(all {}. ", ")"), FoEx: ("(ex {}. ", ")"),
-    DelayPos: ("d+(", ")"), DelayNeg: ("d-(", ")"),
-}
-
-
-def _render(f: ModalFormula | PolarizedFormula | FoFormula, syntax: tuple[type, ...],
-            what: str) -> str:
-    """Print f, whose nodes must all be of the syntax given, naming
-    bound variables y1, y2, ... from the outermost binder in.  One loop
-    over an explicit stack of nodes, each with its binder depth, and of
-    the text still to print after them."""
-    out: list[str] = []
-    stack: list = [(f, 0)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        node, depth = item
-        cls = type(node)
-        if cls not in syntax:
-            raise TypeError(f"not a {what} formula: {node!r}")
-        spelling = _SPELLING[cls]
-        if len(spelling) == 3:
-            out.append(spelling[0])
-            stack += (spelling[2], (node.right, depth), spelling[1], (node.left, depth))
-        elif len(spelling) == 2:
-            if cls in (All, Exists, FoAll, FoEx):
-                depth += 1
-                out.append(spelling[0].format(f"y{depth}"))
-            else:
-                out.append(spelling[0])
-            stack += (spelling[1], (node.body, depth))
-        elif cls is PosAtom or cls is NegAtom:
-            out.append(spelling[0].format(node.name))
-        else:
-            args = ",".join(f"y{depth - t.index}" if isinstance(t, BVar) and t.index < depth
-                            else str(t) for t in node.args)
-            out.append(spelling[0].format(f"{node.pred}({args})"))
-    return "".join(out)
-
-
-def format_formula(a: ModalFormula) -> str:
-    """The problem-file text of a modal formula."""
-    return _render(a, ModalFormula.__args__, "modal")
-
-
-def render_polarized(f: PolarizedFormula) -> str:
-    return _render(f, PolarizedFormula.__args__, "polarized")
-
-
-def render_fo(f: FoFormula) -> str:
-    return _render(f, FoFormula.__args__, "first-order")

@@ -83,10 +83,6 @@ ANDNEG_L, ANDNEG_R = Ev("andneg", "L"), Ev("andneg", "R")
 ANDPOS_L, ANDPOS_R = Ev("andpos", "L"), Ev("andpos", "R")
 
 
-def trace_lines(events: Sequence[Ev]) -> list[str]:
-    return [str(ev) for ev in events]
-
-
 # ---------------------------------------------------------------------------
 # certificate interface
 
@@ -170,7 +166,9 @@ _PUSHED = object()  # trail entry: the bucket was pushed onto
 
 def _resolve(args: tuple[Term, ...], env: tuple[Term, ...]) -> tuple[Term, ...]:
     """An atom's arguments under env.  A variable past its end is bound
-    outside the entry, and keeps what substitution would leave of it."""
+    outside the entry, and keeps what substitution would leave of it:
+    check_polarized takes open entries, and refusing them would need a
+    closedness check longer than this one conditional."""
     n = len(env)
     return tuple((env[t.index] if t.index < n else BVar(t.index - n))
                  if isinstance(t, BVar) else t for t in args)
@@ -307,6 +305,7 @@ class _Run:
         if self.trace:
             self.events.append(Ev("store", index))
         if isinstance(f, NAtom):
+            hash(index)  # where nothing keys on an index, it must still be hashable
             bucket = self.negative.setdefault((f.pred, _resolve(f.args, env)), [])
             bucket.append(index)
         else:
@@ -381,7 +380,9 @@ def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,
     """Check a certificate against an initial workbench of polarized
     formulas, each in an empty environment.  Storage starts empty.  With
     trace false nothing is recorded: the result's trace is (), and its
-    verdict, steps and choice points are those of a traced check."""
+    verdict, steps and choice points are those of a traced check.  An
+    Eigen in the entry is no constant apart from the kernel's own
+    eigenvariables: an all may introduce the same one."""
     run = _Run(fpc, max_steps, trace)
     accepted = run.run(cert, tuple((f, ()) for f in entry))
     trace = tuple(run.events) if accepted else run.deepest

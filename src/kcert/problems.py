@@ -32,8 +32,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+from .firstorder import format_formula
 from .fittings import Bind, DecTree, EIND, FitCert, Index, Lind, NONE, Rind
-from .formulas import And, Box, Dia, ModalFormula, NegAtom, Or, PosAtom, format_formula
+from .formulas import And, Box, Dia, ModalFormula, NegAtom, Or, PosAtom
 from .simpfit import BoxInfo, Closure, SimpfitCert
 
 Certificate = FitCert | SimpfitCert

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable
 
-from .fittings import Bind, DecTree, EIND, Index, Lind, NONE, Rind
-from .formulas import DelayPos, Exists, PAtom, PolarizedFormula, Term, is_rel_literal
+from .fittings import Bind, DecTree, EIND, Index, Lind, NONE, Rind, is_rel_literal
+from .formulas import DelayPos, Exists, PAtom, PolarizedFormula, Term
 from .kernel import Fpc
 
 

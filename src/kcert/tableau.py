@@ -25,6 +25,17 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, Mapping
 
+from .firstorder import (
+    FoAll,
+    FoAnd,
+    FoAtom,
+    FoEx,
+    FoFormula,
+    FoImp,
+    FoNeg,
+    FoOr,
+    format_formula,
+)
 from .fittings import (
     Bind,
     DecTree,
@@ -34,20 +45,13 @@ from .fittings import (
     Lind,
     NONE,
     Rind,
+    child_kids,
 )
 from .formulas import (
     And,
     BVar,
     Box,
     Dia,
-    FoAll,
-    FoAnd,
-    FoAtom,
-    FoEx,
-    FoFormula,
-    FoImp,
-    FoNeg,
-    FoOr,
     ModalFormula,
     NegAtom,
     Or,
@@ -56,11 +60,7 @@ from .formulas import (
     Term,
     both_kids,
     body_kid,
-    child_kids,
-    connective_count,
     fold,
-    format_formula,
-    negate_nnf,
     no_kids,
 )
 from .kernel import StepBudgetExceeded
@@ -77,6 +77,37 @@ ROOT_WORLD: Prefix = (1,)
 
 def format_prefix(prefix: Prefix) -> str:
     return ".".join(str(n) for n in prefix)
+
+
+# ---------------------------------------------------------------------------
+# negation and size of modal formulas
+
+_NEGATE = {
+    PosAtom: (no_kids, lambda a, _, __: NegAtom(a.name)),
+    NegAtom: (no_kids, lambda a, _, __: PosAtom(a.name)),
+    And: (both_kids, lambda a, _, v: Or(*v)),
+    Or: (both_kids, lambda a, _, v: And(*v)),
+    Box: (body_kid, lambda a, _, v: Dia(*v)),
+    Dia: (body_kid, lambda a, _, v: Box(*v)),
+}
+
+_COUNT = {
+    PosAtom: (no_kids, lambda *_: 0),
+    NegAtom: (no_kids, lambda *_: 0),
+    And: (both_kids, lambda a, _, v: 1 + sum(v)),
+    Or: (both_kids, lambda a, _, v: 1 + sum(v)),
+    Box: (body_kid, lambda a, _, v: 1 + sum(v)),
+    Dia: (body_kid, lambda a, _, v: 1 + sum(v)),
+}
+
+
+def negate_nnf(a: ModalFormula) -> ModalFormula:
+    """De Morgan negation, staying inside negation normal form."""
+    return fold(a, None, _NEGATE, "modal")
+
+
+def connective_count(a: ModalFormula) -> int:
+    return fold(a, None, _COUNT, "modal")
 
 
 # ---------------------------------------------------------------------------

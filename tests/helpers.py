@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import random
 import signal
 import sys
 from functools import lru_cache
 from typing import Iterator, Sequence
 
+from kcert.firstorder import format_formula
 from kcert.fittings import Bind, DecTree, FitCert, Index, Lind, NONE, Rind
 from kcert.formulas import (
     And,
@@ -40,7 +42,6 @@ from kcert.formulas import (
     Term,
     W0,
     delay_if_negative,
-    format_formula,
     is_positive,
     polarized_translation,
 )
@@ -175,6 +176,40 @@ def wide_bad(n: int) -> ModalFormula:
     return parse_formula_text(_chain(
         "or", [f"(dia (- p{i}))" for i in range(n - 1)]
         + ["(box " + _chain("and", [f"(+ p{i})" for i in range(n)]) + ")"]))
+
+
+# hard families: the pigeonhole principle, purely propositional, with
+# p{i}_{j} read as "pigeon i sits in hole j"
+
+
+def _php_text(n: int, pigeons: int) -> str:
+    # "one of the first pigeons is in no hole, or two of all n+1 share one
+    # of n holes"
+    nohole = _chain("or", [_chain("and", [f"(- p{i}_{j})" for j in range(n)])
+                           for i in range(pigeons)])
+    share = _chain("or", [f"(and (+ p{i}_{j}) (+ p{k}_{j}))" for j in range(n)
+                          for i in range(n + 1) for k in range(i + 1, n + 1)])
+    return f"(or {nohole} {share})"
+
+
+def php(n: int) -> ModalFormula:
+    """Some pigeon of n+1 is in no hole, or two pigeons share one of n
+    holes: valid, in negation normal form."""
+    return parse_formula_text(_php_text(n, n + 1))
+
+
+def box_php(n: int, d: int) -> ModalFormula:
+    """box^d php(n), valid."""
+    return parse_formula_text("(box " * d + _php_text(n, n + 1) + ")" * d)
+
+
+def php_bad(n: int) -> ModalFormula:
+    """php(n) without the last pigeon's "in no hole" disjunct, not valid:
+    that pigeon flies, the other n take a hole each.  At n = 1 the
+    disjunct is the literal (- p1_0).  For n >= 2 every literal of php(n)
+    sits in a conjunction, and dropping it leaves a weaker conjunction,
+    so a theorem still."""
+    return parse_formula_text(_php_text(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +560,61 @@ def open_binder_reference(body: PolarizedFormula, t: Term) -> PolarizedFormula:
         return type(f)(go(f.body, depth))
 
     return go(body, 0)
+
+
+def _holds(f: PolarizedFormula, size: int, facts: dict, consts: dict, env: tuple) -> bool:
+    """Classical truth of a closed polarized formula in a finite model:
+    domain range(size), facts[pred] the argument tuples pred holds of,
+    consts[c] the element a constant denotes, env[k] that of BVar(k)."""
+    cls = type(f)
+    if cls is PAtom or cls is NAtom:
+        args = tuple(env[t.index] if isinstance(t, BVar) else consts[t] for t in f.args)
+        return (args in facts[f.pred]) == (cls is PAtom)
+    if cls is AndNeg or cls is AndPos:
+        return (_holds(f.left, size, facts, consts, env)
+                and _holds(f.right, size, facts, consts, env))
+    if cls is OrNeg:
+        return (_holds(f.left, size, facts, consts, env)
+                or _holds(f.right, size, facts, consts, env))
+    if cls is All:
+        return all(_holds(f.body, size, facts, consts, (d,) + env) for d in range(size))
+    if cls is Exists:
+        return any(_holds(f.body, size, facts, consts, (d,) + env) for d in range(size))
+    return _holds(f.body, size, facts, consts, env)
+
+
+def first_order_countermodel(entry: Sequence[PolarizedFormula], max_size: int = 3):
+    """A model in which every formula of a closed entry is false, read
+    classically, or None: brute force over domains of 1 to max_size
+    elements, every interpretation of the entry's predicates, and every
+    placement of its constants up to renaming.  A model is a triple
+    (size, facts, consts), as _holds reads it."""
+    arity: dict[str, int] = {}
+    consts: list[Term] = []
+    todo = list(entry)
+    while todo:
+        f = todo.pop()
+        if isinstance(f, (PAtom, NAtom)):
+            arity[f.pred] = len(f.args)
+            consts += [t for t in f.args if not isinstance(t, BVar) and t not in consts]
+        else:
+            todo += [getattr(f, part) for part in ("left", "right", "body") if hasattr(f, part)]
+    preds = sorted(arity)
+    for size in range(1, max_size + 1):
+        cells = {p: list(itertools.product(range(size), repeat=arity[p])) for p in preds}
+        # each constant goes to an element already used or to the next one
+        placements = [()]
+        for _ in consts:
+            placements = [p + (e,) for p in placements
+                          for e in range(min(size, max(p, default=-1) + 2))]
+        for placement in placements:
+            where = dict(zip(consts, placement))
+            for bits in itertools.product(*(range(2 ** len(cells[p])) for p in preds)):
+                facts = {p: {c for i, c in enumerate(cells[p]) if b >> i & 1}
+                         for p, b in zip(preds, bits)}
+                if not any(_holds(f, size, facts, where, ()) for f in entry):
+                    return size, facts, where
+    return None
 
 
 def distill_with_repeats(tree: DecTree) -> SimpfitCert:

@@ -27,9 +27,8 @@ from kcert.formulas import (
     ModalFormula,
     W0,
     polarized_translation,
-    standard_translation,
-    strip_polarities,
 )
+from kcert.firstorder import standard_translation, strip_polarities
 from kcert.kernel import CheckResult, StepBudgetExceeded, check
 from kcert.problems import parse_problem
 from kcert.simpfit import SIMPFIT, SimpfitCert

@@ -1,6 +1,7 @@
 """The package as a whole: kcert.__all__ is the public API the README
-lists, only the functions allowed below call themselves, and the kernel
-has just the connectives and rules that the translation needs."""
+lists, only the functions allowed below call themselves, the kernel
+imports only the trusted syntax, and the kernel has just the connectives
+and rules that the translation needs."""
 
 import ast
 import re
@@ -75,6 +76,66 @@ def test_only_the_allowed_functions_recurse():
             else:
                 todo.append((name, child))
     assert sorted(found) == sorted(RECURSIVE)
+
+
+# the code a sceptic reads: the kernel and the import closure it trusts
+TRUSTED = {"kernel", "formulas"}
+TRUSTED_MAX_LINES = 660
+
+
+def _kcert_imports(tree: ast.Module) -> list[tuple[str, str | None]]:
+    """(module, name) for each name a module imports from kcert, name None
+    where it imports a whole module; the package itself is __init__."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("kcert")):
+            module = (node.module or "").removeprefix("kcert").lstrip(".")
+            out += [(module, a.name) if module else (a.name, None) for a in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(a.name.removeprefix("kcert").lstrip(".") or "__init__", None)
+                    for a in node.names if a.name.split(".")[0] == "kcert"]
+    return out
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)}
+    return names
+
+
+def test_the_trusted_base_is_the_kernel_and_formulas():
+    src = ROOT / "src" / "kcert"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.glob("*.py")}
+    closure, todo = set(), ["kernel"]
+    while todo:
+        name = todo.pop()
+        if name not in closure:
+            closure.add(name)
+            todo += [module for module, _ in _kcert_imports(trees[name])]
+    assert closure == TRUSTED
+    assert _kcert_imports(trees["formulas"]) == []
+    # each name is imported from the module that defines it, so no
+    # module re-exports another's and no name is defined twice
+    others = [*(ROOT / "tests").glob("*.py"), ROOT / "fixtures" / "make_fixtures.py"]
+    for tree in [*trees.values(), *(ast.parse(p.read_text(encoding="utf-8")) for p in others)]:
+        for module, name in _kcert_imports(tree):
+            if name is not None:
+                assert name in _defined(trees[module]), (module, name)
+    owners = [name for tree in trees.values() for name in _defined(tree)]
+    assert len(owners) == len(set(owners))
+    lines = sum(len((src / f"{name}.py").read_text(encoding="utf-8").splitlines())
+                for name in TRUSTED)
+    assert lines <= TRUSTED_MAX_LINES
+    stated = re.search(r"The trusted base is `kernel.py` and `formulas.py`, ([\d,]+) lines",
+                       README.read_text(encoding="utf-8"))
+    assert stated and int(stated[1].replace(",", "")) == lines
 
 
 def test_the_kernel_has_only_what_the_translation_writes():

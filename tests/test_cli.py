@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from kcert import cli
 from kcert.cli import main
+from kcert.firstorder import format_formula
 from kcert.fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind
-from kcert.formulas import And, Box, Dia, NegAtom, Or, PosAtom, format_formula, negate_nnf
+from kcert.formulas import And, Box, Dia, NegAtom, Or, PosAtom
 from kcert.problems import ProblemFile, format_problem
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
-from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, prove
+from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, negate_nnf, prove
 from helpers import (
     DOUBLING_TABLE, agreement_corpus, kchain, kchain_bad, recursion_limit, taut, time_limit,
     wide, wide_bad)

@@ -2,6 +2,21 @@
 
 import pytest
 
+from kcert.firstorder import (
+    FoAll,
+    FoAnd,
+    FoAtom,
+    FoEx,
+    FoImp,
+    FoNeg,
+    FoOr,
+    format_formula,
+    render_fo,
+    render_polarized,
+    standard_translation,
+    strip_polarities,
+)
+from kcert.fittings import is_rel_literal
 from kcert.formulas import (
     All,
     And,
@@ -14,13 +29,6 @@ from kcert.formulas import (
     Dia,
     Eigen,
     Exists,
-    FoAll,
-    FoAnd,
-    FoAtom,
-    FoEx,
-    FoImp,
-    FoNeg,
-    FoOr,
     NAtom,
     NegAtom,
     Or,
@@ -29,19 +37,11 @@ from kcert.formulas import (
     PosAtom,
     REL,
     W0,
-    connective_count,
     delay_if_negative,
     is_positive,
-    is_rel_literal,
-    negate_nnf,
     polarized_translation,
-    render_fo,
-    render_polarized,
-    standard_translation,
-    strip_polarities,
 )
-from kcert.problems import format_formula
-from kcert.tableau import KripkeModel, eval_fo, eval_modal
+from kcert.tableau import KripkeModel, connective_count, eval_fo, eval_modal, negate_nnf
 from helpers import (
     formulas_of_connectives,
     formulas_of_size,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcert import cli, kernel
+from kcert.cli import trace_lines
 from kcert.examples import (
     EXAMPLE1_THEOREM,
     EXAMPLE2_THEOREM,
@@ -39,7 +40,6 @@ from kcert.kernel import (
     StepBudgetExceeded,
     check,
     check_polarized,
-    trace_lines,
 )
 from kcert.simpfit import SIMPFIT, SimpfitCert, distill
 from kcert.problems import ProblemFile, format_problem, parse_formula_text

@@ -10,13 +10,13 @@ from hypothesis import given, strategies as st
 
 from kcert import problems
 from kcert.examples import EXAMPLE1_THEOREM, EXAMPLE2_THEOREM, ftab1_cert, ftab2_cert, sftab1_cert
+from kcert.firstorder import format_formula
 from kcert.fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind
 from kcert.formulas import And, Box, Dia, NegAtom, Or, PosAtom
 from kcert.problems import (
     ParseError,
     ProblemFile,
     format_certificate,
-    format_formula,
     format_problem,
     parse_formula_text,
     parse_problem,

@@ -23,6 +23,7 @@ from kcert.examples import (
     sftab2_cert,
     taut_dectree,
 )
+from kcert.firstorder import standard_translation
 from kcert.fittings import FITTINGS, node_count
 from kcert.formulas import (
     And,
@@ -32,9 +33,6 @@ from kcert.formulas import (
     Or,
     PosAtom,
     W0,
-    connective_count,
-    negate_nnf,
-    standard_translation,
 )
 from kcert import cli
 from kcert.kernel import StepBudgetExceeded, check
@@ -48,6 +46,7 @@ from kcert.tableau import (
     OpenBranch,
     ROOT_WORLD,
     bounded_validity_oracle,
+    connective_count,
     emit_dectree,
     emit_fitcert,
     emit_simpfitcert,
@@ -56,16 +55,20 @@ from kcert.tableau import (
     find_countermodel,
     format_model,
     format_prefix,
+    negate_nnf,
     prove,
 )
 from helpers import (
     agreement_corpus,
+    box_php,
     corpus_proofs,
     distill_with_repeats,
     format_problem_inline,
     formulas_of_connectives,
     kchain,
     kchain_bad,
+    php,
+    php_bad,
     recursion_limit,
     taut,
     wide,
@@ -383,6 +386,39 @@ class TestEmitters:
             ct = prove(theorem)
             assert check(theorem, emit_fitcert(ct), FITTINGS).accepted
             assert check(theorem, emit_simpfitcert(ct), SIMPFIT).accepted
+
+
+
+class TestHardFamilies:
+    """The pigeonhole family checks itself: the kernel accepts what the
+    prover emits, in both formats, and a non-theorem comes with a
+    countermodel that the semantics confirms."""
+
+    @pytest.mark.parametrize("emit", [emit_fitcert, emit_simpfitcert],
+                             ids=["fittings", "simpfit"])
+    @pytest.mark.parametrize("theorem", [php(1), php(2), box_php(1, 2), box_php(2, 1)],
+                             ids=["php1", "php2", "box2-php1", "box1-php2"])
+    def test_the_kernel_accepts_what_the_prover_emits(self, theorem, emit):
+        ct = prove(theorem)
+        assert isinstance(ct, ClosedTableau)
+        assert check(theorem, emit(ct, theorem), trace=False).accepted
+
+    def test_php2_step_counts(self):
+        ct = prove(php(2))
+        steps = [check(php(2), emit(ct), trace=False).steps
+                 for emit in (emit_fitcert, emit_simpfitcert)]
+        assert steps == [685, 712]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_dropped_disjunct_has_a_countermodel(self, n):
+        theorem = php_bad(n)
+        result = prove(theorem)
+        assert isinstance(result, OpenBranch)
+        assert not eval_modal(result.model, ROOT_WORLD, theorem)
+
+    def test_the_oracle_agrees_within_its_cap(self):
+        assert bounded_validity_oracle(php(1))
+        assert not bounded_validity_oracle(php_bad(1))
 
 
 class TestOracle:
