@@ -21,18 +21,15 @@ is bounded by memory and the step budget.  A rule with several
 continuations leaves a choice point, undone through a trail on
 backtracking, and a cut goal under its premise drops it once the premise
 has succeeded: a later failure never re-enters a premise that closed.
-A traced check records each step.  Its trace shrinks only when a failure
-backtracks, so each failure keeps it if it is the longest yet: a reject
-reports that deepest prefix.  An untraced check builds no event and
-keeps no prefix.
+A traced check records each step, and a reject reports the deepest
+trace prefix a failure reached; an untraced check builds no event.
 
 Storage indexes are opaque to the kernel: they are whatever hashable
 values the certificate's store clerk hands out.  At a decide the
 certificate names the index to decide on (decideE in Chihani, Miller and
 Renaud, "A semantic framework for proof evidence", JAR 2017), and the
 kernel looks the stored entries at that index up in a map kept beside
-storage, so no decide scans storage or polls the certificate once per
-stored entry.
+storage, so no decide scans storage or polls the certificate per entry.
 
 Binders are opened by environment, not by substitution (Abadi et al.,
 "Explicit substitutions", JFP 1991): each workbench item, stored
@@ -375,26 +372,37 @@ class _Run:
         return (_SYNC, c2, (focus.body, (witness,) + env), goals)
 
 
+def _verdict(run: _Run, cert: object, entry: Sequence[PolarizedFormula]) -> CheckResult:
+    accepted = run.run(cert, tuple((f, ()) for f in entry))
+    trace = tuple(run.events) if accepted else run.deepest
+    return CheckResult(accepted, trace, run.steps, run.choice_points)
+
+
 def check_polarized(entry: Sequence[PolarizedFormula], cert: object, fpc: Fpc,
                     max_steps: int = DEFAULT_MAX_STEPS, trace: bool = True) -> CheckResult:
     """Check a certificate against an initial workbench of polarized
     formulas, each in an empty environment.  Storage starts empty.  With
     trace false nothing is recorded: the result's trace is (), and its
     verdict, steps and choice points are those of a traced check.  An
-    Eigen in the entry is no constant apart from the kernel's own
-    eigenvariables: an all may introduce the same one."""
+    Eigen numbered by an int in the entry is a constant: the kernel
+    numbers its own eigenvariables past every such one."""
     run = _Run(fpc, max_steps, trace)
-    accepted = run.run(cert, tuple((f, ()) for f in entry))
-    trace = tuple(run.events) if accepted else run.deepest
-    return CheckResult(accepted, trace, run.steps, run.choice_points)
+    todo = list(entry)
+    while todo:
+        f = todo.pop()
+        todo += [getattr(f, part) for part in ("left", "right", "body") if hasattr(f, part)]
+        for t in getattr(f, "args", ()):
+            if type(t) is Eigen and isinstance(t.id, int):  # Eigen(True) == Eigen(1)
+                run.next_eigen = max(run.next_eigen, t.id + 1)
+    return _verdict(run, cert, entry)
 
 
 def check(goal: ModalFormula, cert: object, fpc: Fpc | None = None,
           max_steps: int = DEFAULT_MAX_STEPS, trace: bool = True) -> CheckResult:
-    """Check a certificate for a modal theorem: the entry workbench is
-    the goal's polarized translation at the initial world, delayed into
-    storable shape.  The certificate is read by its own FPC, cert.fpc,
-    unless fpc is given; trace is as for check_polarized."""
+    """Check a certificate for a modal theorem: the entry is the goal's
+    polarized translation at the initial world, delayed into storable
+    shape, and names no Eigen.  The certificate is read by its own FPC,
+    cert.fpc, unless fpc is given; trace is as for check_polarized."""
     fpc = cert.fpc if fpc is None else fpc
     entry = delay_if_negative(polarized_translation(goal, W0))
-    return check_polarized((entry,), cert, fpc, max_steps, trace)
+    return _verdict(_Run(fpc, max_steps, trace), cert, (entry,))

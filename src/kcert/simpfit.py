@@ -13,19 +13,31 @@ A decide token is granted to each stored positive literal, delayed
 negative and existential whose index is relevant: an ancestor of some
 closure or boxinfo index.  At each decide the certificate offers every
 literal token, each a leaf that closes or fails at once, and then
-commits to one expansion: the oldest delayed negative (a split, or a
-new world) or, when none is left, the oldest existential with a
-boxinfo whose universal is already bound (a box propagation).  An
-expansion spends its token.  An existential gets its token back, as
-the newest, for the boxinfo it consumes, so each expansion uses up a
-token or a boxinfo and the search terminates; a certificate makes one
-diamond fire at several successor worlds by listing its index in
-several boxinfo entries, one per universal.
+commits to one expansion: the oldest existential with an unused
+boxinfo whose universal is already bound (a box propagation) or, when
+none is ready, the oldest delayed negative (a split, or a new world).
+An expansion spends its token.  An existential gets its token back, as
+the newest, while one of its boxinfos is left unused, so each expansion
+uses up a token or a boxinfo and the search terminates; a certificate
+makes one diamond fire at several successor worlds by listing its index
+in several boxinfo entries, one per universal.
+
+Box propagations come first because they only add formulas, so one
+made before a split serves every branch below it.  On wide(n), n
+diamonds beside a box of an n-way conjunction, the n propagations run
+once on the trunk and each conjunct's branch then closes at once: the
+check takes linear steps.  Splitting first made every branch propagate
+again until its own diamond fired, which took quadratic steps.
+
+load indexes the evidence once, so that no step scans it: the closures
+as a set of index pairs, and the boxinfos by existential.  A branch
+keeps the eigenvariable of each universal bound on it in a map, and the
+boxinfos it has used as bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable
 
 from .fittings import Bind, DecTree, EIND, Index, Lind, NONE, Rind, is_rel_literal
@@ -52,31 +64,61 @@ class BoxInfo:
 
 
 @dataclass(frozen=True, slots=True)
+class Evidence:
+    """A certificate's closures and boxinfos, indexed once by load so
+    that no step scans them: relevant, the indexes that may get tokens;
+    closes, the pair of each closure both ways round; uses, each
+    existential's boxinfos in order, as pairs (position, universal).
+    Only the closures and boxinfos take part in equality."""
+
+    closures: tuple[Closure, ...]
+    boxinfos: tuple[BoxInfo, ...]
+    relevant: frozenset[Index] = field(compare=False)
+    closes: frozenset[tuple[Index, Index]] = field(compare=False)
+    uses: dict[Index, tuple[tuple[int, Index], ...]] = field(compare=False)
+
+
+@dataclass(frozen=True, slots=True)
 class SimpfitCert:
     """Checker-side state.  flag is 1 right after a decide, telling the
     first connective rule of the bipole to mint child indexes; pending
     carries indexes for upcoming stores; usable holds the branch's
     decide tokens, oldest first, each a pair (class of the stored
-    formula, index).  relevant, the indexes that may get tokens, is
-    derived by load from the closures and boxinfos: give a certificate
-    other evidence through load, not dataclasses.replace."""
+    formula, index); eigmap maps each universal bound on the branch to
+    its eigenvariable, and all_c binds into a copy of it; bit k of
+    spent is set once the branch has used boxinfos[k].  evidence is
+    derived by load: give a certificate other evidence through load,
+    not dataclasses.replace."""
 
     flag: int
     pending: tuple[Index, ...]
-    closures: tuple[Closure, ...]
-    boxinfos: tuple[BoxInfo, ...]
-    eigmap: tuple[tuple[Index, Term], ...]
     usable: tuple[tuple[type, Index], ...]
-    relevant: frozenset[Index]
+    eigmap: dict[Index, Term] = field(hash=False)
+    spent: int
+    evidence: Evidence
     # the FPC that reads this format; set once SIMPFIT exists
     fpc: ClassVar[Fpc]
+
+    @property
+    def closures(self) -> tuple[Closure, ...]:
+        return self.evidence.closures
+
+    @property
+    def boxinfos(self) -> tuple[BoxInfo, ...]:
+        return self.evidence.boxinfos
 
     @staticmethod
     def load(closures: Iterable[Closure], boxinfos: Iterable[BoxInfo]) -> SimpfitCert:
         closures, boxinfos = tuple(closures), tuple(boxinfos)
+        closes = frozenset(pair for cl in closures
+                           for pair in ((cl.left, cl.right), (cl.right, cl.left)))
+        uses: dict[Index, list[tuple[int, Index]]] = {}
+        for k, info in enumerate(boxinfos):
+            uses.setdefault(info.ex, []).append((k, info.univ))
+        evidence = Evidence(closures, boxinfos, _relevant(closures, boxinfos), closes,
+                            {ex: tuple(pairs) for ex, pairs in uses.items()})
         # seed one pending index so the entry formula is stored at eind
-        return SimpfitCert(1, (EIND,), closures, boxinfos, (), (),
-                           _relevant(closures, boxinfos))
+        return SimpfitCert(1, (EIND,), (), {}, 0, evidence)
 
 
 def _relevant(closures: tuple[Closure, ...], boxinfos: tuple[BoxInfo, ...]) -> frozenset[Index]:
@@ -121,8 +163,16 @@ def _drop_at(items: tuple, pos: int) -> tuple:
 def _state(cert: SimpfitCert, flag: int, pending: tuple[Index, ...],
            usable: tuple[tuple[type, Index], ...]) -> SimpfitCert:
     """cert with a new flag, pending indexes and tokens."""
-    return SimpfitCert(flag, pending, cert.closures, cert.boxinfos, cert.eigmap,
-                       usable, cert.relevant)
+    return SimpfitCert(flag, pending, usable, cert.eigmap, cert.spent, cert.evidence)
+
+
+def _next_use(cert: SimpfitCert, ex: Index) -> tuple[int, Index] | None:
+    """The first boxinfo of ex, as (position, universal), that the branch
+    has not used and whose universal it has bound; None if there is none."""
+    for k, univ in cert.evidence.uses.get(ex, ()):
+        if not cert.spent >> k & 1 and univ in cert.eigmap:
+            return k, univ
+    return None
 
 
 # the classes of stored formula that get a decide token
@@ -141,16 +191,17 @@ class SimpfitFpc(Fpc):
             if kind is PAtom and token not in seen:
                 seen.add(token)
                 yield token, _state(cert, 1, (token,), usable)
-        # then one expansion, spending its token: the oldest delayed
-        # negative, or else the oldest existential some_e can instantiate
+        # then one expansion, spending its token: the oldest existential
+        # some_e can instantiate, a box propagation, which only adds
+        # formulas and so is shared by every branch of a later split; or,
+        # when none is ready, the oldest delayed negative, which splits
+        # the branch or opens a new world
         for pos, (kind, token) in enumerate(usable):
-            if kind is DelayPos:
+            if kind is Exists and _next_use(cert, token):
                 yield token, _state(cert, 1, (token,), _drop_at(usable, pos))
                 return
-        bound = {key for key, _ in cert.eigmap}
-        ready = {info.ex for info in cert.boxinfos if info.univ in bound}
         for pos, (kind, token) in enumerate(usable):
-            if kind is Exists and token in ready:
+            if kind is DelayPos:
                 yield token, _state(cert, 1, (token,), _drop_at(usable, pos))
                 return
 
@@ -161,18 +212,14 @@ class SimpfitFpc(Fpc):
         elif cert.pending:
             head, rest = cert.pending[0], cert.pending[1:]
             kind, usable = type(formula), cert.usable
-            if kind in _DECIDABLE and head in cert.relevant:
+            if kind in _DECIDABLE and head in cert.evidence.relevant:
                 usable += ((kind, head),)
             yield head, _state(cert, 0, rest, usable)
 
     def initial_e(self, cert: SimpfitCert, index: object) -> bool:
         if not cert.pending:
             return False
-        here = cert.pending[0]
-        if index is NONE:
-            return True
-        return (Closure(here, index) in cert.closures
-                or Closure(index, here) in cert.closures)
+        return index is NONE or (cert.pending[0], index) in cert.evidence.closes
 
     def orneg_c(self, cert: SimpfitCert) -> Iterable[object]:
         if cert.flag == 1 and len(cert.pending) == 1:
@@ -193,8 +240,8 @@ class SimpfitFpc(Fpc):
         i = cert.pending[0]
 
         def bind_eigen(eigen: Term) -> SimpfitCert:
-            return SimpfitCert(0, (Lind(i),), cert.closures, cert.boxinfos,
-                               ((i, eigen),) + cert.eigmap, cert.usable, cert.relevant)
+            return SimpfitCert(0, (Lind(i),), cert.usable, {**cert.eigmap, i: eigen},
+                               cert.spent, cert.evidence)
 
         yield bind_eigen
 
@@ -202,15 +249,16 @@ class SimpfitFpc(Fpc):
         if len(cert.pending) != 1:
             return
         i = cert.pending[0]
-        eigens = dict(reversed(cert.eigmap))
-        for pos, info in enumerate(cert.boxinfos):
-            if info.ex is i and info.univ in eigens:
-                # consume the first usable instantiation and hand back
-                # the token: the others stay for later decides
-                yield eigens[info.univ], SimpfitCert(
-                    0, (Bind(i, info.univ),), cert.closures, _drop_at(cert.boxinfos, pos),
-                    cert.eigmap, cert.usable + ((Exists, i),), cert.relevant)
-                return
+        use = _next_use(cert, i)
+        if use is not None:
+            # use the first instantiation the branch allows, and hand the
+            # token back while another boxinfo of i is left for later
+            k, univ = use
+            spent, usable = cert.spent | 1 << k, cert.usable
+            if any(not spent >> j & 1 for j, _ in cert.evidence.uses[i]):
+                usable += ((Exists, i),)
+            yield cert.eigmap[univ], SimpfitCert(0, (Bind(i, univ),), usable, cert.eigmap,
+                                                 spent, cert.evidence)
 
 
 SIMPFIT = SimpfitFpc()

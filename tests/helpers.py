@@ -112,6 +112,14 @@ def formulas_of_connectives(c: int) -> tuple[ModalFormula, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def family_proof(family, n: int) -> ClosedTableau:
+    """The closed tableau of family(n), found once per session and at
+    the default recursion limit: wide(64) takes about a second."""
+    with recursion_limit(1000):
+        return prove(family(n))
+
+
 def agreement_corpus() -> list[ModalFormula]:
     """The exhaustive sweep set: size <= 6 union connectives <= 3,
     deterministic order, no duplicates."""

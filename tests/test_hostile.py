@@ -104,11 +104,9 @@ _GOALS = st.one_of(
 
 def _terms(depth: int):
     # a term in scope under depth binders: a bound variable, where there
-    # is one, at even odds, else a constant.  The constants are world
-    # constants: the kernel reads an Eigen in an entry as one of its own
-    # eigenvariables, not as a constant apart from them, so an entry
-    # that names one is no first-order sentence over constants
-    constants = st.sampled_from((W0, WorldConst("c")))
+    # is one, at even odds, else a constant: w0, c, e1 or e2, where e1
+    # is also written Eigen(True)
+    constants = st.sampled_from((W0, WorldConst("c"), Eigen(1), Eigen(True), Eigen(2)))
     return st.one_of(st.builds(BVar, st.integers(0, depth - 1)), constants) if depth else constants
 
 
@@ -116,7 +114,7 @@ def _terms(depth: int):
 def _polarized(draw, preds: tuple, depth: int = 0, size: int = 4):
     """A closed polarized formula of at most size nodes, whose atoms are
     over preds, (name, arity) pairs, and whose terms are its bound
-    variables, w0 and c."""
+    variables and the constants of _terms."""
     classes = (All, Exists, DelayPos, DelayNeg) + ((AndNeg, OrNeg, AndPos) if size > 2 else ())
     if size == 1 or draw(st.integers(0, 3)) == 0:
         pred, arity = draw(st.sampled_from(preds))

@@ -51,6 +51,8 @@ from helpers import (
     certificate_mutants,
     corpus_proofs,
     distill_with_repeats,
+    family_proof,
+    first_order_countermodel,
     formulas_of_connectives,
     kchain,
     literal_flips,
@@ -345,14 +347,14 @@ WIDE3 = wide(3)
 class TestSearchOrder:
     """Exact step and choice-point counts, the FITTINGS ones recorded
     before decide-by-name replaced the per-entry poll, the SIMPFIT ones
-    on committed saturation: any change to the order or number of
-    decide alternatives moves them."""
+    on committed saturation with box propagations first: any change to
+    the order or number of decide alternatives moves them."""
 
     @pytest.mark.parametrize("goal,cert,fpc,steps,choice_points", [
         (EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS, 44, 0),
         (EXAMPLE2_THEOREM, ftab2_cert(), FITTINGS, 57, 0),
         (TAUT_THEOREM, taut_cert(), FITTINGS, 9, 0),
-        (EXAMPLE1_THEOREM, sftab1_cert(), SIMPFIT, 47, 6),
+        (EXAMPLE1_THEOREM, sftab1_cert(), SIMPFIT, 46, 4),
         (EXAMPLE2_THEOREM, sftab2_cert(), SIMPFIT, 59, 4),
     ], ids=["ftab1", "ftab2", "taut", "sftab1", "sftab2"])
     def test_pinned_counts(self, goal, cert, fpc, steps, choice_points):
@@ -363,16 +365,17 @@ class TestSearchOrder:
 
     def test_wide3_without_its_last_boxinfo(self):
         # on the certificate that keeps each boxinfo as often as the
-        # decide tree names it: of its six boxinfos only the last is
-        # needed, and the check rejects once the others have fired and
-        # no expansion is left
+        # decide tree names it: its last boxinfo is the only one of the
+        # third diamond.  The other five fire on the trunk, before the
+        # box's conjunction splits, and the check rejects on the branch
+        # of the third conjunct, which nothing closes
         cert = distill_with_repeats(emit_dectree(prove(WIDE3), WIDE3))
         mutant = SimpfitCert.load(cert.closures, cert.boxinfos[:-1])
         result = check(WIDE3, mutant, SIMPFIT)
         assert not result.accepted
-        assert (result.steps, result.choice_points) == (108, 10)
+        assert (result.steps, result.choice_points) == (79, 3)
         assert trace_lines(result.trace[-2:]) == [
-            "store (bind (lind (lind (lind eind))) (rind eind))",
+            "store (rind (lind (rind eind)))",
             "decide (rind (lind (rind eind)))"]
 
 
@@ -381,7 +384,7 @@ class TestPinnedRuns:
     for every run below: a change to any rule's behaviour on these runs
     moves it.  The FITTINGS digest was recorded on the kernel that still
     asked the certificate at release and positive conjunction, the
-    SIMPFIT one on committed saturation."""
+    SIMPFIT one on committed saturation with box propagations first."""
 
     @staticmethod
     def digest(certs, emit):
@@ -408,7 +411,7 @@ class TestPinnedRuns:
     def test_simpfit_digest(self):
         certs = [(EXAMPLE1_THEOREM, sftab1_cert()), (EXAMPLE2_THEOREM, sftab2_cert())]
         assert self.digest(certs, emit_simpfitcert) == (
-            163, "dd9d10d133a8c1bb0babfde6a75c744fa460c6d0458086f2e1e08e6f1bbb0ddf")
+            163, "b3bfc765a61bde03516209128a326da0bbab9106f9b1d5241df462fcf8346137")
 
 
 def _pinned_runs():
@@ -476,19 +479,23 @@ def _simpfit_with_repeats(ct, goal):
 class TestDeepProofs:
     """Proofs far taller than the recursion limit are found, emitted and
     checked at the default limit, with the counts the recursive kernel
-    gave under a raised one.  The simpfit counts were recorded on
-    certificates that kept each boxinfo as often as it occurs."""
+    gave under a raised one.  Two simpfit runs check certificates that
+    keep each boxinfo as often as it occurs.  Each proof is found once,
+    also at the default limit."""
 
     @pytest.mark.parametrize("family,n,emit,steps,choice_points", [
         (kchain, 64, emit_fitcert, 1815, 0),
         (taut, 512, emit_fitcert, 7163, 0),
-        (kchain, 14, _simpfit_with_repeats, 715, 137),
-        (wide, 10, _simpfit_with_repeats, 757, 93),
-    ], ids=["fittings-kchain64", "fittings-taut512", "simpfit-kchain14", "simpfit-wide10"])
+        (kchain, 14, _simpfit_with_repeats, 415, 27),
+        (wide, 10, _simpfit_with_repeats, 527, 52),
+        (kchain, 128, emit_simpfitcert, 2711, 0),
+        (wide, 64, emit_simpfitcert, 1346, 61),
+    ], ids=["fittings-kchain64", "fittings-taut512", "simpfit-kchain14", "simpfit-wide10",
+            "simpfit-kchain128", "simpfit-wide64"])
     def test_default_recursion_limit(self, family, n, emit, steps, choice_points):
         goal = family(n)
         with recursion_limit(1000):
-            cert = emit(prove(goal), goal)
+            cert = emit(family_proof(family, n), goal)
             result = check(goal, cert)
         assert result.accepted
         assert (result.steps, result.choice_points) == (steps, choice_points)
@@ -705,14 +712,13 @@ class TestEnvironment:
 
     @pytest.mark.parametrize("closed,opened", [(NAtom, PAtom), (PAtom, NAtom)],
                              ids=["positive-opened", "negative-opened"])
-    @pytest.mark.parametrize("args,accepted", [
-        ((Eigen(1), Eigen(2)), True),
-        ((Eigen(2), Eigen(1)), False),
-    ], ids=["binder-order", "swapped"])
-    def test_atom_under_two_binders(self, closed, opened, args, accepted):
-        # all x. all y. r(x, y) opens at e1, then e2: x is BVar(1)
-        entry = (closed("r", args), All(All(opened("r", (BVar(1), BVar(0))))))
-        result = check_polarized(entry, None, Opening())
+    @pytest.mark.parametrize("var,accepted", [(1, True), (0, False)],
+                             ids=["binder-order", "swapped"])
+    def test_atom_under_two_binders(self, closed, opened, var, accepted):
+        # all x. (r(x) | all y. r(BVar(var))) opens x at e1, then y at e2:
+        # under both binders x is BVar(1), and only it meets r(x)
+        entry = (All(OrNeg(closed("r", (BVar(0),)), All(opened("r", (BVar(var),))))),)
+        result = check_polarized(entry, None, Witnessing())
         assert result.accepted == accepted
         assert [e for e in result.trace if e.kind == "all"] == [
             Ev("all", Eigen(1)), Ev("all", Eigen(2))]
@@ -737,14 +743,15 @@ class TestTermsAreClassed:
         assert len({("r", (Eigen(1),)), ("r", (BVar(1),))}) == 2
 
     @pytest.mark.parametrize("stored,accepted", [
-        (Eigen(1), True),
-        (BVar(1), False),
+        (Exists(NAtom("r", (BVar(0),))), True),
+        (NAtom("r", (BVar(1),)), False),
     ], ids=["same-class", "other-class"])
     def test_complement_must_match_the_term_class(self, stored, accepted):
-        # the universal opens at e1; the stored atom's only candidate
-        # complement is r(e1), equal in number but not always in class
-        entry = (NAtom("r", (stored,)), All(PAtom("r", (BVar(0),))))
-        result = check_polarized(entry, None, Opening())
+        # the universal opens at e1, and the stored atom is r(e1), its
+        # witness, or r(BVar(1)), left open: the only candidate complement
+        # of r(e1), equal in number but not always in class
+        entry = (stored, All(PAtom("r", (BVar(0),))))
+        result = check_polarized(entry, None, Witnessing(Eigen(1)), max_steps=100)
         assert result.accepted == accepted
 
 
@@ -838,6 +845,34 @@ class TestWitnesses:
         result = check_polarized((Exists(PAtom("p", (BVar(0),))),), None, Witnessing(W0, "x"))
         assert not result.accepted
         assert (result.steps, result.choice_points) == (4, 1)
+
+
+class TestEntryEigens:
+    """An Eigen numbered by an int in an entry is a constant: the kernel
+    numbers its own eigenvariables past it, so no all opens it as fresh."""
+
+    @pytest.mark.parametrize("entry", [
+        # all x. p(x) | ~p(e1): invalid, false where p holds of all but e1
+        (All(PAtom("p", (BVar(0),))), NAtom("p", (Eigen(1),))),
+        # Eigen(True) == Eigen(1)
+        (All(PAtom("p", (BVar(0),))), NAtom("p", (Eigen(True),))),
+        # the same, as one disjunction
+        (OrNeg(All(PAtom("p", (BVar(0),))), NAtom("p", (Eigen(1),))),),
+    ], ids=["int", "bool", "nested"])
+    def test_an_entry_eigenvariable_is_never_fresh(self, entry):
+        # the FPC says yes to everything; the kernel numbered the all's
+        # eigenvariable e1 and accepted in 5 steps
+        assert first_order_countermodel(entry) is not None
+        fpc = Witnessing()
+        result = check_polarized(entry, None, fpc)
+        assert not result.accepted
+        assert fpc.eigens == [Eigen(2)]
+
+    def test_the_numbering_starts_past_the_largest(self):
+        entry = (NAtom("p", (Eigen(7),)), NAtom("p", (Eigen(3),)), All(PAtom("p", (BVar(0),))))
+        fpc = Witnessing()
+        assert not check_polarized(entry, None, fpc).accepted
+        assert fpc.eigens == [Eigen(8)]
 
 
 class TestBipoleShape:
