@@ -18,11 +18,11 @@ run is a proof under exactly the guidance the certificate supplies.
 
 The search is one loop over a goal stack, not recursion, so proof height
 is bounded by memory and the step budget.  A rule with several
-continuations leaves a choice point, undone through a trail on
-backtracking, and a cut goal under its premise drops it once the premise
-has succeeded: a later failure never re-enters a premise that closed.
-A traced check records each step, and a reject reports the deepest
-trace prefix a failure reached; an untraced check builds no event.
+continuations leaves a choice point, and a cut goal under its premise
+drops it once the premise has succeeded: a later failure never re-enters
+a premise that closed.  A right premise and a backtrack undo stores by
+truncating a trail.  A traced check records each step, and a reject the
+deepest trace prefix a failure reached; an untraced one builds no event.
 
 Storage indexes are opaque to the kernel: they are whatever hashable
 values the certificate's store clerk hands out.  At a decide the
@@ -150,15 +150,15 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # the checker
 #
-# A goal is a cons cell (tag, a, b, next): prove an asynchronous sequent
-# (a = certificate, b = workbench, a tuple of items) or a synchronous one
-# (a = certificate, b = focus item), an item being a pair (formula, env);
-# emit the branch marker a (traced runs only), pop the storage bucket a,
-# or cut the choice stack back to height a.  next is the rest of the stack.
+# A goal is a cons cell (tag, a, b, next), next the rest of the stack:
+# prove an asynchronous sequent (a = certificate, b = workbench, a tuple of
+# items) or a synchronous one (a = certificate, b = focus item), an item
+# being a pair (formula, env); begin a right premise, undoing storage to
+# trail height a and, if traced, emitting its branch marker b; or cut the
+# choice stack back to height a.
 
-_ASYNC, _SYNC, _EMIT, _POP, _CUT = range(5)
-_FAIL = object()    # a rule with no continuation: backtrack
-_PUSHED = object()  # trail entry: the bucket was pushed onto
+_ASYNC, _SYNC, _RIGHT, _CUT = range(4)
+_FAIL = object()  # a rule with no continuation: backtrack
 
 
 def _resolve(args: tuple[Term, ...], env: tuple[Term, ...]) -> tuple[Term, ...]:
@@ -175,9 +175,12 @@ class _Run:
     """One check.  Storage is two maps: positive items by index with
     the step that stored them (for decide), negative atoms by predicate
     and resolved arguments with their indexes (for init).  A store
-    pushes an entry and a pop goal under its premise takes it off, so a
-    branch sees the entries of its path; while a choice point is live
-    both go on the trail."""
+    pushes an entry and logs its bucket on the trail; undo pops logged
+    buckets down to a height, a right premise's at its rule or a choice
+    point's on backtracking.  Nothing popped is ever put back, as no
+    undo goes below a live choice point's height: a right premise inside
+    its premise marks a height at least its own, and one under its cut
+    runs only once the cut has dropped it."""
 
     def __init__(self, fpc: Fpc, max_steps: int, trace: bool):
         self.fpc = fpc
@@ -192,9 +195,9 @@ class _Run:
         self.positive: dict[object, list[tuple[int, tuple]]] = {}
         self.negative: dict[tuple, list[object]] = {}
         # choice points: (step, its context, untried alternatives last first,
-        # then the goals, trace length or None and trail length to restore)
+        # then the goals, trace length and trail height to restore)
         self.choices: list[tuple] = []
-        self.trail: list[tuple[list, object]] = []
+        self.trail: list[list] = []  # the bucket of each live store, oldest first
 
     def run(self, cert: object, gamma: tuple) -> bool:
         goals = (_ASYNC, cert, gamma, None)
@@ -206,19 +209,15 @@ class _Run:
                 if self.steps > self.max_steps:
                     raise StepBudgetExceeded(f"gave up after {self.max_steps} steps")
                 goals = phases[tag](a, b, goals)
-            elif tag == _EMIT:
-                self.events.append(a)
-            elif tag == _POP:
-                item = a.pop()
-                if self.choices:
-                    self.trail.append((a, item))
+            elif tag == _RIGHT:
+                self.undo(a)
+                if self.trace:
+                    self.events.append(b)
             else:
                 del self.choices[a:]
-                if not self.choices:
-                    self.trail.clear()
             # an alternative resumed by backtracking may fail at once too
             while goals is _FAIL:
-                if self.trace and len(self.events) > len(self.deepest):
+                if len(self.events) > len(self.deepest):
                     self.deepest = tuple(self.events)
                 if not self.choices:
                     return False
@@ -234,25 +233,24 @@ class _Run:
         if len(alts) > 1:
             self.choice_points += len(alts) - 1
             goals = (_CUT, len(self.choices), None, goals)
-            mark = len(self.events) if self.trace else None
-            self.choices.append((step, ctx, list(alts[:0:-1]), goals, mark, len(self.trail)))
+            self.choices.append((step, ctx, list(alts[:0:-1]), goals, len(self.events),
+                                 len(self.trail)))
         return step(ctx, alts[0], goals)
 
     def backtrack(self) -> object:
         """Resume the newest choice point with its next alternative."""
-        step, ctx, untried, goals, mark, trail_len = self.choices[-1]
+        step, ctx, untried, goals, mark, height = self.choices[-1]
         alt = untried.pop()
         if not untried:
             self.choices.pop()
-        while len(self.trail) > trail_len:
-            bucket, item = self.trail.pop()
-            if item is _PUSHED:
-                bucket.pop()
-            else:
-                bucket.append(item)
-        if self.trace:
-            del self.events[mark:]
+        self.undo(height)
+        del self.events[mark:]
         return step(ctx, alt, goals)
+
+    def undo(self, height: int) -> None:
+        """Take storage back to the trail at height."""
+        while len(self.trail) > height:
+            self.trail.pop().pop()
 
     # asynchronous phase: decompose the workbench, a step's context, or decide
 
@@ -286,8 +284,7 @@ class _Run:
         right = (_ASYNC, c_right, ((f.right, env),) + rest, goals)
         if self.trace:
             self.events.append(ANDNEG_L)
-            right = (_EMIT, ANDNEG_R, None, right)
-        return (_ASYNC, c_left, ((f.left, env),) + rest, right)
+        return (_ASYNC, c_left, ((f.left, env),) + rest, (_RIGHT, len(self.trail), ANDNEG_R, right))
 
     def all_step(self, gamma: tuple, mk: object, goals: tuple | None) -> tuple:
         (f, env), rest = gamma[0], gamma[1:]
@@ -309,9 +306,8 @@ class _Run:
             # the step count orders the entries of a branch by age
             bucket = self.positive.setdefault(index, [])
             bucket.append((self.steps, gamma[0]))
-        if self.choices:
-            self.trail.append((bucket, _PUSHED))
-        return (_ASYNC, c2, gamma[1:], (_POP, bucket, None, goals))
+        self.trail.append(bucket)
+        return (_ASYNC, c2, gamma[1:], goals)
 
     def _decide(self, cert: object, goals: tuple | None) -> object:
         # one alternative per stored positive entry at a named index, newest
@@ -337,8 +333,7 @@ class _Run:
             right = (_SYNC, cert, (focus.right, env), goals)
             if self.trace:
                 self.events.append(ANDPOS_L)
-                right = (_EMIT, ANDPOS_R, None, right)
-            return (_SYNC, cert, (focus.left, env), right)
+            return (_SYNC, cert, (focus.left, env), (_RIGHT, len(self.trail), ANDPOS_R, right))
         if isinstance(focus, Exists):
             return self.branch(tuple(self.fpc.some_e(cert)), self.some_step, item, goals)
         if isinstance(focus, DelayPos):

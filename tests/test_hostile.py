@@ -136,13 +136,14 @@ _DUAL = {PAtom: NAtom, NAtom: PAtom, AndNeg: OrNeg, AndPos: OrNeg, OrNeg: AndNeg
 _FLIP = {All: Exists, Exists: All}
 
 
-def _sites(f) -> int:
-    # the places _near_dual may change: each quantifier, each atom argument
+def _sites(f, args: bool = True) -> int:
+    # the places _near_dual may change: each quantifier and, with args,
+    # each atom argument
     if isinstance(f, (PAtom, NAtom)):
-        return len(f.args)
+        return len(f.args) if args else 0
     if isinstance(f, (AndNeg, OrNeg, AndPos)):
-        return _sites(f.left) + _sites(f.right)
-    return (type(f) in _FLIP) + _sites(f.body)
+        return _sites(f.left, args) + _sites(f.right, args)
+    return (type(f) in _FLIP) + _sites(f.body, args)
 
 
 @st.composite
@@ -172,13 +173,40 @@ def _near_dual(draw, f):
     return go(f, 0)
 
 
+@st.composite
+def _named_dual(draw, f):
+    """The dual of f with the variable of one quantifier replaced by e1,
+    written Eigen(1) or Eigen(True), its binder left vacuous.  With f,
+    an entry that is mostly not valid, but that a kernel opening a
+    universal of f at e1 as fresh would close."""
+    left = [draw(st.integers(0, max(_sites(f, args=False) - 1, 0)))]  # quantifiers to pass
+    named = draw(st.sampled_from((Eigen(1), Eigen(True))))
+
+    def go(f, depth, binder):
+        # binder: the depth just inside the chosen quantifier, once passed
+        cls = _DUAL[type(f)]
+        if cls in (PAtom, NAtom):
+            return cls(f.pred, tuple(named if isinstance(t, BVar) and binder is not None
+                                     and t.index == depth - binder else t for t in f.args))
+        if cls in (AndNeg, OrNeg):
+            return cls(go(f.left, depth, binder), go(f.right, depth, binder))
+        if cls in _FLIP:
+            left[0] -= 1
+            return cls(go(f.body, depth + 1, depth + 1 if left[0] == -1 else binder))
+        return cls(go(f.body, depth, binder))
+
+    return go(f, 0, None)
+
+
 # an entry's predicates: a unary p, a binary r, or both; with one, its
 # atoms clash often
 _PREDS = st.sampled_from(((("p", 1),), (("r", 2),), (("p", 1), ("r", 2))))
-# random entries, and as many that are nearly valid
+# random entries, and twice as many that are nearly valid: a formula
+# beside its dual with one change, or beside its dual around e1
 _ENTRIES = _PREDS.flatmap(lambda preds: st.one_of(
     st.lists(_polarized(preds), min_size=1, max_size=2).map(tuple),
-    _polarized(preds).flatmap(lambda f: _near_dual(f).map(lambda g: (f, g)))))
+    _polarized(preds).flatmap(lambda f: _near_dual(f).map(lambda g: (f, g))),
+    _polarized(preds).flatmap(lambda f: _named_dual(f).map(lambda g: (f, g)))))
 
 
 class TestHostileFpc:

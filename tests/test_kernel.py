@@ -626,6 +626,32 @@ class TestStorageScope:
         result = check(EXAMPLE2_THEOREM, FitCert.load(leaky), FITTINGS)
         assert not result.accepted
 
+    def test_a_positive_conjunction_scopes_its_left_premise_storage(self):
+        # (~a | ~b | b) &+ a is just a: the left premise stores ~a, ~b and
+        # b and closes on b, and its ~a must be gone when the right
+        # premise reaches a
+        entry = (AndPos(DelayNeg(OrNeg(NA, OrNeg(NB, B))), A),)
+        result = check_polarized(entry, None, Witnessing(), max_steps=1000)
+        assert not result.accepted
+        assert (result.steps, result.choice_points) == (13, 1)
+
+    def test_an_alternative_does_not_see_what_a_failed_one_stored(self):
+        class OneDecide(Witnessing):
+            """Witnessing, with one decide on each branch: the
+            certificate counts the decides left."""
+
+            def decide_e(self, cert):
+                return self.named(cert - 1) if cert else ()
+
+        # the newest entry, delayed ~a | b, is decided first: it stores ~a
+        # and b and fails at the next decide; a, decided on backtracking,
+        # must not close on that ~a
+        entry = (A, DelayPos(OrNeg(NA, B)))
+        result = check_polarized(entry, 1, OneDecide(), max_steps=1000)
+        assert not result.accepted
+        assert (result.steps, result.choice_points) == (10, 1)
+        assert Ev("store", ("ix", NA)) in result.trace
+
 
 class TestAgainstBruteForce:
     """The kernel's DFS is exhaustive: its verdict matches a second,
