@@ -17,12 +17,24 @@ world already present.  Within a rule class, candidates are ordered by
 their descent path in the original formula (left before right), then by
 prefix, then by age.  Certificate emission relies on this determinism
 only for reproducibility, not for correctness.
+
+A closed subtree keeps the set of the entries above it that it uses, by
+index: a closure uses its two literals, and a step that creates an
+entry in use uses its source and, for a box propagation, the entry that
+made its target world (dependency-directed backtracking, after Horrocks
+and Patel-Schneider, "Optimizing description logic subsumption", 1999).
+Two rules act on the sets.  A step that creates no entry in use is
+dropped from the tree, and its child closes the branch alone; for a
+split, each side's subtree that does not use its own entry closes the
+branch alone.  For the left side that is a backjump: the right branch is
+never expanded.  Only a branch that would close is skipped, so verdicts
+do not change, but world numbers are global: a skipped branch makes no
+world, and a later branch numbers its worlds from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator, Mapping
 
 from .firstorder import (
@@ -265,13 +277,13 @@ class _Prover:
         self.creator: dict[Prefix, Index] = {}
 
     def step(self, entries: list[PrefixedFormula],
-             done: frozenset) -> tuple[partial[TabStep], list] | OpenBranch:
+             done: frozenset) -> tuple[TabStep, list] | OpenBranch:
         """The next step on a branch, as a TabStep still to be given its
         children, and the (entries, done) branches it leaves, left first;
         done holds split and diamond positions and box (position, world) pairs."""
         closing = self._find_closure(entries)
         if closing is not None:
-            return partial(TabStep, "close", None, closing=closing), []
+            return TabStep("close", None, closing=closing), []
 
         pos = self._pick(entries, lambda p, e: p not in done and isinstance(e.body, (And, Or)))
         if pos is not None:
@@ -280,9 +292,9 @@ class _Prover:
             right = PrefixedFormula(e.prefix, e.body.right, e.origin + ("R",), Rind(e.index))
             done |= {pos}
             if isinstance(e.body, And):
-                return (partial(TabStep, "andF", e, (left, right)),
+                return (TabStep("andF", e, (left, right)),
                         [(entries + [left, right], done)])
-            return (partial(TabStep, "orF", e, (left, right)),
+            return (TabStep("orF", e, (left, right)),
                     [(entries + [left], done), (entries + [right], done)])
 
         pos = self._pick(entries, lambda p, e: p not in done and isinstance(e.body, Dia))
@@ -293,7 +305,7 @@ class _Prover:
             target = e.prefix + (n,)
             self.creator[target] = e.index
             child = PrefixedFormula(target, e.body.body, e.origin + ("L",), Lind(e.index))
-            return (partial(TabStep, "diaF", e, (child,), target),
+            return (TabStep("diaF", e, (child,), target),
                     [(entries + [child], done | {pos})])
 
         box_cand = self._pick_box(entries, done)
@@ -302,7 +314,7 @@ class _Prover:
             e = entries[pos]
             child = PrefixedFormula(target, e.body.body, e.origin + ("L",),
                                     Bind(e.index, self.creator[target]))
-            return (partial(TabStep, "boxF", e, (child,), target),
+            return (TabStep("boxF", e, (child,), target),
                     [(entries + [child], done | {(pos, target)})])
 
         return self._open(entries)
@@ -370,25 +382,63 @@ class _Prover:
         return OpenBranch(model, tuple(entries))
 
 
+def _join(step: TabStep, built: list[tuple[TabStep, set[Index]]]) -> None:
+    """Give step its children, the subtrees on top of built, and replace
+    them by the step's own subtree and the set of the entries above it
+    that the subtree uses.  A step that creates no entry in use is
+    dropped, and its child closes the branch alone; so is a split whose
+    right subtree does not use the right entry, as its left subtree uses
+    the left one (prove skipped the split otherwise).  A single child's
+    set is updated in place, and at a split the larger set takes in the
+    smaller, so no step copies a set."""
+    if step.rule == "orF":
+        if step.created[1].index not in built[-1][1]:
+            built[-2:] = built[-1:]
+            return
+        kids = (built[-2][0], built[-1][0])
+        used, other = built[-2][1], built.pop()[1]
+        if len(used) < len(other):
+            used, other = other, used
+        used |= other
+    else:
+        child, used = built[-1]
+        if not any(e.index in used for e in step.created):
+            return
+        kids = (child,)
+    for e in step.created:
+        used.discard(e.index)
+    used.add(step.source.index)
+    if step.rule == "boxF":
+        # the entry (lind D) that diamond D, the aux, made the world with
+        used.add(Lind(step.created[0].index.right))
+    built[-1] = (TabStep(step.rule, step.source, step.created, step.target, children=kids), used)
+
+
 def prove(theorem: ModalFormula,
           max_steps: int = DEFAULT_MAX_TABLEAU_STEPS) -> ClosedTableau | OpenBranch:
     """Refute the negation of theorem.  A ClosedTableau means theorem is
     K-valid; an OpenBranch carries the first countermodel found, verified.
     One stack holds the branches to expand, left first, and the steps
-    waiting for their children.  Each step on a branch counts against
-    max_steps, and the search raises StepBudgetExceeded past it."""
+    waiting for their children; a split waits with its right branch
+    until its left subtree is built.  Each built subtree carries the
+    indexes of the entries above it that it uses (see _join), and a
+    split whose left subtree does not use the left entry is skipped: that
+    subtree closes the branch alone, and the right branch is never
+    expanded.  Each step on a branch counts against max_steps, and the
+    search raises StepBudgetExceeded past it."""
     root = PrefixedFormula(ROOT_WORLD, negate_nnf(theorem), (), EIND)
     prover = _Prover()
-    built: list[TabStep] = []
+    built: list[tuple[TabStep, set[Index]]] = []
     todo: list = [([root], frozenset())]
     steps = 0
     while todo:
         item = todo.pop()
-        if isinstance(item[1], int):
-            # a step waiting for its n children, the last n built
-            make, n = item
-            k = len(built) - n
-            built[k:] = [make(children=tuple(built[k:]))]
+        if type(item[0]) is TabStep:
+            step, right = item
+            if right is None:
+                _join(step, built)
+            elif step.created[0].index in built[-1][1]:
+                todo += [(step, None), right]
             continue
         steps += 1
         if steps > max_steps:
@@ -396,10 +446,14 @@ def prove(theorem: ModalFormula,
         found = prover.step(*item)
         if isinstance(found, OpenBranch):
             return found
-        make, branches = found
-        todo.append((make, len(branches)))
-        todo += reversed(branches)
-    return ClosedTableau(theorem, root, built[0])
+        step, branches = found
+        if step.rule == "close":
+            neg, pos = step.closing
+            built.append((step, {neg.index, pos.index}))
+            continue
+        todo.append((step, branches[1] if len(branches) == 2 else None))
+        todo.append(branches[0])
+    return ClosedTableau(theorem, root, built[0][0])
 
 
 # ---------------------------------------------------------------------------

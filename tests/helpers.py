@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from kcert.firstorder import format_formula
-from kcert.fittings import Bind, DecTree, FitCert, Index, Lind, NONE, Rind
+from kcert.fittings import Bind, DecTree, EIND, FitCert, Index, Lind, NONE, Rind
 from kcert.formulas import (
     And,
     AndNeg,
@@ -640,6 +640,29 @@ def distill_with_repeats(tree: DecTree) -> SimpfitCert:
             boxinfos.append(BoxInfo(node.decide_on, node.aux))
         stack.extend(reversed(node.children))
     return SimpfitCert.load(closures, boxinfos)
+
+
+def wide3_unpruned_dectree() -> DecTree:
+    """wide(3)'s decide tree as the prover emitted it before it dropped
+    the steps a branch does not use.  The box's body splits into its
+    three conjuncts, and the branch of the k-th decides on the first k
+    diamonds, each against the box, before it closes: so the boxinfos of
+    the first two diamonds repeat."""
+    diamonds, box = Lind(EIND), Rind(EIND)
+    body = Lind(box)
+    pair = Lind(body)
+    dias = (Lind(Lind(diamonds)), Rind(Lind(diamonds)), Rind(diamonds))
+    conjuncts = (Lind(pair), Rind(pair), Rind(body))
+    branches = []
+    for k in range(3):
+        tree = DecTree(conjuncts[k], Bind(dias[k], box), ())
+        for dia in reversed(dias[:k + 1]):
+            tree = DecTree(dia, box, (tree,))
+        branches.append(tree)
+    tree = DecTree(body, NONE, (DecTree(pair, NONE, tuple(branches[:2])), branches[2]))
+    for index in (box, Lind(diamonds), diamonds, EIND):
+        tree = DecTree(index, NONE, (tree,))
+    return tree
 
 
 # an index table whose i{k+1} is (bind i{k} i{k}): i200 written out

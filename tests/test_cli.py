@@ -15,12 +15,13 @@ from kcert.cli import main
 from kcert.firstorder import format_formula
 from kcert.fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind
 from kcert.formulas import And, Box, Dia, NegAtom, Or, PosAtom
-from kcert.problems import ProblemFile, format_problem
+from kcert.kernel import check
+from kcert.problems import ProblemFile, format_problem, parse_formula_text
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
 from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, negate_nnf, prove
 from helpers import (
-    DOUBLING_TABLE, agreement_corpus, kchain, kchain_bad, recursion_limit, taut, time_limit,
-    wide, wide_bad)
+    DOUBLING_TABLE, agreement_corpus, kchain, kchain_bad, php, recursion_limit, taut,
+    time_limit, wide, wide_bad)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -170,7 +171,7 @@ class TestOracle:
 
 class TestProveOutput:
     """What kcert prove prints, countermodels included, and its exit code,
-    pinned as one digest before the prover's search is reworked."""
+    pinned as two digests: one over the refuted runs, one over the proved."""
 
     @staticmethod
     def runs():
@@ -184,15 +185,35 @@ class TestProveOutput:
                     yield format_formula(family(n)), emit
 
     def test_stdout_and_exit_codes_are_pinned(self, capsys):
-        # recorded before the tableau had a step budget
-        digest = hashlib.sha256()
-        runs = 0
+        # the refuted digest was recorded before the tableau had a step
+        # budget, and holds the countermodels byte-identical across the
+        # backjump, which could shift world numbering; the proved digest
+        # was re-pinned when the prover began to prune its certificates
+        # (it read 864823e4... before)
+        digests = {0: hashlib.sha256(), 1: hashlib.sha256()}
+        runs = {0: 0, 1: 0}
         for text, emit in self.runs():
             code = main(["prove", text, "--emit", emit])
-            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
-            runs += 1
-        assert (runs, digest.hexdigest()) == (
-            2851, "83dd1b224da788db6f8900618fc5b229867e323dacc0aa66402241470b204947")
+            digests[code].update(f"{code}\n{capsys.readouterr().out}".encode())
+            runs[code] += 1
+        assert (runs[1], digests[1].hexdigest()) == (
+            2505, "e1c3a9923f0a68ae0a9a5307d05557422124fe26721f96cdab451cafab70121d")
+        assert (runs[0], digests[0].hexdigest()) == (
+            346, "7cabaf6e2dd25071e34e73eeaf111bcc611400d589a8e4a09d51b5c658789cdb")
+        assert runs[0] + runs[1] == 2851
+
+    def test_proved_runs_emit_certificates_replayed_without_choice(self):
+        # the pruned decide tree of every proved run still names each
+        # decide the kernel makes
+        proved = 0
+        for text, _ in self.runs():
+            theorem = parse_formula_text(text)
+            outcome = prove(theorem)
+            if isinstance(outcome, ClosedTableau):
+                result = check(theorem, emit_fitcert(outcome, theorem), trace=False)
+                assert (result.accepted, result.choice_points) == (True, 0), text
+                proved += 1
+        assert proved == 346
 
 
 class TestErrors:
@@ -221,6 +242,16 @@ class TestErrors:
         monkeypatch.setattr(cli, "DEFAULT_MAX_STEPS", 9)
         assert main(["check", str(FIXTURES / "taut.prob")]) == 0
         capsys.readouterr()
+
+    def test_simpfit_runs_out_on_php3_where_fittings_does_not(self, monkeypatch, capsys):
+        # SIMPFIT reconstructs php(3)'s splits by search, in 512,043 kernel
+        # steps; its FITTINGS certificate names each one, and checks in 2,377
+        monkeypatch.setattr(cli, "DEFAULT_MAX_STEPS", 10_000)
+        text = format_formula(php(3))
+        assert main(["prove", text, "--emit", "simpfit"]) == 2
+        self._one_error_line(capsys)
+        assert main(["prove", text]) == 0
+        assert "(fittings" in capsys.readouterr().out
 
     def test_tableau_step_budget_is_an_error(self, monkeypatch, capsys):
         # proving p | ~p takes 2 tableau steps, the split and the closure;

@@ -23,7 +23,7 @@ from kcert.examples import (
     taut_dectree,
 )
 from kcert.firstorder import standard_translation
-from kcert.fittings import FITTINGS, node_count
+from kcert.fittings import FITTINGS, FitCert, node_count
 from kcert.formulas import (
     And,
     Box,
@@ -35,8 +35,8 @@ from kcert.formulas import (
 )
 from kcert import cli
 from kcert.kernel import StepBudgetExceeded, check
-from kcert.problems import ProblemFile, format_problem, parse_problem
-from kcert.simpfit import SIMPFIT, SimpfitCert
+from kcert.problems import ProblemFile, format_problem, parse_formula_text, parse_problem
+from kcert.simpfit import SIMPFIT, SimpfitCert, distill
 from kcert.tableau import (
     DEFAULT_MAX_TABLEAU_STEPS,
     ClosedTableau,
@@ -71,6 +71,7 @@ from helpers import (
     recursion_limit,
     taut,
     wide,
+    wide3_unpruned_dectree,
     wide_bad,
 )
 
@@ -210,6 +211,48 @@ class TestProver:
             scripted_node_count(EXAMPLE2_STANDARD_TABLEAU) + 1
         assert created + 1 == 13
 
+    def test_a_split_the_left_branch_does_not_need_is_skipped(self):
+        # refuted: (a | b) & (p & ~p).  The left branch closes on p and ~p
+        # without a, so the right one is never expanded: 4 tableau steps,
+        # not 6, and the split is not emitted
+        theorem = Or(And(NegAtom("a"), NegAtom("b")), Or(NP, P))
+        ct = prove(theorem, max_steps=4)
+        with pytest.raises(StepBudgetExceeded):
+            prove(theorem, max_steps=3)
+        assert [s.rule for s in _walk_steps(ct.step)] == ["andF", "andF", "close"]
+
+    def test_a_split_the_right_branch_does_not_need_is_dropped(self):
+        # refuted: (a | b) & (~a & (q & ~q)).  The left branch closes on a
+        # and ~a, and the right one on q and ~q without b: the right
+        # subtree closes the branch alone
+        theorem = Or(And(NegAtom("a"), NegAtom("b")), Or(PosAtom("a"), Or(NQ, Q)))
+        ct = prove(theorem)
+        assert [s.rule for s in _walk_steps(ct.step)] == ["andF", "andF", "andF", "close"]
+        assert check(theorem, emit_fitcert(ct, theorem), trace=False).accepted
+
+    def test_steps_the_closure_does_not_use_are_dropped(self):
+        # refuted: (dia r & dia q) & box ~q.  The box closes the second
+        # diamond's world; the first diamond, and the box's propagation
+        # into its world, are expanded but not emitted
+        theorem = Or(Or(Box(NegAtom("r")), Box(NQ)), Dia(Q))
+        ct = prove(theorem)
+        steps = [(s.rule, s.target) for s in _walk_steps(ct.step)]
+        assert steps == [("andF", None), ("andF", None), ("diaF", (1, 2)), ("boxF", (1, 2)),
+                         ("close", None)]
+        assert check(theorem, emit_fitcert(ct, theorem), trace=False).accepted
+
+    def test_a_skipped_branch_numbers_no_world(self):
+        # refuted: (box ~p | c) & (b1 | b2) & dia p.  On the branch of
+        # box ~p the box closes the diamond's world without b1, so b2's
+        # branch is skipped, and the world it would have made is not
+        # counted: the countermodel, on the branch of c, names the
+        # diamond's world 1.2, where without the skip it named 1.3
+        theorem = parse_formula_text(
+            "(or (or (and (dia (+ p)) (- c)) (and (- b1) (- b2))) (box (- p)))")
+        result = prove(theorem)
+        assert isinstance(result, OpenBranch)
+        assert format_model(result.model) == "world 1: {b1, c}\nworld 1.2: {p}\nedge 1 1.2"
+
     def test_invalid_formula_yields_countermodel(self):
         result = prove(Dia(P))
         assert isinstance(result, OpenBranch)
@@ -319,6 +362,25 @@ class TestEmitters:
         assert node_count(emit_dectree(prove(EXAMPLE1_THEOREM))) == 8
         assert node_count(emit_dectree(prove(EXAMPLE2_THEOREM))) == 10
 
+    @pytest.mark.parametrize("family,sizes,nodes", [
+        (taut, (32, 64, 96), (95, 191, 287)),
+        (kchain, (16, 24, 32), (53, 77, 101)),
+        (wide, (8, 16, 24), (32, 64, 96)),
+    ], ids=["taut", "kchain", "wide"])
+    def test_pruned_node_counts(self, family, sizes, nodes):
+        # the FITTINGS certificates of the benchmark; before the prover
+        # dropped the steps a closed branch does not use, kchain's trees
+        # had 69/101/133 nodes and wide's 60/184/372, one box propagation
+        # into every earlier diamond's world on each branch
+        counts = []
+        for n in sizes:
+            theorem = family(n)
+            ct = prove(theorem)
+            counts.append(node_count(emit_dectree(ct, theorem)))
+            result = check(theorem, emit_fitcert(ct, theorem), trace=False)
+            assert (result.accepted, result.choice_points) == (True, 0)
+        assert tuple(counts) == nodes
+
     def test_essentials_deduplicate_closures(self):
         cert = emit_simpfitcert(prove(EXAMPLE2_THEOREM))
         assert len(cert.closures) == len(set(cert.closures)) == 2
@@ -354,7 +416,9 @@ class TestEmitters:
         # an aux, the order of the closures or the number of boxinfos
         # moves it.  The digest is over the text printed before the index
         # table; the text printed now must read back as the same
-        # certificate, and so must the old text
+        # certificate, and so must the old text.  Re-pinned when the
+        # prover began to drop the steps a closed branch does not use: it
+        # read e5f7ea32... on the unpruned trees
         digest = hashlib.sha256()
         proofs = _pinned_proofs()
         for theorem, ct in proofs:
@@ -367,17 +431,22 @@ class TestEmitters:
                 assert parse_problem(format_problem(pf)).certificate == cert
         assert len(proofs) == 335
         assert digest.hexdigest() == (
-            "e5f7ea321a054627cc6a2c917eedc1b043c1b74b27ee093bf709333a1c1c55cf")
+            "3476553a2e56819d9e52730fc70b7a78f3e7b0386949ed394fad0e6875647f38")
 
     def test_simpfit_lists_each_boxinfo_once(self):
         # the pinned certificates with every later repeat of a boxinfo
-        # dropped; the wide family has repeats, one per branch
+        # dropped.  A pruned tree names no boxinfo twice, so the repeats
+        # come from wide(3)'s unpruned tree, which the kernel accepts too
+        unpruned = wide3_unpruned_dectree()
+        assert check(wide(3), FitCert.load(unpruned), trace=False).accepted
+        trees = [(emit_dectree(ct, theorem), emit_simpfitcert(ct, theorem))
+                 for theorem, ct in _pinned_proofs()]
         repeats = 0
-        for theorem, ct in _pinned_proofs():
-            reference = distill_with_repeats(emit_dectree(ct, theorem))
+        for tree, cert in trees + [(unpruned, distill(unpruned))]:
+            reference = distill_with_repeats(tree)
             once = tuple(dict.fromkeys(reference.boxinfos))
             repeats += len(reference.boxinfos) - len(once)
-            assert emit_simpfitcert(ct, theorem) == SimpfitCert.load(reference.closures, once)
+            assert cert == SimpfitCert.load(reference.closures, once)
         assert repeats > 0
 
     def test_emitted_certificates_check(self):
@@ -403,10 +472,23 @@ class TestHardFamilies:
         assert check(theorem, emit(ct, theorem), trace=False).accepted
 
     def test_php2_step_counts(self):
+        # FITTINGS read 685 before the prover pruned its certificates;
+        # SIMPFIT reconstructs the splits its closures need, and the
+        # pruned tree has the same closures
         ct = prove(php(2))
         steps = [check(php(2), emit(ct), trace=False).steps
                  for emit in (emit_fitcert, emit_simpfitcert)]
-        assert steps == [685, 712]
+        assert steps == [229, 712]
+
+    def test_php3_search_cost(self):
+        # 1,245 tableau steps, where 68,472 before the backjump; the
+        # pruned tree is replayed with no choice point
+        theorem = php(3)
+        ct = prove(theorem, max_steps=1245)
+        with pytest.raises(StepBudgetExceeded):
+            prove(theorem, max_steps=1244)
+        result = check(theorem, emit_fitcert(ct, theorem), trace=False)
+        assert (result.accepted, result.steps, result.choice_points) == (True, 2377, 0)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_dropped_disjunct_has_a_countermodel(self, n):
