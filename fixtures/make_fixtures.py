@@ -7,8 +7,13 @@ files always stay in canonical form; only the comment headers live here.
 
 import dataclasses
 import pathlib
+import sys
 
-from kcert.examples import (
+HERE = pathlib.Path(__file__).resolve().parent
+# the worked certificates are test code, kept beside the tests
+sys.path.insert(0, str(HERE.parent / "tests"))
+
+from examples import (  # noqa: E402
     EXAMPLE1_THEOREM,
     EXAMPLE2_THEOREM,
     TAUT_THEOREM,
@@ -19,10 +24,8 @@ from kcert.examples import (
     sftab2_cert,
     taut_cert,
 )
-from kcert.fittings import EIND, FitCert
-from kcert.problems import ProblemFile, format_problem
-
-HERE = pathlib.Path(__file__).resolve().parent
+from kcert.fittings import EIND, FitCert  # noqa: E402
+from kcert.problems import ProblemFile, format_problem  # noqa: E402
 
 FTAB1_EVIDENCE = """\
 ;; Fully detailed tableau certificate for the ModLeanTAP problem t1.

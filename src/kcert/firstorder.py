@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .formulas import (All, And, AndNeg, AndPos, Box, BVar, DelayNeg, DelayPos, Dia, Exists,
                        ModalFormula, NAtom, NegAtom, Or, OrNeg, PAtom, PolarizedFormula, PosAtom,
-                       REL, Term, _bound_world, _shift, body_kid, both_kids, fold, no_kids)
+                       REL, Term, _bound_world, _shift, both_kids, fold, no_kids)
 
 
 # ---------------------------------------------------------------------------
@@ -70,27 +70,9 @@ _STANDARD = {
     Dia: (_bound_world, lambda a, w, v: FoEx(FoAnd(FoAtom(REL, (_shift(w), BVar(0))), *v))),
 }
 
-_STRIP = {
-    PAtom: (no_kids, lambda f, _, __: FoAtom(f.pred, f.args)),
-    NAtom: (no_kids, lambda f, _, __: FoNeg(FoAtom(f.pred, f.args))),
-    AndNeg: (both_kids, lambda f, _, v: FoAnd(*v)),
-    AndPos: (both_kids, lambda f, _, v: FoAnd(*v)),
-    OrNeg: (both_kids, lambda f, _, v: FoOr(*v)),
-    All: (body_kid, lambda f, _, v: FoAll(*v)),
-    Exists: (body_kid, lambda f, _, v: FoEx(*v)),
-    DelayPos: (body_kid, lambda f, _, v: v[0]),
-    DelayNeg: (body_kid, lambda f, _, v: v[0]),
-}
-
-
 def standard_translation(a: ModalFormula, world: Term) -> FoFormula:
     """The textbook relational translation into unpolarized first-order logic."""
     return fold(a, world, _STANDARD, "modal")
-
-
-def strip_polarities(f: PolarizedFormula) -> FoFormula:
-    """Forget polarities and delays, keeping the classical content."""
-    return fold(f, None, _STRIP, "polarized")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .formulas import NAtom, PAtom, PolarizedFormula, REL, Term, fold
+from .formulas import NAtom, PAtom, PolarizedFormula, REL, Term
 from .kernel import Fpc
 
 
@@ -188,10 +188,6 @@ class DecTree:
 
 def child_kids(node, ctx) -> list:
     return [(child, ctx) for child in node.children]
-
-
-def node_count(tree: DecTree) -> int:
-    return fold(tree, None, {DecTree: (child_kids, lambda t, _, v: 1 + sum(v))}, "decide tree")
 
 
 # ---------------------------------------------------------------------------

@@ -37,17 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .firstorder import (
-    FoAll,
-    FoAnd,
-    FoAtom,
-    FoEx,
-    FoFormula,
-    FoImp,
-    FoNeg,
-    FoOr,
-    format_formula,
-)
+from .firstorder import format_formula
 from .fittings import (
     Bind,
     DecTree,
@@ -61,15 +51,12 @@ from .fittings import (
 )
 from .formulas import (
     And,
-    BVar,
     Box,
     Dia,
     ModalFormula,
     NegAtom,
     Or,
     PosAtom,
-    REL,
-    Term,
     both_kids,
     body_kid,
     fold,
@@ -167,47 +154,6 @@ def eval_modal(model: KripkeModel, world: Prefix, a: ModalFormula) -> bool:
         Box: (at_successors, _every),
         Dia: (at_successors, _some),
     }, "modal")
-
-
-def eval_fo(model: KripkeModel, f: FoFormula, env: Mapping[Term, Prefix]) -> bool:
-    """Evaluate a first-order formula over a model's worlds.  env gives
-    worlds for the free constants; quantifiers range over all worlds.
-    No connective short-circuits, so a subformula under d quantifiers is
-    evaluated once for each of the len(model.worlds)**d assignments."""
-
-    def world_of(t: Term, bound: tuple[Prefix, ...]) -> Prefix:
-        if isinstance(t, BVar):
-            if t.index >= len(bound):
-                raise ValueError(f"unbound variable {t}")
-            return bound[t.index]
-        try:
-            w = env[t]
-        except KeyError:
-            raise ValueError(f"no world assigned to {t}") from None
-        if w not in model.worlds:
-            raise ValueError(f"{t} assigned to {w}, which is not a world")
-        return w
-
-    def atom(f: FoAtom, bound: tuple[Prefix, ...], _) -> bool:
-        if f.pred == REL and len(f.args) == 2:
-            return (world_of(f.args[0], bound), world_of(f.args[1], bound)) in model.rel
-        if len(f.args) != 1:
-            raise ValueError(f"unexpected atom arity: {f.pred}/{len(f.args)}")
-        return f.pred in model.val[world_of(f.args[0], bound)]
-
-    def at_every_world(f: FoAll | FoEx, bound: tuple[Prefix, ...]) -> list:
-        # the worlds bound so far, the nearest binder's first
-        return [(f.body, (w,) + bound) for w in model.worlds]
-
-    return fold(f, (), {
-        FoAtom: (no_kids, atom),
-        FoNeg: (body_kid, lambda f, _, v: not v[0]),
-        FoAnd: (both_kids, _every),
-        FoOr: (both_kids, _some),
-        FoImp: (both_kids, lambda f, _, v: not v[0] or v[1]),
-        FoAll: (at_every_world, _every),
-        FoEx: (at_every_world, _some),
-    }, "first-order")
 
 
 def format_model(model: KripkeModel) -> str:

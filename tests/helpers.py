@@ -1,9 +1,10 @@
 """Shared test machinery.
 
 Formula enumeration, scalable families and random generation,
-certificate mutation, a trace-shape checker, and an independent
-brute-force proof search used to cross-examine the kernel on small
-instances.
+certificate mutation, a trace-shape checker, the first-order evaluator
+and polarity stripping of the semantic bridge, a decide tree's node
+count, and an independent brute-force proof search used to
+cross-examine the kernel on small instances.
 """
 
 from __future__ import annotations
@@ -15,10 +16,20 @@ import random
 import signal
 import sys
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from kcert.firstorder import format_formula
-from kcert.fittings import Bind, DecTree, EIND, FitCert, Index, Lind, NONE, Rind
+from kcert.firstorder import (
+    FoAll,
+    FoAnd,
+    FoAtom,
+    FoEx,
+    FoFormula,
+    FoImp,
+    FoNeg,
+    FoOr,
+    format_formula,
+)
+from kcert.fittings import Bind, DecTree, EIND, FitCert, Index, Lind, NONE, Rind, child_kids
 from kcert.formulas import (
     And,
     AndNeg,
@@ -39,16 +50,21 @@ from kcert.formulas import (
     PAtom,
     PolarizedFormula,
     PosAtom,
+    REL,
     Term,
     W0,
+    body_kid,
+    both_kids,
     delay_if_negative,
+    fold,
     is_positive,
+    no_kids,
     polarized_translation,
 )
 from kcert.kernel import Ev, Fpc
 from kcert.problems import ProblemFile, parse_formula_text
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
-from kcert.tableau import ClosedTableau, KripkeModel, Prefix, prove
+from kcert.tableau import ClosedTableau, KripkeModel, Prefix, _every, _some, prove
 
 ATOMS = ("p", "q")
 
@@ -542,6 +558,73 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# first-order semantics, polarity stripping and decide tree size
+
+
+def eval_fo(model: KripkeModel, f: FoFormula, env: Mapping[Term, Prefix]) -> bool:
+    """Evaluate a first-order formula over a model's worlds.  env gives
+    worlds for the free constants; quantifiers range over all worlds.
+    No connective short-circuits, so a subformula under d quantifiers is
+    evaluated once for each of the len(model.worlds)**d assignments."""
+
+    def world_of(t: Term, bound: tuple[Prefix, ...]) -> Prefix:
+        if isinstance(t, BVar):
+            if t.index >= len(bound):
+                raise ValueError(f"unbound variable {t}")
+            return bound[t.index]
+        try:
+            w = env[t]
+        except KeyError:
+            raise ValueError(f"no world assigned to {t}") from None
+        if w not in model.worlds:
+            raise ValueError(f"{t} assigned to {w}, which is not a world")
+        return w
+
+    def atom(f: FoAtom, bound: tuple[Prefix, ...], _) -> bool:
+        if f.pred == REL and len(f.args) == 2:
+            return (world_of(f.args[0], bound), world_of(f.args[1], bound)) in model.rel
+        if len(f.args) != 1:
+            raise ValueError(f"unexpected atom arity: {f.pred}/{len(f.args)}")
+        return f.pred in model.val[world_of(f.args[0], bound)]
+
+    def at_every_world(f: FoAll | FoEx, bound: tuple[Prefix, ...]) -> list:
+        # the worlds bound so far, the nearest binder's first
+        return [(f.body, (w,) + bound) for w in model.worlds]
+
+    return fold(f, (), {
+        FoAtom: (no_kids, atom),
+        FoNeg: (body_kid, lambda f, _, v: not v[0]),
+        FoAnd: (both_kids, _every),
+        FoOr: (both_kids, _some),
+        FoImp: (both_kids, lambda f, _, v: not v[0] or v[1]),
+        FoAll: (at_every_world, _every),
+        FoEx: (at_every_world, _some),
+    }, "first-order")
+
+
+_STRIP = {
+    PAtom: (no_kids, lambda f, _, __: FoAtom(f.pred, f.args)),
+    NAtom: (no_kids, lambda f, _, __: FoNeg(FoAtom(f.pred, f.args))),
+    AndNeg: (both_kids, lambda f, _, v: FoAnd(*v)),
+    AndPos: (both_kids, lambda f, _, v: FoAnd(*v)),
+    OrNeg: (both_kids, lambda f, _, v: FoOr(*v)),
+    All: (body_kid, lambda f, _, v: FoAll(*v)),
+    Exists: (body_kid, lambda f, _, v: FoEx(*v)),
+    DelayPos: (body_kid, lambda f, _, v: v[0]),
+    DelayNeg: (body_kid, lambda f, _, v: v[0]),
+}
+
+
+def strip_polarities(f: PolarizedFormula) -> FoFormula:
+    """Forget polarities and delays, keeping the classical content."""
+    return fold(f, None, _STRIP, "polarized")
+
+
+def node_count(tree: DecTree) -> int:
+    return fold(tree, None, {DecTree: (child_kids, lambda t, _, v: 1 + sum(v))}, "decide tree")
+
+
+# ---------------------------------------------------------------------------
 # reference models
 
 
@@ -642,13 +725,13 @@ def distill_with_repeats(tree: DecTree) -> SimpfitCert:
     return SimpfitCert.load(closures, boxinfos)
 
 
-def wide3_unpruned_dectree() -> DecTree:
+def wide3_unpruned_dectree(root: Index = EIND) -> DecTree:
     """wide(3)'s decide tree as the prover emitted it before it dropped
-    the steps a branch does not use.  The box's body splits into its
-    three conjuncts, and the branch of the k-th decides on the first k
-    diamonds, each against the box, before it closes: so the boxinfos of
-    the first two diamonds repeat."""
-    diamonds, box = Lind(EIND), Rind(EIND)
+    the steps a branch does not use, with wide(3) stored at root.  The
+    box's body splits into its three conjuncts, and the branch of the
+    k-th decides on the first k diamonds, each against the box, before it
+    closes: so the boxinfos of the first two diamonds repeat."""
+    diamonds, box = Lind(root), Rind(root)
     body = Lind(box)
     pair = Lind(body)
     dias = (Lind(Lind(diamonds)), Rind(Lind(diamonds)), Rind(diamonds))
@@ -660,7 +743,7 @@ def wide3_unpruned_dectree() -> DecTree:
             tree = DecTree(dia, box, (tree,))
         branches.append(tree)
     tree = DecTree(body, NONE, (DecTree(pair, NONE, tuple(branches[:2])), branches[2]))
-    for index in (box, Lind(diamonds), diamonds, EIND):
+    for index in (box, Lind(diamonds), diamonds, root):
         tree = DecTree(index, NONE, (tree,))
     return tree
 

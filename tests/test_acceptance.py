@@ -17,18 +17,13 @@ from pathlib import Path
 
 import pytest
 
-from kcert.examples import (
-    EXAMPLE2_FV_TABLEAU,
-    EXAMPLE2_STANDARD_TABLEAU,
-    scripted_node_count,
-)
-from kcert.fittings import FITTINGS, FitCert, node_count
+from kcert.fittings import FITTINGS, FitCert
 from kcert.formulas import (
     ModalFormula,
     W0,
     polarized_translation,
 )
-from kcert.firstorder import standard_translation, strip_polarities
+from kcert.firstorder import standard_translation
 from kcert.kernel import CheckResult, StepBudgetExceeded, check
 from kcert.problems import parse_problem
 from kcert.simpfit import SIMPFIT, SimpfitCert
@@ -39,16 +34,23 @@ from kcert.tableau import (
     emit_dectree,
     emit_fitcert,
     emit_simpfitcert,
-    eval_fo,
     eval_modal,
     prove,
+)
+from examples import (
+    EXAMPLE2_FV_TABLEAU,
+    EXAMPLE2_STANDARD_TABLEAU,
+    scripted_node_count,
 )
 from helpers import (
     agreement_corpus,
     bipole_violations,
     certificate_mutants,
+    eval_fo,
+    node_count,
     random_formula,
     random_model,
+    strip_polarities,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -1,14 +1,21 @@
 """The package as a whole: kcert.__all__ is the public API the README
-lists, only the functions allowed below call themselves, the kernel
-imports only the trusted syntax, and the kernel has just the connectives
-and rules that the translation needs."""
+lists, and the README's library example runs; every other name src/kcert
+defines is reached from that API or from the kcert command, so code only
+the tests use lives in tests/; only the functions allowed below call
+themselves, the kernel imports only the trusted syntax, and the kernel
+has just the connectives and rules that the translation needs."""
 
 import ast
 import re
 from pathlib import Path
 
 import kcert
-from kcert.examples import (
+from kcert.fittings import FITTINGS
+from kcert.formulas import PolarizedFormula, W0, delay_if_negative, polarized_translation
+from kcert.kernel import Fpc, check
+from kcert.simpfit import SIMPFIT
+from kcert.tableau import emit_fitcert, emit_simpfitcert, prove
+from examples import (
     EXAMPLE1_THEOREM,
     EXAMPLE2_THEOREM,
     TAUT_THEOREM,
@@ -18,11 +25,6 @@ from kcert.examples import (
     sftab2_cert,
     taut_cert,
 )
-from kcert.fittings import FITTINGS
-from kcert.formulas import PolarizedFormula, W0, delay_if_negative, polarized_translation
-from kcert.kernel import Fpc, check
-from kcert.simpfit import SIMPFIT
-from kcert.tableau import emit_fitcert, emit_simpfitcert, prove
 from helpers import agreement_corpus, kchain, wide
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +48,14 @@ def test_all_resolves_and_matches_the_readme():
     listed = re.findall(r"`([^`]+)`", bullets)
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(kcert.__all__)
+
+
+def test_the_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(code, scope)  # the example asserts its own result
+    assert scope["result"].accepted
 
 
 def _calls_itself(fn: ast.FunctionDef) -> bool:
@@ -97,16 +107,18 @@ def _kcert_imports(tree: ast.Module) -> list[tuple[str, str | None]]:
     return out
 
 
+def _defines(node: ast.stmt) -> set[str]:
+    """The names a top-level statement defines, or sets an attribute of."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+    return set()
+
+
 def _defined(tree: ast.Module) -> set[str]:
-    names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {t.id for target in targets for t in ast.walk(target)
-                      if isinstance(t, ast.Name)}
-    return names
+    return set().union(*map(_defines, tree.body))
 
 
 def test_the_trusted_base_is_the_kernel_and_formulas():
@@ -136,6 +148,34 @@ def test_the_trusted_base_is_the_kernel_and_formulas():
     stated = re.search(r"The trusted base is `kernel.py` and `formulas.py`, ([\d,]+) lines",
                        README.read_text(encoding="utf-8"))
     assert stated and int(stated[1].replace(",", "")) == lines
+
+
+def test_every_package_name_is_reached_from_the_api_or_a_command():
+    # a name is reached if it is public, is the function of a console
+    # script, is used by module code that runs on import, or is used by
+    # the definition of a reached name; matching is by name alone, so a
+    # use counts wherever the name is spelled
+    uses: dict[str, set[str]] = {}
+    todo = list(kcert.__all__)
+    scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split("[project.scripts]")[1]
+    todo += re.findall(r'= "kcert[\w.]*:(\w+)"', scripts.split("\n[")[0])
+    for path in (ROOT / "src" / "kcert").glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            used = [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute))]
+            names = _defines(node)
+            for name in names:
+                uses.setdefault(name, set()).update(used)
+            if not names:
+                todo += used
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in uses and name not in reached:
+            reached.add(name)
+            todo += uses[name]
+    unreached = sorted(set(uses) - reached - {"__all__"})
+    assert not unreached, f"no API name or command reaches {unreached}"
 
 
 def test_the_kernel_has_only_what_the_translation_writes():

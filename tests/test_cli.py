@@ -2,6 +2,8 @@
 accept/valid, 1 for reject/invalid, 2 for any error."""
 
 import hashlib
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -26,6 +28,27 @@ from helpers import (
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 GOOD = ["ftab1.prob", "sftab1.prob", "ftab2.prob", "sftab2.prob", "taut.prob"]
+
+
+class TestReadme:
+    def test_the_commands_print_what_the_readme_shows(self, tmp_path, monkeypatch, capsys):
+        # each `$ kcert ...` line of the README's shell blocks, with the
+        # output printed under it
+        text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+        sessions = [part.partition("\n")[::2]
+                    for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                    for part in re.split(r"^\$ ", block, flags=re.M)[1:]]
+        assert [command.split()[:2] for command, _ in sessions] == [
+            ["kcert", "prove"], ["kcert", "check"], ["kcert", "prove"], ["kcert", "translate"]]
+        monkeypatch.chdir(tmp_path)
+        for command, output in sessions:
+            command, _, target = command.partition(" > ")
+            main(shlex.split(command)[1:])
+            out = capsys.readouterr().out
+            if target:
+                Path(target).write_text(out, encoding="utf-8")
+                out = ""
+            assert out == output, command
 
 
 class TestCheck:

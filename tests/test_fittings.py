@@ -9,16 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from kcert.examples import (
-    EXAMPLE1_THEOREM,
-    EXAMPLE2_THEOREM,
-    TAUT_THEOREM,
-    ftab1_cert,
-    ftab1_dectree,
-    ftab2_cert,
-    ftab2_dectree,
-    taut_cert,
-)
 from kcert.fittings import (
     Bind,
     DecTree,
@@ -30,12 +20,21 @@ from kcert.fittings import (
     NONE,
     NoIndex,
     Rind,
-    node_count,
 )
 from kcert.formulas import Eigen, NAtom, PAtom, REL, W0
 from kcert.kernel import Fpc, check
 from kcert.problems import parse_problem
-from helpers import certificate_mutants
+from examples import (
+    EXAMPLE1_THEOREM,
+    EXAMPLE2_THEOREM,
+    TAUT_THEOREM,
+    ftab1_cert,
+    ftab1_dectree,
+    ftab2_cert,
+    ftab2_dectree,
+    taut_cert,
+)
+from helpers import certificate_mutants, node_count
 
 LEAF = DecTree(Lind(EIND), Rind(EIND))
 ROOT = DecTree(EIND, NONE, (LEAF,))

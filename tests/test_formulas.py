@@ -14,7 +14,6 @@ from kcert.firstorder import (
     render_fo,
     render_polarized,
     standard_translation,
-    strip_polarities,
 )
 from kcert.fittings import is_rel_literal
 from kcert.formulas import (
@@ -41,13 +40,15 @@ from kcert.formulas import (
     is_positive,
     polarized_translation,
 )
-from kcert.tableau import KripkeModel, connective_count, eval_fo, eval_modal, negate_nnf
+from kcert.tableau import KripkeModel, connective_count, eval_modal, negate_nnf
 from helpers import (
+    eval_fo,
     formulas_of_connectives,
     formulas_of_size,
     modal_size,
     open_binder_reference,
     recursion_limit,
+    strip_polarities,
 )
 
 P = PosAtom("p")

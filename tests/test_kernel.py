@@ -10,21 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from kcert import cli, kernel
 from kcert.cli import trace_lines
-from kcert.examples import (
-    EXAMPLE1_THEOREM,
-    EXAMPLE2_THEOREM,
-    TAUT_THEOREM,
-    ftab1_cert,
-    ftab2_cert,
-    ftab2_dectree,
-    sftab1_cert,
-    sftab2_cert,
-    taut_cert,
-    taut_dectree,
-)
 from kcert.fittings import Bind, DecTree, EIND, FITTINGS, FitCert, FittingsFpc, Lind, NONE, Rind
 from kcert.formulas import (
-    W0, All, AndNeg, AndPos, BVar, DelayNeg, DelayPos, Eigen, Exists, NAtom, OrNeg, PAtom)
+    W0, All, AndNeg, AndPos, BVar, Box, DelayNeg, DelayPos, Eigen, Exists, NAtom, OrNeg, PAtom)
 from kcert.kernel import (
     ANDNEG_L,
     ANDNEG_R,
@@ -45,6 +33,18 @@ from kcert.simpfit import SIMPFIT, SimpfitCert, distill
 from kcert.problems import ProblemFile, format_problem, parse_formula_text
 from kcert.tableau import (
     ClosedTableau, bounded_validity_oracle, emit_dectree, emit_fitcert, emit_simpfitcert, prove)
+from examples import (
+    EXAMPLE1_THEOREM,
+    EXAMPLE2_THEOREM,
+    TAUT_THEOREM,
+    ftab1_cert,
+    ftab2_cert,
+    ftab2_dectree,
+    sftab1_cert,
+    sftab2_cert,
+    taut_cert,
+    taut_dectree,
+)
 from helpers import (
     bipole_violations,
     brute_force_accepts,
@@ -482,29 +482,21 @@ class TestUntracedRuns:
         assert capsys.readouterr().out.startswith('(problem "emitted"')
 
 
-def _simpfit_with_repeats(ct, goal):
-    return distill_with_repeats(emit_dectree(ct, goal))
-
-
 class TestDeepProofs:
     """Proofs far taller than the recursion limit are found, emitted and
     checked at the default limit, with the counts the recursive kernel
-    gave under a raised one.  Two simpfit runs check certificates that
-    keep each boxinfo as often as the decide tree names it, which the
-    pruned trees of kchain(14) and wide(10) do once each.  Each proof is
-    found once, also at the default limit.  Three counts were re-pinned
-    when the prover began to prune its certificates; they read
-    (1815, 0), (415, 27) and (527, 52) on the unpruned trees."""
+    gave under a raised one.  Each proof is found once, also at the
+    default limit.  fittings-kchain64 was re-pinned when the prover began
+    to prune its certificates; it read (1815, 0) on the unpruned tree.
+    The prover's pruned trees name each boxinfo once, so a hand-built
+    deep tree checks a simpfit certificate that repeats boxinfos."""
 
     @pytest.mark.parametrize("family,n,emit,steps,choice_points", [
         (kchain, 64, emit_fitcert, 1367, 0),
         (taut, 512, emit_fitcert, 7163, 0),
-        (kchain, 14, _simpfit_with_repeats, 317, 0),
-        (wide, 10, _simpfit_with_repeats, 212, 7),
         (kchain, 128, emit_simpfitcert, 2711, 0),
         (wide, 64, emit_simpfitcert, 1346, 61),
-    ], ids=["fittings-kchain64", "fittings-taut512", "simpfit-kchain14", "simpfit-wide10",
-            "simpfit-kchain128", "simpfit-wide64"])
+    ], ids=["fittings-kchain64", "fittings-taut512", "simpfit-kchain128", "simpfit-wide64"])
     def test_default_recursion_limit(self, family, n, emit, steps, choice_points):
         goal = family(n)
         with recursion_limit(1000):
@@ -512,6 +504,28 @@ class TestDeepProofs:
             result = check(goal, cert)
         assert result.accepted
         assert (result.steps, result.choice_points) == (steps, choice_points)
+
+    @pytest.mark.parametrize("load,choice_points", [
+        (FitCert.load, 0),
+        (distill_with_repeats, 3),
+    ], ids=["fittings", "simpfit"])
+    def test_repeated_boxinfos_at_depth(self, load, choice_points):
+        # box^400 wide(3): decide on each box, then wide(3)'s unpruned
+        # tree rooted at the innermost box's body, whose three branches
+        # decide on one, two and three of its diamonds
+        goal, chain = wide(3), [EIND]
+        for _ in range(400):
+            goal = Box(goal)
+            chain.append(Lind(chain[-1]))
+        tree = wide3_unpruned_dectree(chain[-1])
+        for index in reversed(chain[:-1]):
+            tree = DecTree(index, NONE, (tree,))
+        boxinfos = distill_with_repeats(tree).boxinfos
+        assert (len(boxinfos), len(set(boxinfos))) == (6, 3)
+        with recursion_limit(1000):
+            result = check(goal, load(tree))
+        assert result.accepted
+        assert (result.steps, result.choice_points) == (2886, choice_points)
 
     def test_box_chain_3000_deep(self):
         # proving box^3000 (p | ~p) takes seconds, as the prover rescans

@@ -2,6 +2,8 @@
 
 import gc
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -9,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kcert import problems
-from kcert.examples import EXAMPLE1_THEOREM, EXAMPLE2_THEOREM, ftab1_cert, ftab2_cert, sftab1_cert
 from kcert.firstorder import format_formula
 from kcert.fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind
 from kcert.formulas import And, Box, Dia, NegAtom, Or, PosAtom
@@ -23,6 +24,7 @@ from kcert.problems import (
 )
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
 from kcert.tableau import emit_fitcert, prove
+from examples import EXAMPLE1_THEOREM, EXAMPLE2_THEOREM, ftab1_cert, ftab2_cert, sftab1_cert
 from helpers import DOUBLING_TABLE, kchain, recursion_limit, taut, time_limit
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -556,6 +558,25 @@ class TestFixtureFiles:
         # fixtures/make_fixtures.py would write the file unchanged
         text = (FIXTURES / filename).read_text(encoding="utf-8")
         assert text == comment + format_problem(ProblemFile(name, theorem, cert))
+
+    def test_the_script_runs_in_a_fresh_interpreter(self, tmp_path):
+        # only src/ on the path, so the script must find tests/ itself; a
+        # run_name other than __main__ builds FIXTURES and writes nothing
+        code = f"""
+import runpy
+from pathlib import Path
+from kcert.problems import ProblemFile, format_problem
+here = Path({str(FIXTURES)!r})
+script = runpy.run_path(str(here / "make_fixtures.py"), run_name="make_fixtures")
+for filename, comment, name, theorem, cert in script["FIXTURES"]:
+    text = comment + format_problem(ProblemFile(name, theorem, cert))
+    print(filename, text == (here / filename).read_text(encoding="utf-8"))
+"""
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(proc.stdout.splitlines()) == [f"{p.name} True" for p in ALL_FIXTURES]
 
 
 class TestProblemPrinter:

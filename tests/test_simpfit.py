@@ -4,17 +4,17 @@ import dataclasses
 
 import pytest
 
-from kcert.examples import (
-    EXAMPLE1_THEOREM,
-    EXAMPLE2_THEOREM,
-    sftab1_cert,
-    sftab2_cert,
-)
 from kcert.fittings import Bind, EIND, Lind, NONE, Rind
 from kcert.formulas import AndNeg, DelayPos, Eigen, Exists, NAtom, PAtom, REL, W0
 from kcert.kernel import check
 from kcert.simpfit import SIMPFIT, BoxInfo, Closure, SimpfitCert
 from kcert.tableau import emit_simpfitcert, prove
+from examples import (
+    EXAMPLE1_THEOREM,
+    EXAMPLE2_THEOREM,
+    sftab1_cert,
+    sftab2_cert,
+)
 from helpers import certificate_mutants, family_proof, kchain, wide
 
 P_W0 = PAtom("p", (W0,))

@@ -6,24 +6,8 @@ from functools import cache
 
 import pytest
 
-from kcert.examples import (
-    EXAMPLE1_THEOREM,
-    EXAMPLE2_FV_TABLEAU,
-    EXAMPLE2_REFUTED,
-    EXAMPLE2_STANDARD_TABLEAU,
-    EXAMPLE2_THEOREM,
-    ftab1_cert,
-    ftab1_dectree,
-    ftab2_cert,
-    ftab2_dectree,
-    scripted_annotation_count,
-    scripted_node_count,
-    sftab1_cert,
-    sftab2_cert,
-    taut_dectree,
-)
 from kcert.firstorder import standard_translation
-from kcert.fittings import FITTINGS, FitCert, node_count
+from kcert.fittings import FITTINGS, FitCert
 from kcert.formulas import (
     And,
     Box,
@@ -49,7 +33,6 @@ from kcert.tableau import (
     emit_dectree,
     emit_fitcert,
     emit_simpfitcert,
-    eval_fo,
     eval_modal,
     find_countermodel,
     format_model,
@@ -57,15 +40,33 @@ from kcert.tableau import (
     negate_nnf,
     prove,
 )
+from examples import (
+    EXAMPLE1_THEOREM,
+    EXAMPLE2_FV_TABLEAU,
+    EXAMPLE2_REFUTED,
+    EXAMPLE2_STANDARD_TABLEAU,
+    EXAMPLE2_THEOREM,
+    ftab1_cert,
+    ftab1_dectree,
+    ftab2_cert,
+    ftab2_dectree,
+    scripted_annotation_count,
+    scripted_node_count,
+    sftab1_cert,
+    sftab2_cert,
+    taut_dectree,
+)
 from helpers import (
     agreement_corpus,
     box_php,
     corpus_proofs,
     distill_with_repeats,
+    eval_fo,
     format_problem_inline,
     formulas_of_connectives,
     kchain,
     kchain_bad,
+    node_count,
     php,
     php_bad,
     recursion_limit,
