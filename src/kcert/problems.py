@@ -308,9 +308,12 @@ class _Parser:
                 if ctor[1]:
                     open_ctors.append(list(ctor))
                     continue
-                self.pos = pos
-                value = self.word("an atom name")
-                pos = self.pos
+                # the atom's name, read in place as word would read it
+                value = toks[pos] if pos < n else None
+                if value is None or value in ("(", ")") or _is_string(value):
+                    self.pos = pos
+                    raise self.error("expected an atom name")
+                pos += 1
                 open_ctors.append([ctor[0], 1])
             # the value completes the innermost constructor, which may
             # complete the next one out, and so on

@@ -725,6 +725,24 @@ def distill_with_repeats(tree: DecTree) -> SimpfitCert:
     return SimpfitCert.load(closures, boxinfos)
 
 
+def wide_simpfitcert(n: int) -> SimpfitCert:
+    """wide(n)'s SIMPFIT certificate as the prover emits it, built without
+    proving wide(n), which takes seconds at n = 128: diamond k fires at
+    the box's world, and its complement closes conjunct k."""
+    def items(root: Index) -> list[Index]:
+        # the indexes of an n-item chain nested to the left at root
+        rights = []
+        for _ in range(n - 1):
+            rights.append(Rind(root))
+            root = Lind(root)
+        return [root, *reversed(rights)]
+
+    box = Rind(EIND)
+    dias, conjuncts = items(Lind(EIND)), items(Lind(box))
+    return SimpfitCert.load([Closure(c, Bind(d, box)) for d, c in zip(dias, conjuncts)],
+                            [BoxInfo(d, box) for d in dias])
+
+
 def wide3_unpruned_dectree(root: Index = EIND) -> DecTree:
     """wide(3)'s decide tree as the prover emitted it before it dropped
     the steps a branch does not use, with wide(3) stored at root.  The

@@ -267,7 +267,7 @@ class TestErrors:
         capsys.readouterr()
 
     def test_simpfit_runs_out_on_php3_where_fittings_does_not(self, monkeypatch, capsys):
-        # SIMPFIT reconstructs php(3)'s splits by search, in 512,043 kernel
+        # SIMPFIT reconstructs php(3)'s splits by search, in 15,857 kernel
         # steps; its FITTINGS certificate names each one, and checks in 2,377
         monkeypatch.setattr(cli, "DEFAULT_MAX_STEPS", 10_000)
         text = format_formula(php(3))

@@ -348,15 +348,16 @@ WIDE3 = wide(3)
 class TestSearchOrder:
     """Exact step and choice-point counts, the FITTINGS ones recorded
     before decide-by-name replaced the per-entry poll, the SIMPFIT ones
-    on committed saturation with box propagations first: any change to
-    the order or number of decide alternatives moves them."""
+    once it offered only closable literals and split last: any change to
+    the order or number of decide alternatives moves them.  sftab1 and
+    sftab2 read (46, 4) and (59, 4) when every literal was offered."""
 
     @pytest.mark.parametrize("goal,cert,fpc,steps,choice_points", [
         (EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS, 44, 0),
         (EXAMPLE2_THEOREM, ftab2_cert(), FITTINGS, 57, 0),
         (TAUT_THEOREM, taut_cert(), FITTINGS, 9, 0),
-        (EXAMPLE1_THEOREM, sftab1_cert(), SIMPFIT, 46, 4),
-        (EXAMPLE2_THEOREM, sftab2_cert(), SIMPFIT, 59, 4),
+        (EXAMPLE1_THEOREM, sftab1_cert(), SIMPFIT, 44, 0),
+        (EXAMPLE2_THEOREM, sftab2_cert(), SIMPFIT, 57, 0),
     ], ids=["ftab1", "ftab2", "taut", "sftab1", "sftab2"])
     def test_pinned_counts(self, goal, cert, fpc, steps, choice_points):
         # by the FPC named, and by the one the certificate carries
@@ -369,20 +370,21 @@ class TestSearchOrder:
         # decide tree names it: the last boxinfo is the only one of the
         # third diamond.  The others fire on the trunk, before the box's
         # conjunction splits, and the check rejects on the branch of the
-        # third conjunct, which nothing closes.  The decide tree the
-        # prover emitted before it pruned repeats two of them (79 steps,
-        # 3 choice points, pinned since decide-by-name); the pruned tree
-        # names each once, and the reject tries no alternative
+        # third conjunct, which nothing closes: its literal has no stored
+        # complement, so nothing is left to decide on.  The decide tree
+        # the prover emitted before it pruned repeats two of them, each
+        # used once.  Offering every literal, the reject read (79, 3) on
+        # that tree and (58, 0) on the pruned one
         emitted = emit_dectree(prove(WIDE3), WIDE3)
-        for tree, counts in ((wide3_unpruned_dectree(), (79, 3)), (emitted, (58, 0))):
+        for tree in (wide3_unpruned_dectree(), emitted):
             cert = distill_with_repeats(tree)
             mutant = SimpfitCert.load(cert.closures, cert.boxinfos[:-1])
             result = check(WIDE3, mutant, SIMPFIT)
             assert not result.accepted
-            assert (result.steps, result.choice_points) == counts
+            assert (result.steps, result.choice_points) == (57, 0)
             assert trace_lines(result.trace[-2:]) == [
-                "store (rind (lind (rind eind)))",
-                "decide (rind (lind (rind eind)))"]
+                "andneg R",
+                "store (rind (lind (rind eind)))"]
 
 
 class TestPinnedRuns:
@@ -390,7 +392,7 @@ class TestPinnedRuns:
     for every run below: a change to any rule's behaviour on these runs
     moves it.  The FITTINGS digest was recorded on the kernel that still
     asked the certificate at release and positive conjunction, the
-    SIMPFIT one on committed saturation with box propagations first."""
+    SIMPFIT one once it offered only closable literals and split last."""
 
     @staticmethod
     def digest(certs, emit):
@@ -418,8 +420,10 @@ class TestPinnedRuns:
 
     def test_simpfit_digest(self):
         certs = [(EXAMPLE1_THEOREM, sftab1_cert()), (EXAMPLE2_THEOREM, sftab2_cert())]
+        # re-pinned when it began to offer only closable literals and to
+        # split last: (163, "b3bfc765...") before
         assert self.digest(certs, emit_simpfitcert) == (
-            163, "b3bfc765a61bde03516209128a326da0bbab9106f9b1d5241df462fcf8346137")
+            163, "b45b5a2abcec4100b09a515fa05d2b3319df3559dfefdf04b0082b3821c30d43")
 
 
 def _pinned_runs():
@@ -488,14 +492,15 @@ class TestDeepProofs:
     gave under a raised one.  Each proof is found once, also at the
     default limit.  fittings-kchain64 was re-pinned when the prover began
     to prune its certificates; it read (1815, 0) on the unpruned tree.
-    The prover's pruned trees name each boxinfo once, so a hand-built
-    deep tree checks a simpfit certificate that repeats boxinfos."""
+    simpfit-wide64 read (1346, 61) before SIMPFIT split last.  The
+    prover's pruned trees name each boxinfo once, so a hand-built deep
+    tree checks a simpfit certificate that repeats boxinfos."""
 
     @pytest.mark.parametrize("family,n,emit,steps,choice_points", [
         (kchain, 64, emit_fitcert, 1367, 0),
         (taut, 512, emit_fitcert, 7163, 0),
         (kchain, 128, emit_simpfitcert, 2711, 0),
-        (wide, 64, emit_simpfitcert, 1346, 61),
+        (wide, 64, emit_simpfitcert, 1346, 0),
     ], ids=["fittings-kchain64", "fittings-taut512", "simpfit-kchain128", "simpfit-wide64"])
     def test_default_recursion_limit(self, family, n, emit, steps, choice_points):
         goal = family(n)
@@ -505,14 +510,16 @@ class TestDeepProofs:
         assert result.accepted
         assert (result.steps, result.choice_points) == (steps, choice_points)
 
-    @pytest.mark.parametrize("load,choice_points", [
-        (FitCert.load, 0),
-        (distill_with_repeats, 3),
+    @pytest.mark.parametrize("load,steps,choice_points", [
+        (FitCert.load, 2886, 0),
+        (distill_with_repeats, 2865, 0),
     ], ids=["fittings", "simpfit"])
-    def test_repeated_boxinfos_at_depth(self, load, choice_points):
+    def test_repeated_boxinfos_at_depth(self, load, steps, choice_points):
         # box^400 wide(3): decide on each box, then wide(3)'s unpruned
         # tree rooted at the innermost box's body, whose three branches
-        # decide on one, two and three of its diamonds
+        # decide on one, two and three of its diamonds.  SIMPFIT uses each
+        # repeated boxinfo once; it read (2886, 3) when it offered every
+        # literal and split as soon as no box propagation was ready
         goal, chain = wide(3), [EIND]
         for _ in range(400):
             goal = Box(goal)
@@ -525,7 +532,7 @@ class TestDeepProofs:
         with recursion_limit(1000):
             result = check(goal, load(tree))
         assert result.accepted
-        assert (result.steps, result.choice_points) == (2886, choice_points)
+        assert (result.steps, result.choice_points) == (steps, choice_points)
 
     def test_box_chain_3000_deep(self):
         # proving box^3000 (p | ~p) takes seconds, as the prover rescans

@@ -475,11 +475,15 @@ class TestHardFamilies:
     def test_php2_step_counts(self):
         # FITTINGS read 685 before the prover pruned its certificates;
         # SIMPFIT reconstructs the splits its closures need, and the
-        # pruned tree has the same closures
+        # pruned tree has the same closures.  It read 712 steps and 356
+        # choice points when it offered every literal and split oldest
+        # first
         ct = prove(php(2))
-        steps = [check(php(2), emit(ct), trace=False).steps
-                 for emit in (emit_fitcert, emit_simpfitcert)]
-        assert steps == [229, 712]
+        counts = []
+        for emit in (emit_fitcert, emit_simpfitcert):
+            result = check(php(2), emit(ct), trace=False)
+            counts.append((result.steps, result.choice_points))
+        assert counts == [(229, 0), (163, 15)]
 
     def test_php3_search_cost(self):
         # 1,245 tableau steps, where 68,472 before the backjump; the
@@ -490,6 +494,11 @@ class TestHardFamilies:
             prove(theorem, max_steps=1244)
         result = check(theorem, emit_fitcert(ct, theorem), trace=False)
         assert (result.accepted, result.steps, result.choice_points) == (True, 2377, 0)
+        # SIMPFIT still searches for the splits; it took 512,043 steps and
+        # 1,090,138 choice points when it offered every literal and split
+        # oldest first
+        result = check(theorem, emit_simpfitcert(ct, theorem), trace=False)
+        assert (result.accepted, result.steps, result.choice_points) == (True, 15857, 1967)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_dropped_disjunct_has_a_countermodel(self, n):
