@@ -8,7 +8,10 @@ Each entry is created with the storage index the kernel will give it,
 so a closed tableau reads off directly as a decide tree, from which the
 essential certificate is distilled; a saturated open branch yields a
 finite countermodel which is verified against the semantics before being
-reported.
+reported.  The bounded validity oracle searches for a countermodel on
+its own, without the prover's rules, but names its worlds by prefix too:
+both read their model off a prefix-keyed valuation, the edges going
+from each prefix to its extensions by one, and verify it the same way.
 
 The expansion order is deterministic: branch closure is checked first,
 then conjunctive and disjunctive entries, then each diamond (once per
@@ -35,7 +38,7 @@ world, and a later branch numbers its worlds from there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .firstorder import format_formula
 from .fittings import (
@@ -169,6 +172,18 @@ def format_model(model: KripkeModel) -> str:
     for src, dst in sorted(model.rel):
         lines.append(f"edge {names[src]} {names[dst]}")
     return "\n".join(lines)
+
+
+def _tree_model(val: dict[Prefix, frozenset[str]], goal: ModalFormula) -> KripkeModel:
+    """The model on val's worlds, each world the successor of the world
+    named by its prefix less its last number, verified to satisfy goal
+    at the root world."""
+    worlds = frozenset(val)
+    rel = frozenset((w[:-1], w) for w in worlds if w[:-1] in worlds)
+    model = KripkeModel(worlds, rel, val)
+    if not eval_modal(model, ROOT_WORLD, goal):
+        raise RuntimeError("a countermodel fails the goal it was built for")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +332,8 @@ class _Prover:
             here = atoms.setdefault(e.prefix, set())
             if isinstance(e.body, PosAtom):
                 here.add(e.body.name)
-        worlds = frozenset(atoms)
-        rel = frozenset((w[:-1], w) for w in worlds if w[:-1] in worlds)
         val = {w: frozenset(names) for w, names in atoms.items()}
-        model = KripkeModel(worlds, rel, val)
-        root = entries[0]
-        if not eval_modal(model, root.prefix, root.body):
-            raise RuntimeError("open branch produced a model that fails "
-                               "to satisfy the branch root")
-        return OpenBranch(model, tuple(entries))
+        return OpenBranch(_tree_model(val, entries[0].body), tuple(entries))
 
 
 def _join(step: TabStep, built: list[tuple[TabStep, set[Index]]]) -> None:
@@ -448,88 +456,58 @@ def bounded_validity_oracle(a: ModalFormula) -> bool:
     """Decide K-validity by exhaustive countermodel search.
 
     K has the finite tree model property with depth bounded by modal
-    depth and branching bounded by the number of diamonds, so searching
-    the finite space of candidate tree models is a complete decision
-    procedure.  Deliberately independent of both the tableau prover and
-    the kernel; capped to small formulas because the search is
-    exponential."""
+    depth and branching bounded by the number of diamonds, so a depth-
+    first search of the finite space of candidate tree models, stopping
+    at the first that falsifies a, is a complete decision procedure.
+    Deliberately independent of both the tableau prover and the kernel;
+    capped to small formulas because the search is exponential."""
     if connective_count(a) > _ORACLE_CAP:
         raise ValueError(f"oracle capped at {_ORACLE_CAP} connectives")
     return find_countermodel(a) is None
 
 
 def find_countermodel(a: ModalFormula) -> KripkeModel | None:
-    for tree in _tree_models(negate_nnf(a)):
-        model = _assemble(tree)
-        if not eval_modal(model, ROOT_WORLD, negate_nnf(a)):
-            raise RuntimeError("oracle assembled a model that fails its goal")
-        return model
-    return None
+    """The first tree model found whose root falsifies a, or None."""
+    goal = negate_nnf(a)
+    val = _satisfy([goal], ROOT_WORLD)
+    return None if val is None else _tree_model(val, goal)
 
 
-# a candidate tree model: atoms true here, and one subtree per child world
-_Tree = tuple[frozenset[str], tuple["_Tree", ...]]
+def _satisfy(obligations: list[ModalFormula],
+             here: Prefix) -> dict[Prefix, frozenset[str]] | None:
+    """The valuation of the first tree model (up to the relevant atoms)
+    whose world here satisfies every obligation, or None: the left
+    disjunct is tried first, and the n-th diamond gets the world
+    here + (n,).  Terminates: every child world's obligations have
+    strictly smaller modal depth."""
+    # split the propositional layer first
+    literals: list[ModalFormula] = []
+    boxes: list[ModalFormula] = []
+    dias: list[ModalFormula] = []
+    queue = list(obligations)
+    while queue:
+        f = queue.pop(0)
+        if isinstance(f, And):
+            queue[:0] = [f.left, f.right]
+        elif isinstance(f, Or):
+            rest = queue + literals + boxes + dias
+            return _satisfy([f.left] + rest, here) or _satisfy([f.right] + rest, here)
+        elif isinstance(f, (PosAtom, NegAtom)):
+            literals.append(f)
+        elif isinstance(f, Box):
+            boxes.append(f)
+        elif isinstance(f, Dia):
+            dias.append(f)
+        else:
+            raise TypeError(f"not a modal formula: {f!r}")
 
-
-def _tree_models(goal: ModalFormula) -> Iterator[_Tree]:
-    """All tree models (up to the relevant atoms) whose root satisfies
-    goal, smallest choices first.  Terminates: every child world's
-    obligations have strictly smaller modal depth."""
-
-    def satisfy(obligations: list[ModalFormula]) -> Iterator[_Tree]:
-        # split the propositional layer first
-        literals: list[ModalFormula] = []
-        boxes: list[ModalFormula] = []
-        dias: list[ModalFormula] = []
-        queue = list(obligations)
-        while queue:
-            f = queue.pop(0)
-            if isinstance(f, And):
-                queue[:0] = [f.left, f.right]
-            elif isinstance(f, Or):
-                # disjunction: two candidate branches
-                for side in (f.left, f.right):
-                    yield from satisfy([side] + queue + literals + boxes + dias)
-                return
-            elif isinstance(f, (PosAtom, NegAtom)):
-                literals.append(f)
-            elif isinstance(f, Box):
-                boxes.append(f)
-            elif isinstance(f, Dia):
-                dias.append(f)
-            else:
-                raise TypeError(f"not a modal formula: {f!r}")
-
-        positive = {f.name for f in literals if isinstance(f, PosAtom)}
-        negative = {f.name for f in literals if isinstance(f, NegAtom)}
-        if positive & negative:
-            return
-        children_obligations = [[d.body] + [b.body for b in boxes] for d in dias]
-
-        def build(i: int, acc: tuple[_Tree, ...]) -> Iterator[_Tree]:
-            if i == len(children_obligations):
-                yield frozenset(positive), acc
-                return
-            for sub in satisfy(children_obligations[i]):
-                yield from build(i + 1, acc + (sub,))
-
-        yield from build(0, ())
-
-    return satisfy([goal])
-
-
-def _assemble(tree: _Tree) -> KripkeModel:
-    worlds: list[Prefix] = []
-    rel: list[tuple[Prefix, Prefix]] = []
-    val: dict[Prefix, frozenset[str]] = {}
-
-    def place(node: _Tree, here: Prefix) -> None:
-        atoms, children = node
-        worlds.append(here)
-        val[here] = atoms
-        for n, child in enumerate(children, start=1):
-            rel.append((here, here + (n,)))
-            place(child, here + (n,))
-
-    place(tree, ROOT_WORLD)
-    return KripkeModel(frozenset(worlds), frozenset(rel), val)
+    positive = {f.name for f in literals if isinstance(f, PosAtom)}
+    if any(isinstance(f, NegAtom) and f.name in positive for f in literals):
+        return None
+    val = {here: frozenset(positive)}
+    for n, d in enumerate(dias, start=1):
+        child = _satisfy([d.body] + [b.body for b in boxes], here + (n,))
+        if child is None:
+            return None
+        val.update(child)
+    return val

@@ -138,15 +138,18 @@ def family_proof(family, n: int) -> ClosedTableau:
 
 def agreement_corpus() -> list[ModalFormula]:
     """The exhaustive sweep set: size <= 6 union connectives <= 3,
-    deterministic order, no duplicates."""
-    seen: dict[ModalFormula, None] = {}
+    deterministic order, no duplicates.  Duplicates are found by printed
+    text, which is one-to-one on formulas: the generated hash leaves out
+    the class, so And/Or, Box/Dia and PosAtom/NegAtom over the same
+    arguments collide, and a dict keyed by formula is slow."""
+    seen: dict[str, ModalFormula] = {}
     for n in range(1, 7):
         for f in formulas_of_size(n):
-            seen.setdefault(f)
+            seen.setdefault(format_formula(f), f)
     for c in range(4):
         for f in formulas_of_connectives(c):
-            seen.setdefault(f)
-    return list(seen)
+            seen.setdefault(format_formula(f), f)
+    return list(seen.values())
 
 
 @lru_cache(maxsize=None)

@@ -34,9 +34,7 @@ README = ROOT / "README.md"
 # it may still recurse; anything else walks a formula or a tree with an
 # explicit stack, so no input is too deep for it
 RECURSIVE = {
-    "tableau._tree_models.satisfy": "the oracle is capped at 8 connectives",
-    "tableau._tree_models.satisfy.build": "the oracle is capped at 8 connectives",
-    "tableau._assemble.place": "the oracle is capped at 8 connectives",
+    "tableau._satisfy": "the oracle is capped at 8 connectives",
 }
 
 

@@ -61,6 +61,13 @@ class TestCheck:
         assert main(["check", str(FIXTURES / "ftab1-mutated.prob")]) == 1
         assert capsys.readouterr().out == "rejected\n"
 
+    def test_a_diamond_decided_at_a_leaf_rejects(self, tmp_path, capsys):
+        # the leaf names no child for the witness step to continue with
+        path = tmp_path / "leaf.prob"
+        path.write_text('(problem "leaf" (dia (+ p)) (fittings (dt eind none ())))')
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr() == ("rejected\n", "")
+
     def test_trace_precedes_verdict(self, capsys):
         assert main(["check", "--trace", str(FIXTURES / "taut.prob")]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -126,6 +126,11 @@ class TestClauses:
         assert list(FITTINGS.decide_e(cert)) == [(EIND, fresh(pending=()))]
         assert [c for i, c in FITTINGS.decide_e(cert) if i is Lind(EIND)] == []
 
+    def test_decide_drops_what_is_still_pending(self):
+        # a decided entry's parts take indexes made from the decided one
+        cert = fresh(pending=(Lind(EIND), Rind(EIND)), eigmap=((EIND, Eigen(1)),))
+        assert FITTINGS.decide_e(cert) == ((EIND, fresh(eigmap=((EIND, Eigen(1)),))),)
+
     def test_store_pops_the_pending_head(self):
         cert = fresh(pending=(Lind(EIND), Rind(EIND)))
         f = PAtom("p", (W0,))

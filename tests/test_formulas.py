@@ -269,6 +269,8 @@ class TestRendering:
         assert first_order == [True, True]
 
     def test_foreign_nodes_are_refused(self):
+        with pytest.raises(TypeError, match="not a modal formula: 'p'"):
+            negate_nnf(Or(PosAtom("p"), "p"))
         with pytest.raises(TypeError, match="not a polarized formula"):
             render_polarized(FoAtom("p", (W0,)))
         with pytest.raises(TypeError, match="not a first-order formula"):

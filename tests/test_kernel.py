@@ -240,6 +240,13 @@ class TestPhaseRules:
         assert kinds[release_at:release_at + 4] == [
             "release", "strip", "store", "decide"]
 
+    @pytest.mark.parametrize("item", [Box(PAtom("a", ())), "a"], ids=["modal", "text"])
+    def test_a_workbench_item_that_is_no_polarized_formula_rejects(self, item):
+        # neither decomposed nor stored: the FPC is never asked about it
+        result = check_polarized((NA, item), None, Permissive())
+        assert (result.accepted, result.steps) == (False, 2)
+        assert result.trace == (Ev("store", ("ix", NA)),)
+
     def test_step_budget(self):
         with pytest.raises(StepBudgetExceeded):
             check(EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS, max_steps=5)

@@ -253,6 +253,24 @@ class TestClauses:
                      eigmap=((Lind(EIND), Eigen(2)),), spent=0b1)
         assert SIMPFIT.some_e(cert) == ()
 
+    @pytest.mark.parametrize("pending", [(), (L, R)], ids=["none", "two"])
+    def test_steps_refuse_unless_one_index_is_pending(self, pending):
+        # a decomposition right after a decide splits one decided index
+        boxinfos = (BoxInfo(L, R),)
+        cert = fresh(flag=1, pending=pending, boxinfos=boxinfos, eigmap=((R, Eigen(1)),))
+        assert SIMPFIT.orneg_c(cert) == ()
+        assert SIMPFIT.andneg_c(cert) == ()
+        assert SIMPFIT.all_c(cert) == ()
+        assert SIMPFIT.some_e(cert) == ()
+        # the same index alone is split, bound or instantiated
+        one = cert._replace(pending=(L,))
+        assert all(len(answer) == 1 for answer in (
+            SIMPFIT.orneg_c(one), SIMPFIT.andneg_c(one), SIMPFIT.all_c(one), SIMPFIT.some_e(one)))
+
+    def test_store_refuses_with_nothing_pending(self):
+        assert SIMPFIT.store_c(fresh(), P_W0) == ()
+        assert SIMPFIT.store_c(fresh(), NP_W0) == ()
+
     def test_some_without_matching_boxinfo_refuses(self):
         cert = fresh(flag=1, pending=(Rind(EIND),),
                      eigmap=((Lind(EIND), Eigen(2)),))

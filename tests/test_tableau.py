@@ -6,7 +6,7 @@ from functools import cache
 
 import pytest
 
-from kcert.firstorder import standard_translation
+from kcert.firstorder import format_formula, standard_translation
 from kcert.fittings import FITTINGS, FitCert
 from kcert.formulas import (
     And,
@@ -538,6 +538,20 @@ class TestOracle:
             if model is None:
                 continue
             assert not eval_modal(model, ROOT_WORLD, a)
+
+    def test_verdicts_and_countermodels_are_pinned(self):
+        # recorded while the oracle still enumerated every tree model and
+        # renumbered the first: the verdict, and each countermodel's worlds,
+        # edges and valuation, over the whole corpus
+        digest = hashlib.sha256()
+        valid = 0
+        for a in agreement_corpus():
+            model = find_countermodel(a)
+            valid += model is None
+            shown = "valid" if model is None else format_model(model)
+            digest.update(f"{format_formula(a)}\n{shown}\n".encode())
+        assert (valid, digest.hexdigest()) == (
+            2176, "358ea4960996c230da9983c7833ff40ea02f00a68d8443ff8895bb2094a1cd55")
 
     def test_cap(self):
         big = P
