@@ -22,7 +22,7 @@ from kcert.problems import ProblemFile, format_problem, parse_formula_text
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
 from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, negate_nnf, prove
 from helpers import (
-    DOUBLING_TABLE, agreement_corpus, kchain, kchain_bad, php, recursion_limit, taut,
+    DOUBLING_TABLE, agreement_corpus, kchain, kchain_bad, php, php_bad, recursion_limit, taut,
     time_limit, wide, wide_bad)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -231,6 +231,23 @@ class TestProveOutput:
         assert (runs[0], digests[0].hexdigest()) == (
             346, "7cabaf6e2dd25071e34e73eeaf111bcc611400d589a8e4a09d51b5c658789cdb")
         assert runs[0] + runs[1] == 2851
+
+    def test_stdout_and_exit_codes_at_scale_are_pinned(self, capsys):
+        # the families at the sizes the benchmark runs, where the prover
+        # holds many candidates at once; recorded before the prover kept
+        # a literal index and split and diamond agendas
+        texts = [format_formula(family(n)) for family, sizes in (
+            (taut, (32, 128)), (kchain, (16, 64)), (wide, (8, 16)), (kchain_bad, (32, 128)),
+            (wide_bad, (8, 32)), (php, (2, 3)), (php_bad, (2,))) for n in sizes]
+        texts += ["(box " * 300 + "(or (+ p) (- p))" + ")" * 300,
+                  "(box " * 150 + "(+ p)" + ")" * 150]
+        digest = hashlib.sha256()
+        for text in texts:
+            for emit in ("fittings", "simpfit"):
+                code = main(["prove", text, "--emit", emit])
+                digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == (
+            "85e35b21d862f3f6c27f3b4949aa92280a707371583a8ddaa4060ac81e50540f")
 
     def test_proved_runs_emit_certificates_replayed_without_choice(self):
         # the pruned decide tree of every proved run still names each
