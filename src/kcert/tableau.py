@@ -21,11 +21,23 @@ their descent path in the original formula (left before right), then by
 prefix, then by age.  Certificate emission relies on this determinism
 only for reproducibility, not for correctness.
 
+A step finds its closure, split or diamond without rescanning the
+branch (the agendas and closure detection of Horrocks and
+Patel-Schneider, "Optimizing description logic subsumption", 1999).
+Each branch indexes its literals by prefix and atom name, so only the
+entries the last step added are probed for a complement, and keeps the
+splits and the diamonds not yet expanded on two heaps in rule order.  A
+step extends its branch in place, and a split forks a copy of that
+state for its right side.  A box propagation still scans the branch,
+each box against each world.  An entry's descent path is kept as its
+place in the formula in preorder, a number, which orders as the path
+does.
+
 A closed subtree keeps the set of the entries above it that it uses, by
 index: a closure uses its two literals, and a step that creates an
 entry in use uses its source and, for a box propagation, the entry that
-made its target world (dependency-directed backtracking, after Horrocks
-and Patel-Schneider, "Optimizing description logic subsumption", 1999).
+made its target world (dependency-directed backtracking, after the
+same paper).
 Two rules act on the sets.  A step that creates no entry in use is
 dropped from the tree, and its child closes the branch alone; for a
 split, each side's subtree that does not use its own entry closes the
@@ -38,6 +50,7 @@ world, and a later branch numbers its worlds from there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Mapping
 
 from .firstorder import format_formula
@@ -70,8 +83,10 @@ from .simpfit import SimpfitCert, distill
 
 Prefix = tuple[int, ...]
 
-# the step budget of every proof search that names none: a hundred times
-# the largest search in the tests and the benchmark (1,535 steps, taut(512))
+# the step budget of every proof search that names none: about fifty times
+# the largest search in the tests and the benchmark (3,003 steps, the
+# 3,000-long disjunct chain of TestDeepProofs), and a hundred times
+# taut(512)'s 1,535, the largest when it was set
 DEFAULT_MAX_TABLEAU_STEPS = 153_500
 
 ROOT_WORLD: Prefix = (1,)
@@ -110,6 +125,19 @@ def negate_nnf(a: ModalFormula) -> ModalFormula:
 
 def connective_count(a: ModalFormula) -> int:
     return fold(a, None, _COUNT, "modal")
+
+
+def _sizes(a: ModalFormula) -> dict[int, int]:
+    """The number of nodes of each subformula of a, keyed by id, so a
+    must outlive the table."""
+    sizes: dict[int, int] = {}
+
+    def size(node, _, values: list[int]) -> int:
+        n = sizes[id(node)] = 1 + sum(values)
+        return n
+
+    fold(a, None, {cls: (kids, size) for cls, (kids, _) in _COUNT.items()}, "modal")
+    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +222,10 @@ def _tree_model(val: dict[Prefix, frozenset[str]], goal: ModalFormula) -> Kripke
 class PrefixedFormula:
     prefix: Prefix
     body: ModalFormula
-    # "L"/"R" descent path from the root formula; drives rule ordering
-    origin: tuple[str, ...]
+    # the place of body in the root formula, counted in preorder, left
+    # before right: the order of the "L"/"R" descent paths from the
+    # root; drives rule ordering
+    origin: int
     # the storage index the kernel gives this formula on the theorem side
     index: Index
 
@@ -228,86 +258,124 @@ class OpenBranch:
     entries: tuple[PrefixedFormula, ...]
 
 
+class _Branch:
+    """A branch's entries, and what a step needs of them without a scan:
+    - worlds: for each entry, the worlds made from its world w, in order,
+      the n-th, w + (n,), at n-1: each the index of the diamond entry
+      that made it, whose eigenvariable a box propagated there borrows,
+      and the worlds made from it.  Every branch through w shares them,
+      as world numbering is global: a later branch continues where an
+      earlier one left off;
+    - literals: the first negative and the first positive literal stored
+      at each (prefix, atom name), kept apart by polarity;
+    - closing: the closure the latest entries made, if any;
+    - splits, dias: the splits and the diamonds not yet expanded, each a
+      heap of (origin, prefix, position) in rule order;
+    - done: the (position, world) pairs of the box propagations made."""
+
+    __slots__ = ("entries", "worlds", "literals", "closing", "splits", "dias", "done")
+
+    def __init__(self, root: PrefixedFormula) -> None:
+        self.entries: list[PrefixedFormula] = []
+        self.worlds: list[list] = []
+        self.literals: tuple[dict, dict] = ({}, {})
+        self.closing: tuple[PrefixedFormula, PrefixedFormula] | None = None
+        self.splits: list[tuple[int, Prefix, int]] = []
+        self.dias: list[tuple[int, Prefix, int]] = []
+        self.done: set[tuple[int, Prefix]] = set()
+        self.add(root, [])
+
+    def fork(self) -> _Branch:
+        """A copy to take the other side of a split, made before either
+        side adds its entry."""
+        other = object.__new__(_Branch)
+        other.entries = self.entries.copy()
+        other.worlds = self.worlds.copy()
+        other.literals = (self.literals[0].copy(), self.literals[1].copy())
+        other.closing = None
+        other.splits = self.splits.copy()
+        other.dias = self.dias.copy()
+        other.done = self.done.copy()
+        return other
+
+    def add(self, e: PrefixedFormula, children: list) -> None:
+        """Store e, from whose world children were made.  Entries before
+        it close no branch, or it would have closed, so a literal closes
+        the branch only with a complement stored before it: the first
+        such literal added, paired with its complement's first
+        occurrence, is the closure."""
+        pos = len(self.entries)
+        self.entries.append(e)
+        self.worlds.append(children)
+        body = e.body
+        if isinstance(body, (PosAtom, NegAtom)):
+            key = (e.prefix, body.name)
+            positive = isinstance(body, PosAtom)
+            other = self.literals[not positive].get(key)
+            if other is not None and self.closing is None:
+                self.closing = (other, e) if positive else (e, other)
+            self.literals[positive].setdefault(key, e)
+        elif isinstance(body, (And, Or)):
+            heappush(self.splits, (e.origin, e.prefix, pos))
+        elif isinstance(body, Dia):
+            heappush(self.dias, (e.origin, e.prefix, pos))
+
+
 class _Prover:
-    def __init__(self) -> None:
-        # world numbering is global, so a later branch continues where
-        # an earlier one left off
-        self.next_child: dict[Prefix, int] = {}
-        # index of the diamond entry that created each world: a box
-        # propagated there borrows its eigenvariable
-        self.creator: dict[Prefix, Index] = {}
+    def __init__(self, root: ModalFormula) -> None:
+        # a right split's place is past the nodes of its left sibling
+        self.sizes = _sizes(root)
 
-    def step(self, entries: list[PrefixedFormula],
-             done: frozenset) -> tuple[TabStep, list] | OpenBranch:
-        """The next step on a branch, as a TabStep still to be given its
-        children, and the (entries, done) branches it leaves, left first;
-        done holds split and diamond positions and box (position, world) pairs."""
-        closing = self._find_closure(entries)
-        if closing is not None:
-            return TabStep("close", None, closing=closing), []
+    def step(self, branch: _Branch) -> tuple[TabStep, list[_Branch]] | OpenBranch:
+        """The next step on branch, as a TabStep still to be given its
+        children, and the branches it leaves, left first.  The closure is
+        the one the branch's literal index found when the last step added
+        its entries, and the split and the diamond are the least on the
+        branch's heaps; only a box propagation scans the branch.  A step
+        extends branch in place, and a split takes a fork of it for its
+        right side."""
+        if branch.closing is not None:
+            return TabStep("close", None, closing=branch.closing), []
 
-        pos = self._pick(entries, lambda p, e: p not in done and isinstance(e.body, (And, Or)))
-        if pos is not None:
-            e = entries[pos]
-            left = PrefixedFormula(e.prefix, e.body.left, e.origin + ("L",), Lind(e.index))
-            right = PrefixedFormula(e.prefix, e.body.right, e.origin + ("R",), Rind(e.index))
-            done |= {pos}
+        if branch.splits:
+            pos = heappop(branch.splits)[2]
+            e, children = branch.entries[pos], branch.worlds[pos]
+            left = PrefixedFormula(e.prefix, e.body.left, e.origin + 1, Lind(e.index))
+            right = PrefixedFormula(e.prefix, e.body.right,
+                                    e.origin + 1 + self.sizes[id(e.body.left)], Rind(e.index))
             if isinstance(e.body, And):
-                return (TabStep("andF", e, (left, right)),
-                        [(entries + [left, right], done)])
-            return (TabStep("orF", e, (left, right)),
-                    [(entries + [left], done), (entries + [right], done)])
+                branch.add(left, children)
+                branch.add(right, children)
+                return TabStep("andF", e, (left, right)), [branch]
+            other = branch.fork()
+            branch.add(left, children)
+            other.add(right, children)
+            return TabStep("orF", e, (left, right)), [branch, other]
 
-        pos = self._pick(entries, lambda p, e: p not in done and isinstance(e.body, Dia))
-        if pos is not None:
-            e = entries[pos]
-            n = self.next_child.get(e.prefix, 1)
-            self.next_child[e.prefix] = n + 1
-            target = e.prefix + (n,)
-            self.creator[target] = e.index
-            child = PrefixedFormula(target, e.body.body, e.origin + ("L",), Lind(e.index))
-            return (TabStep("diaF", e, (child,), target),
-                    [(entries + [child], done | {pos})])
+        if branch.dias:
+            pos = heappop(branch.dias)[2]
+            e, children = branch.entries[pos], branch.worlds[pos]
+            made: list = []
+            children.append((e.index, made))
+            target = e.prefix + (len(children),)
+            child = PrefixedFormula(target, e.body.body, e.origin + 1, Lind(e.index))
+            branch.add(child, made)
+            return TabStep("diaF", e, (child,), target), [branch]
 
-        box_cand = self._pick_box(entries, done)
+        box_cand = self._pick_box(branch.entries, branch.done)
         if box_cand is not None:
             pos, target = box_cand
-            e = entries[pos]
-            child = PrefixedFormula(target, e.body.body, e.origin + ("L",),
-                                    Bind(e.index, self.creator[target]))
-            return (TabStep("boxF", e, (child,), target),
-                    [(entries + [child], done | {(pos, target)})])
+            e = branch.entries[pos]
+            maker, made = branch.worlds[pos][target[-1] - 1]
+            child = PrefixedFormula(target, e.body.body, e.origin + 1, Bind(e.index, maker))
+            branch.done.add((pos, target))
+            branch.add(child, made)
+            return TabStep("boxF", e, (child,), target), [branch]
 
-        return self._open(entries)
-
-    @staticmethod
-    def _find_closure(entries: list[PrefixedFormula]) -> tuple[PrefixedFormula, PrefixedFormula] | None:
-        for j in range(len(entries)):
-            ej = entries[j]
-            if not isinstance(ej.body, (PosAtom, NegAtom)):
-                continue
-            for i in range(j):
-                ei = entries[i]
-                if ei.prefix != ej.prefix:
-                    continue
-                if not isinstance(ei.body, (PosAtom, NegAtom)):
-                    continue
-                if ei.body.name != ej.body.name or type(ei.body) is type(ej.body):
-                    continue
-                if isinstance(ei.body, NegAtom):
-                    return ei, ej
-                return ej, ei
-        return None
+        return self._open(branch.entries)
 
     @staticmethod
-    def _pick(entries: list[PrefixedFormula], want) -> int | None:
-        cands = [(e.origin, e.prefix, p) for p, e in enumerate(entries) if want(p, e)]
-        if not cands:
-            return None
-        return min(cands)[2]
-
-    @staticmethod
-    def _pick_box(entries: list[PrefixedFormula], done: frozenset) -> tuple[int, Prefix] | None:
+    def _pick_box(entries: list[PrefixedFormula], done: set) -> tuple[int, Prefix] | None:
         prefixes = {e.prefix for e in entries}
         cands = []
         for pos, e in enumerate(entries):
@@ -373,21 +441,22 @@ def prove(theorem: ModalFormula,
     """Refute the negation of theorem.  A ClosedTableau means theorem is
     K-valid; an OpenBranch carries the first countermodel found, verified.
     One stack holds the branches to expand, left first, and the steps
-    waiting for their children; a split waits with its right branch
-    until its left subtree is built.  Each built subtree carries the
+    waiting for their children; a split waits with its right branch, a
+    copy of the branch state taken at the split (see _Branch), until its
+    left subtree is built.  Each built subtree carries the
     indexes of the entries above it that it uses (see _join), and a
     split whose left subtree does not use the left entry is skipped: that
     subtree closes the branch alone, and the right branch is never
     expanded.  Each step on a branch counts against max_steps, and the
     search raises StepBudgetExceeded past it."""
-    root = PrefixedFormula(ROOT_WORLD, negate_nnf(theorem), (), EIND)
-    prover = _Prover()
+    root = PrefixedFormula(ROOT_WORLD, negate_nnf(theorem), 0, EIND)
+    prover = _Prover(root.body)
     built: list[tuple[TabStep, set[Index]]] = []
-    todo: list = [([root], frozenset())]
+    todo: list = [_Branch(root)]
     steps = 0
     while todo:
         item = todo.pop()
-        if type(item[0]) is TabStep:
+        if type(item) is tuple:
             step, right = item
             if right is None:
                 _join(step, built)
@@ -397,7 +466,7 @@ def prove(theorem: ModalFormula,
         steps += 1
         if steps > max_steps:
             raise StepBudgetExceeded(f"proof search gave up after {max_steps} tableau steps")
-        found = prover.step(*item)
+        found = prover.step(item)
         if isinstance(found, OpenBranch):
             return found
         step, branches = found

@@ -627,6 +627,18 @@ def node_count(tree: DecTree) -> int:
     return fold(tree, None, {DecTree: (child_kids, lambda t, _, v: 1 + sum(v))}, "decide tree")
 
 
+def same_dectree(a: DecTree, b: DecTree) -> bool:
+    """a == b on an explicit stack: the generated __eq__ recurses, so it
+    fails on trees deeper than the recursion limit."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if (x.decide_on, x.aux, len(x.children)) != (y.decide_on, y.aux, len(y.children)):
+            return False
+        todo += zip(x.children, y.children)
+    return True
+
+
 # ---------------------------------------------------------------------------
 # reference models
 
