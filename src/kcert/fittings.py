@@ -11,8 +11,10 @@ and only they are, so a literal stored at none closes any branch.
 A decide tree records one decide per node: the index to decide on, an
 auxiliary index (the closing complement for a leaf, the eigenvariable
 donor for an existential), and the child decides.  Checking never has to
-search: at each decide the certificate names the tree node's index, so a
-well-formed certificate is replayed with zero choice points.
+search: at each decide the certificate names the tree node's index, and
+each predicate answers at most once, an existential borrowing its
+donor's newest eigenvariable.  So replay makes a choice point only where
+a tree decides one index twice on a branch, which the prover never does.
 """
 
 from __future__ import annotations
@@ -195,14 +197,15 @@ def child_kids(node, ctx) -> list:
 
 class FitCert(NamedTuple):
     """Checker-side state: indexes waiting to be handed to stores, the
-    decide (sub)tree still to replay, and universal-index-to-eigenvariable
-    bindings seen so far.  Tuple-backed, so the FPC's answer at each
-    step builds a plain tuple.  fpc, the FPC that reads this format, is a
-    class attribute set once FITTINGS exists."""
+    decide (sub)tree still to replay, and the chain (universal,
+    eigenvariable, rest) of the universals bound on the branch, newest
+    first, or ().  Tuple-backed, so the FPC's answer at each step builds
+    a plain tuple.  fpc, the FPC that reads this format, is a class
+    attribute set once FITTINGS exists."""
 
     pending: tuple[Index, ...]
     tree: DecTree
-    eigmap: tuple[tuple[Index, Term], ...]
+    eigmap: tuple
 
     @staticmethod
     def load(tree: DecTree) -> FitCert:
@@ -213,6 +216,13 @@ class FitCert(NamedTuple):
 # a FitCert is built by tuple.__new__ itself, one C call, not through the
 # Python-level __new__ that NamedTuple generates
 _new = tuple.__new__
+
+
+def newest_eigen(eigmap: tuple, universal: Index) -> Term | None:
+    """The newest eigenvariable an eigmap chain binds universal to, or None."""
+    while eigmap and eigmap[0] is not universal:
+        eigmap = eigmap[2]
+    return eigmap[1] if eigmap else None
 
 
 def is_rel_literal(f: PolarizedFormula) -> bool:
@@ -262,28 +272,18 @@ class FittingsFpc(Fpc):
 
     def all_c(self, cert: FitCert) -> tuple[Callable[[Term], object], ...]:
         _, tree, eigmap = cert
-        if tree.children:
-            i = tree.decide_on
-            child = tree.children[0]
-
-            def bind_eigen(eigen: Term) -> FitCert:
-                return _new(FitCert, ((Lind(i),), child, ((i, eigen),) + eigmap))
-
-            return (bind_eigen,)
-        return ()
-
-    def some_e(self, cert: FitCert) -> tuple[tuple[Term, object], ...]:
-        # every eigenvariable bound to the aux universal, newest first
-        _, tree, eigmap = cert
         if not tree.children:
             return ()
-        aux = tree.aux
-        c2 = _new(FitCert, ((Bind(tree.decide_on, aux),), tree.children[0], eigmap))
-        found = ()
-        for key, eigen in eigmap:
-            if key is aux:
-                found += ((eigen, c2),)
-        return found
+        i, child = tree.decide_on, tree.children[0]
+        return (lambda eigen: _new(FitCert, ((Lind(i),), child, (i, eigen, eigmap))),)
+
+    def some_e(self, cert: FitCert) -> tuple[tuple[Term, object], ...]:
+        _, tree, eigmap = cert
+        eigen = newest_eigen(eigmap, tree.aux) if tree.children else None
+        if eigen is None:
+            return ()
+        return ((eigen, _new(FitCert, ((Bind(tree.decide_on, tree.aux),), tree.children[0],
+                                       eigmap))),)
 
 
 FITTINGS = FittingsFpc()

@@ -8,20 +8,18 @@ the workbench is empty it decides on a stored positive formula and enters
 the synchronous phase, which decomposes the focus until it closes on a
 literal or releases a negative formula back to the asynchronous phase.
 
-The kernel itself makes no choices.  At every rule with a choice to
-make it consults a certificate through a small set of clerk predicates
-(asynchronous side) and expert predicates (synchronous side); the
-certificate is threaded through, and such a rule is available only when
-its predicate yields a continuation.  Where the predicates allow several
-continuations the kernel backtracks over them depth-first, so an accepted
-run is a proof under exactly the guidance the certificate supplies.
+The kernel makes no choices.  At each rule with a choice to make it asks
+a certificate, through clerk predicates (asynchronous side) and expert
+predicates (synchronous side); the rule is available only when its
+predicate yields a continuation, the certificate threaded on.  Where
+they yield several, the kernel backtracks over them depth-first: an
+accepted run is a proof under exactly the certificate's guidance.
 
 The search is one loop over a goal stack, not recursion, so proof height
 is bounded by memory and the step budget.  A rule with several
 continuations leaves a choice point, and a cut goal under its premise
-drops it once the premise has succeeded: a later failure never re-enters
-a premise that closed.  A right premise and a backtrack undo stores by
-truncating a trail.  A traced check records each step, and a reject the
+drops it once the premise has succeeded: a later failure never re-enters a
+premise that closed.  A traced check records each step, and a reject the
 deepest trace prefix a failure reached; an untraced one builds no event.
 
 Storage indexes are opaque to the kernel: they are whatever hashable
@@ -32,11 +30,10 @@ kernel looks the stored entries at that index up in a map kept beside
 storage, so no decide scans storage or polls the certificate per entry.
 
 Binders are opened by environment, not by substitution (Abadi et al.,
-"Explicit substitutions", JFP 1991): each workbench item, stored
-positive entry and focus is a pair (formula, env), env a tuple of closed
-terms with env[k] what BVar(k) stands for.  The all and some rules push
-their eigenvariable or witness onto env, and an atom's arguments are
-resolved only where the kernel keys it, so a check builds no formula.
+"Explicit substitutions", JFP 1991), so a check builds no formula: an
+item (workbench, stored or focus) is a pair (formula, env), env a cons
+chain (term, rest) or None, BVar(k) the term k links down.  all and some
+push one cell; an atom's arguments are resolved only where it is keyed.
 """
 
 from __future__ import annotations
@@ -93,14 +90,13 @@ class Fpc:
     released formula, get the certificate as it is.
 
     A certificate format subclasses this and overrides the predicates it
-    wants to define; leaving one alone means the corresponding kernel
-    rule is never available under that format.  Predicates return
-    iterables of continuations (or, for initial_e, a plain truth value)
-    and may yield several to make the kernel backtrack.  The kernel reads
-    each answer once into a tuple, so a tuple answer costs nothing.  It only
-    threads the certificates an FPC's own predicates return, so a
-    predicate may assume its format's certificate type as long as the
-    check starts from one.
+    wants; a rule whose predicate is left alone is never available.
+    Predicates return iterables of continuations (or, for initial_e, a
+    plain truth value) and may yield several to make the kernel
+    backtrack.  The kernel reads each answer once into a tuple, so a
+    tuple answer costs nothing.  It only threads the certificates an
+    FPC's own predicates return, so a predicate may assume its format's
+    certificate type as long as the check starts from one.
 
     Indexes must be hashable.  decide_e names them: it yields pairs
     (index, continuation), and the kernel decides on each stored positive
@@ -161,14 +157,18 @@ _ASYNC, _SYNC, _RIGHT, _CUT = range(4)
 _FAIL = object()  # a rule with no continuation: backtrack
 
 
-def _resolve(args: tuple[Term, ...], env: tuple[Term, ...]) -> tuple[Term, ...]:
-    """An atom's arguments under env.  A variable past its end is bound
-    outside the entry, and keeps what substitution would leave of it:
-    check_polarized takes open entries, and refusing them would need a
-    closedness check longer than this one conditional."""
-    n = len(env)
-    return tuple((env[t.index] if t.index < n else BVar(t.index - n))
-                 if isinstance(t, BVar) else t for t in args)
+def _resolve(args: tuple[Term, ...], env: tuple | None) -> tuple[Term, ...]:
+    """An atom's arguments under env.  A variable past its end, bound
+    outside an open entry, keeps what substitution would leave of it."""
+    out = []
+    for t in args:
+        if isinstance(t, BVar):
+            k, link = t.index, env
+            while k and link is not None:
+                k, link = k - 1, link[1]
+            t = BVar(k) if link is None else link[0]
+        out.append(t)
+    return tuple(out)
 
 
 class _Run:
@@ -292,7 +292,7 @@ class _Run:
         self.next_eigen += 1
         if self.trace:
             self.events.append(Ev("all", eigen))
-        return (_ASYNC, mk(eigen), ((f.body, (eigen,) + env),) + rest, goals)
+        return (_ASYNC, mk(eigen), ((f.body, (eigen, env)),) + rest, goals)
 
     def store_step(self, gamma: tuple, pair: object, goals: tuple | None) -> tuple:
         (index, c2), (f, env) = pair, gamma[0]
@@ -364,11 +364,11 @@ class _Run:
             return _FAIL
         if self.trace:
             self.events.append(Ev("some", witness))
-        return (_SYNC, c2, (focus.body, (witness,) + env), goals)
+        return (_SYNC, c2, (focus.body, (witness, env)), goals)
 
 
 def _verdict(run: _Run, cert: object, entry: Sequence[PolarizedFormula]) -> CheckResult:
-    accepted = run.run(cert, tuple((f, ()) for f in entry))
+    accepted = run.run(cert, tuple((f, None) for f in entry))
     trace = tuple(run.events) if accepted else run.deepest
     return CheckResult(accepted, trace, run.steps, run.choice_points)
 

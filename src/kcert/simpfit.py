@@ -51,8 +51,8 @@ each index a closure names and each universal a boxinfo names with a
 bit.  A branch keeps its stored literals and bound universals as bit
 sets, so a store updates them in an integer operation or two, and a
 decide reads its closable literals off one conjunction.  The
-eigenvariables a branch binds form a parent-linked chain, which each
-universal extends without copying, and its tokens wait in three short
+eigenvariables a branch binds form a chain that each universal extends
+without copying and newest_eigen reads; its tokens wait in three short
 tuples that change only when a token is granted or spent.
 """
 
@@ -61,7 +61,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from .fittings import Bind, DecTree, EIND, Index, Lind, NONE, Rind, _new, is_rel_literal
+from .fittings import (Bind, DecTree, EIND, Index, Lind, NONE, Rind, _new, is_rel_literal,
+                       newest_eigen)
 from .formulas import AndNeg, DelayPos, Exists, NAtom, PAtom, PolarizedFormula, Term
 from .kernel import Fpc
 
@@ -339,11 +340,9 @@ class SimpfitFpc(Fpc):
         spent |= 1 << k
         if any(not spent >> j & 1 for j, _ in ev.uses[i]):
             exists += (i,)
-        link = eigmap  # the newest binding of univ on the branch
-        while link[0] is not univ:
-            link = link[2]
-        return ((link[1], _new(SimpfitCert, (0, (Bind(i, univ),), exists, delayed, splits, eigmap,
-                                             bound, spent, lits, mated, ev))),)
+        return ((newest_eigen(eigmap, univ),
+                 _new(SimpfitCert, (0, (Bind(i, univ),), exists, delayed, splits, eigmap, bound,
+                                    spent, lits, mated, ev))),)
 
 
 SIMPFIT = SimpfitFpc()

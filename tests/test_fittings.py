@@ -35,13 +35,19 @@ from examples import (
     taut_cert,
 )
 from helpers import certificate_mutants, node_count
+from test_kernel import _pinned_runs
 
 LEAF = DecTree(Lind(EIND), Rind(EIND))
 ROOT = DecTree(EIND, NONE, (LEAF,))
 
 
 def fresh(pending=(), tree=ROOT, eigmap=()):
-    return FitCert(tuple(pending), tree, tuple(eigmap))
+    """A state with the universals of eigmap, pairs (universal,
+    eigenvariable), bound in order: the last is the newest link."""
+    chain = ()
+    for univ, eigen in eigmap:
+        chain = (univ, eigen, chain)
+    return FitCert(tuple(pending), tree, chain)
 
 
 class TestIndexAlgebra:
@@ -171,7 +177,15 @@ class TestClauses:
         cert = fresh(pending=())
         (mk,) = FITTINGS.all_c(cert)
         got = mk(Eigen(7))
-        assert got == FitCert((Lind(EIND),), LEAF, ((EIND, Eigen(7)),))
+        assert got == FitCert((Lind(EIND),), LEAF, (EIND, Eigen(7), ()))
+        assert got == fresh(pending=(Lind(EIND),), tree=LEAF, eigmap=((EIND, Eigen(7)),))
+
+    def test_all_extends_the_chain_without_copying_it(self):
+        cert = fresh(pending=(), eigmap=((Rind(EIND), Eigen(2)), (Lind(EIND), Eigen(3))))
+        (mk,) = FITTINGS.all_c(cert)
+        got = mk(Eigen(4))
+        assert got.eigmap[:2] == (EIND, Eigen(4))
+        assert got.eigmap[2] is cert.eigmap
 
     def test_andpos_keeps_the_cert_and_initial_accepts_none(self):
         # the left premise is a diamond's accessibility literal, whose
@@ -184,11 +198,20 @@ class TestClauses:
 
     def test_some_borrows_the_aux_eigenvariable(self):
         tree = DecTree(Rind(EIND), Lind(EIND), (LEAF,))
-        cert = fresh(tree=tree, eigmap=((Lind(EIND), Eigen(3)),))
-        assert list(FITTINGS.some_e(cert)) == [
-            (Eigen(3),
-             FitCert((Bind(Rind(EIND), Lind(EIND)),), LEAF,
-                     ((Lind(EIND), Eigen(3)),)))]
+        cert = fresh(tree=tree, eigmap=((Lind(EIND), Eigen(3)), (EIND, Eigen(4))))
+        assert FITTINGS.some_e(cert) == (
+            (Eigen(3), fresh(pending=(Bind(Rind(EIND), Lind(EIND)),), tree=LEAF,
+                             eigmap=((Lind(EIND), Eigen(3)), (EIND, Eigen(4))))),)
+
+    def test_some_answers_once_with_the_newest_binding_of_the_aux(self):
+        # the aux universal bound twice on the branch: only its newest
+        # eigenvariable is offered, so replay leaves no choice point
+        tree = DecTree(Rind(EIND), Lind(EIND), (LEAF,))
+        cert = fresh(tree=tree, eigmap=((Lind(EIND), Eigen(3)), (EIND, Eigen(4)),
+                                        (Lind(EIND), Eigen(5))))
+        ((eigen, c2),) = FITTINGS.some_e(cert)
+        assert eigen == Eigen(5)
+        assert c2.eigmap is cert.eigmap
 
     def test_some_refuses_without_a_binding(self):
         tree = DecTree(Rind(EIND), Lind(EIND), (LEAF,))
@@ -286,6 +309,16 @@ class TestEndToEnd:
             assert spy.max_continuations == 1
             # each answer is a tuple, which the kernel reads without a copy
             assert spy.answer_types == {tuple}
+
+    def test_at_most_one_continuation_on_every_pinned_run(self):
+        # mutants included: some_e offers only the newest binding of its aux
+        spy, runs = _Spy(), 0
+        for goal, cert in _pinned_runs():
+            if type(cert) is FitCert:
+                check(goal, cert, spy, max_steps=100_000, trace=False)
+                runs += 1
+        assert runs == 180
+        assert spy.max_continuations == 1
 
     def test_mutants_reject(self):
         for cert_maker, goal in ((ftab1_cert, EXAMPLE1_THEOREM),

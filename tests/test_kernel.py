@@ -422,9 +422,11 @@ class TestPinnedRuns:
         certs = [(EXAMPLE1_THEOREM, ftab1_cert()), (EXAMPLE2_THEOREM, ftab2_cert()),
                  (TAUT_THEOREM, taut_cert())]
         # re-pinned when the prover began to prune its certificates:
-        # (194, "ce52532d...") before
+        # (194, "ce52532d...") before; and when some_e began to offer only
+        # the newest binding of its aux, which moved one mutant from 53
+        # steps and 1 choice point to 41 and 0: (180, "2f390ca8...") before
         assert self.digest(certs, emit_fitcert) == (
-            180, "2f390ca8aa617161ae08f032a67c8dafee68926e74daf11e7380da282ebb58dd")
+            180, "3c2ae8d59256145949bc61aa4347dabe94d49eb26d805385ac3f00b4000d6d0a")
 
     def test_simpfit_digest(self):
         certs = [(EXAMPLE1_THEOREM, sftab1_cert()), (EXAMPLE2_THEOREM, sftab2_cert())]
@@ -449,6 +451,37 @@ def _pinned_runs():
         for goal, cert in certs:
             for c in [cert, *(m for _, m in certificate_mutants(cert))]:
                 yield goal, c
+
+
+def _decides_twice(tree):
+    """Whether some root-to-leaf path of a decide tree decides one index
+    twice, the only way a branch stores two entries at one index."""
+    todo = [(tree, frozenset())]
+    while todo:
+        node, above = todo.pop()
+        if node.decide_on in above:
+            return True
+        todo += [(child, above | {node.decide_on}) for child in node.children]
+    return False
+
+
+class TestFittingsReplay:
+    """Each FITTINGS predicate answers at most once, as test_fittings.py
+    holds, so a replay makes a choice point only at a decide that finds
+    two entries at one index, stored by a tree that decides their parent
+    twice on a branch."""
+
+    def test_no_choice_point_unless_the_tree_decides_an_index_twice(self):
+        backtracked = []
+        for goal, cert in _pinned_runs():
+            if type(cert) is FitCert:
+                r = check(goal, cert, max_steps=100_000, trace=False)
+                if r.choice_points:
+                    assert _decides_twice(cert.tree)
+                    backtracked.append((r.accepted, r.steps, r.choice_points))
+        # five when some_e offered every binding of its aux: one more
+        # mutant then took 53 steps and 1 choice point, now 41 and 0
+        assert backtracked == [(False, 32, 1), (False, 46, 1), (False, 24, 1), (False, 32, 1)]
 
 
 class TestUntracedRuns:
@@ -787,6 +820,14 @@ class TestEnvironment:
         # under one binder the entry's free BVar(0) reads BVar(1); BVar(0)
         # is the binder's own eigenvariable
         entry = (NAtom("r", (BVar(0),)), All(PAtom("r", (BVar(index),))))
+        result = check_polarized(entry, None, Opening())
+        assert result.accepted == accepted
+
+    @pytest.mark.parametrize("index,accepted", [(3, True), (2, False)])
+    def test_walk_past_two_binders(self, index, accepted):
+        # the walk leaves the environment after two links: BVar(3) reads
+        # BVar(1) and meets the stored r(BVar(1)); BVar(2) reads BVar(0)
+        entry = (NAtom("r", (BVar(1),)), All(All(PAtom("r", (BVar(index),)))))
         result = check_polarized(entry, None, Opening())
         assert result.accepted == accepted
 
