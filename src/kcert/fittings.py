@@ -13,8 +13,7 @@ auxiliary index (the closing complement for a leaf, the eigenvariable
 donor for an existential), and the child decides.  Checking never has to
 search: at each decide the certificate names the tree node's index, and
 each predicate answers at most once, an existential borrowing its
-donor's newest eigenvariable.  So replay makes a choice point only where
-a tree decides one index twice on a branch, which the prover never does.
+donor's newest eigenvariable, so replay never makes a choice point.
 """
 
 from __future__ import annotations

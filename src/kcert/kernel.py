@@ -12,8 +12,8 @@ The kernel makes no choices.  At each rule with a choice to make it asks
 a certificate, through clerk predicates (asynchronous side) and expert
 predicates (synchronous side); the rule is available only when its
 predicate yields a continuation, the certificate threaded on.  Where
-they yield several, the kernel backtracks over them depth-first: an
-accepted run is a proof under exactly the certificate's guidance.
+they yield several, the kernel tries them in their order, depth-first:
+an accepted run is a proof under exactly the certificate's guidance.
 
 The search is one loop over a goal stack, not recursion, so proof height
 is bounded by memory and the step budget.  A rule with several
@@ -22,12 +22,11 @@ drops it once the premise has succeeded: a later failure never re-enters a
 premise that closed.  A traced check records each step, and a reject the
 deepest trace prefix a failure reached; an untraced one builds no event.
 
-Storage indexes are opaque to the kernel: they are whatever hashable
-values the certificate's store clerk hands out.  At a decide the
-certificate names the index to decide on (decideE in Chihani, Miller and
-Renaud, "A semantic framework for proof evidence", JAR 2017), and the
-kernel looks the stored entries at that index up in a map kept beside
-storage, so no decide scans storage or polls the certificate per entry.
+Storage indexes are opaque to the kernel: whatever hashable values the
+store clerk hands out.  A positive index holds one live entry, the last
+stored there on the branch.  At a decide the certificate names the
+indexes to try, in order (decideE in Chihani, Miller and Renaud, "A
+semantic framework for proof evidence", JAR 2017): no decide scans storage.
 
 Binders are opened by environment, not by substitution (Abadi et al.,
 "Explicit substitutions", JFP 1991), so a check builds no formula: an
@@ -39,7 +38,6 @@ push one cell; an atom's arguments are resolved only where it is keyed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .formulas import (All, AndNeg, AndPos, BVar, DelayNeg, DelayPos, Eigen, Exists,
@@ -99,9 +97,10 @@ class Fpc:
     certificate type as long as the check starts from one.
 
     Indexes must be hashable.  decide_e names them: it yields pairs
-    (index, continuation), and the kernel decides on each stored positive
-    entry at a named index, newest entry first.  An index may be named
-    more than once; naming one that holds nothing positive is harmless.
+    (index, continuation), and the kernel decides, in the order named,
+    on each named index that holds a positive entry, taking the entry
+    stored there last on the branch.  init closes on the first stored
+    complement, oldest first, that initial_e sanctions.
 
     store_c sees the formula as the translation wrote it, its bound
     variables unresolved: its class, predicate and arity are meaningful,
@@ -172,15 +171,15 @@ def _resolve(args: tuple[Term, ...], env: tuple | None) -> tuple[Term, ...]:
 
 
 class _Run:
-    """One check.  Storage is two maps: positive items by index with
-    the step that stored them (for decide), negative atoms by predicate
-    and resolved arguments with their indexes (for init).  A store
-    pushes an entry and logs its bucket on the trail; undo pops logged
-    buckets down to a height, a right premise's at its rule or a choice
-    point's on backtracking.  Nothing popped is ever put back, as no
-    undo goes below a live choice point's height: a right premise inside
-    its premise marks a height at least its own, and one under its cut
-    runs only once the cut has dropped it."""
+    """One check.  Storage is two maps: positive items by index, the
+    last one live (for decide), and negative atoms' indexes by predicate
+    and resolved arguments (for init).  A store pushes an entry and logs
+    its bucket on the trail; undo pops logged buckets down to a height,
+    a right premise's at its rule or a choice point's on backtracking.
+    Nothing popped is ever put back, as no undo goes below a live choice
+    point's height: a right premise inside its premise marks a height at
+    least its own, and one under its cut runs only once the cut has
+    dropped it."""
 
     def __init__(self, fpc: Fpc, max_steps: int, trace: bool):
         self.fpc = fpc
@@ -192,7 +191,7 @@ class _Run:
         self.steps = 0
         self.choice_points = 0
         self.next_eigen = 1
-        self.positive: dict[object, list[tuple[int, tuple]]] = {}
+        self.positive: dict[object, list[tuple]] = {}
         self.negative: dict[tuple, list[object]] = {}
         # choice points: (step, its context, untried alternatives last first,
         # then the goals, trace length and trail height to restore)
@@ -303,24 +302,19 @@ class _Run:
             bucket = self.negative.setdefault((f.pred, _resolve(f.args, env)), [])
             bucket.append(index)
         else:
-            # the step count orders the entries of a branch by age
             bucket = self.positive.setdefault(index, [])
-            bucket.append((self.steps, gamma[0]))
+            bucket.append(gamma[0])
         self.trail.append(bucket)
         return (_ASYNC, c2, gamma[1:], goals)
 
     def _decide(self, cert: object, goals: tuple | None) -> object:
-        # one alternative per stored positive entry at a named index, newest
-        # first; the stable sort keeps one entry's names in their order
-        alts: list[tuple] = []
-        for index, c2 in self.fpc.decide_e(cert):
-            for position, item in self.positive.get(index, ()):
-                alts.append((position, index, item, c2))
-        alts.sort(key=itemgetter(0), reverse=True)
+        # one alternative per named index that holds an entry, its live one
+        alts = [(index, bucket[-1], c2) for index, c2 in self.fpc.decide_e(cert)
+                if (bucket := self.positive.get(index))]
         return self.branch(alts, self.decide_step, None, goals)
 
     def decide_step(self, _: None, alt: tuple, goals: tuple | None) -> tuple:
-        _, index, item, c2 = alt
+        index, item, c2 = alt
         if self.trace:
             self.events.append(Ev("decide", index))
         return (_SYNC, c2, item, goals)
@@ -341,15 +335,12 @@ class _Run:
                 self.events.append(STRIP)
             return (_SYNC, cert, (focus.body, env), goals)
         if isinstance(focus, PAtom):
-            key = (focus.pred, _resolve(focus.args, env))
-            sanctioned = [index for index in self.negative.get(key, ())
-                          if self.fpc.initial_e(cert, index)]
-            if not sanctioned:
-                return _FAIL
-            self.choice_points += len(sanctioned) - 1
-            if self.trace:
-                self.events.append(Ev("init", sanctioned[0]))
-            return goals
+            for index in self.negative.get((focus.pred, _resolve(focus.args, env)), ()):
+                if self.fpc.initial_e(cert, index):
+                    if self.trace:
+                        self.events.append(Ev("init", index))
+                    return goals
+            return _FAIL
         # negative focus: hand it back to the asynchronous phase
         if self.trace:
             self.events.append(RELEASE)

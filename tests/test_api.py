@@ -88,7 +88,7 @@ def test_only_the_allowed_functions_recurse():
 
 # the code a sceptic reads: the kernel and the import closure it trusts
 TRUSTED = {"kernel", "formulas"}
-TRUSTED_MAX_LINES = 655
+TRUSTED_MAX_LINES = 646
 
 
 def _kcert_imports(tree: ast.Module) -> list[tuple[str, str | None]]:

@@ -72,14 +72,15 @@ NB = NAtom("b", ())
 
 class Permissive(Fpc):
     """Says yes to everything, indexing stores by the stored formula.
-    It names every index it has ever handed out; the kernel decides on
-    those that hold a positive entry on the current branch."""
+    It names every index it has ever handed out, newest first; the
+    kernel decides on those that hold a positive entry on the current
+    branch, in that order."""
 
     def __init__(self):
         self.handed_out = {}
 
     def named(self, cert):
-        return [(index, cert) for index in self.handed_out]
+        return [(index, cert) for index in reversed(self.handed_out)]
 
     def decide_e(self, cert):
         return self.named(cert)
@@ -329,8 +330,38 @@ class TestCommit:
             "andneg R", "store right", "decide right"]
 
 
+class Sharing(Fpc):
+    """Stores a negative atom at its predicate's name and a positive one
+    at "x", or at each index places gives its predicate, one per
+    alternative; splits every negative conjunction, names "x" at every
+    decide and sanctions every init, logging the index it is asked of."""
+
+    def __init__(self, **places):
+        self.places = places
+        self.log = []
+
+    def store_c(self, cert, formula):
+        if isinstance(formula, NAtom):
+            return ((formula.pred, cert),)
+        return tuple((index, cert) for index in self.places.get(formula.pred, ("x",)))
+
+    def andneg_c(self, cert):
+        return ((cert, cert),)
+
+    def decide_e(self, cert):
+        return (("x", cert),)
+
+    def initial_e(self, cert, index):
+        self.log.append(index)
+        return True
+
+
 class TestDecideOrder:
-    def test_newest_first_when_asked(self):
+    """The kernel decides on the live entry of each index the
+    certificate names, in the order named, and closes an init on the
+    first complement initial_e sanctions: it orders and polls nothing."""
+
+    def test_in_the_order_named(self):
         log = []
 
         class Probe(Permissive):
@@ -347,7 +378,58 @@ class TestDecideOrder:
 
         result = check_polarized((A, B, NA, NB), None, Probe())
         assert not result.accepted
-        assert log == [("ix", B), ("ix", A)]
+        assert log == [("ix", A), ("ix", B)]
+
+    def test_a_second_store_hides_the_first(self):
+        # b, stored last at x, is the only entry decide sees: a, which ~a
+        # would close, is never tried
+        fpc = Sharing()
+        result = check_polarized((NA, A, B), None, fpc)
+        assert (result.accepted, result.steps, result.choice_points) == (False, 5, 0)
+        assert trace_lines(result.trace) == ["store a", "store x", "store x", "decide x"]
+        assert fpc.log == []
+
+    def test_undo_in_a_right_premise_shows_the_first_again(self):
+        # the left premise stores b at x and closes it on ~b; the right
+        # one no longer holds that b, so it decides on a and closes on ~a
+        fpc = Sharing()
+        entry = (NA, NB, A, AndNeg(B, NAtom("c", ())))
+        result = check_polarized(entry, None, fpc)
+        assert (result.accepted, result.choice_points) == (True, 0)
+        assert fpc.log == ["b", "a"]
+
+    def test_undo_on_backtracking_shows_the_first_again(self):
+        # b stored at x fails; stored at y on backtracking it leaves a live
+        # at x, which closes on ~a
+        fpc = Sharing(b=("x", "y"))
+        result = check_polarized((NA, A, B), None, fpc)
+        assert (result.accepted, result.choice_points) == (True, 1)
+        assert trace_lines(result.trace) == [
+            "store a", "store x", "store y", "decide x", "init a"]
+        assert fpc.log == ["a"]
+
+    @pytest.mark.parametrize("sanctioned,asked", [
+        ({"n1", "n2"}, ["n1"]), ({"n2"}, ["n1", "n2"]), (set(), ["n1", "n2"])])
+    def test_init_stops_at_the_first_sanctioned_complement(self, sanctioned, asked):
+        class Probe(Sharing):
+            """Stores two copies of ~a, at n1 and n2, and sanctions only
+            the indexes it is given."""
+
+            def store_c(self, cert, formula):
+                if isinstance(formula, NAtom):
+                    return ((f"n{cert}", cert + 1),)
+                return super().store_c(cert, formula)
+
+            def initial_e(self, cert, index):
+                self.log.append(index)
+                return index in sanctioned
+
+        fpc = Probe()
+        result = check_polarized((NA, NA, A), 1, fpc)
+        assert (result.accepted, result.choice_points) == (bool(sanctioned), 0)
+        assert fpc.log == asked
+        if sanctioned:
+            assert trace_lines(result.trace)[-1] == f"init {asked[-1]}"
 
 
 WIDE3 = wide(3)
@@ -422,11 +504,15 @@ class TestPinnedRuns:
         certs = [(EXAMPLE1_THEOREM, ftab1_cert()), (EXAMPLE2_THEOREM, ftab2_cert()),
                  (TAUT_THEOREM, taut_cert())]
         # re-pinned when the prover began to prune its certificates:
-        # (194, "ce52532d...") before; and when some_e began to offer only
+        # (194, "ce52532d...") before; when some_e began to offer only
         # the newest binding of its aux, which moved one mutant from 53
-        # steps and 1 choice point to 41 and 0: (180, "2f390ca8...") before
+        # steps and 1 choice point to 41 and 0: (180, "2f390ca8...")
+        # before; and when an index began to hold one live entry, which
+        # moved four rejected mutants, each of 1 choice point, from 32,
+        # 46, 24 and 32 steps to 27, 34, 23 and 27, with none:
+        # (180, "3c2ae8d5...") before
         assert self.digest(certs, emit_fitcert) == (
-            180, "3c2ae8d59256145949bc61aa4347dabe94d49eb26d805385ac3f00b4000d6d0a")
+            180, "2bc6d368473b4159240312cf7d775abc484b64aea2e457a20339d76e4007e019")
 
     def test_simpfit_digest(self):
         certs = [(EXAMPLE1_THEOREM, sftab1_cert()), (EXAMPLE2_THEOREM, sftab2_cert())]
@@ -453,35 +539,30 @@ def _pinned_runs():
                 yield goal, c
 
 
-def _decides_twice(tree):
-    """Whether some root-to-leaf path of a decide tree decides one index
-    twice, the only way a branch stores two entries at one index."""
-    todo = [(tree, frozenset())]
-    while todo:
-        node, above = todo.pop()
-        if node.decide_on in above:
-            return True
-        todo += [(child, above | {node.decide_on}) for child in node.children]
-    return False
-
-
 class TestFittingsReplay:
     """Each FITTINGS predicate answers at most once, as test_fittings.py
-    holds, so a replay makes a choice point only at a decide that finds
-    two entries at one index, stored by a tree that decides their parent
-    twice on a branch."""
+    holds, and the kernel decides only on the live entry of the one
+    index a tree node names, so a replay never makes a choice point."""
 
-    def test_no_choice_point_unless_the_tree_decides_an_index_twice(self):
-        backtracked = []
+    def test_no_run_makes_a_choice_point(self):
+        runs = 0
         for goal, cert in _pinned_runs():
             if type(cert) is FitCert:
                 r = check(goal, cert, max_steps=100_000, trace=False)
-                if r.choice_points:
-                    assert _decides_twice(cert.tree)
-                    backtracked.append((r.accepted, r.steps, r.choice_points))
-        # five when some_e offered every binding of its aux: one more
-        # mutant then took 53 steps and 1 choice point, now 41 and 0
-        assert backtracked == [(False, 32, 1), (False, 46, 1), (False, 24, 1), (False, 32, 1)]
+                assert r.choice_points == 0
+                runs += 1
+        # four of them, all rejected mutants, made one each while an
+        # index offered every entry stored at it
+        assert runs == 180
+
+    def test_a_tree_that_decides_an_index_twice(self):
+        # the second decide on eind stores the disjuncts again: the
+        # last-stored ones are live and close, with nothing to try
+        # (2 choice points while an index offered every entry)
+        goal = parse_formula_text("(or (+ p) (- p))")
+        tree = DecTree(EIND, NONE, (DecTree(EIND, NONE, (DecTree(Lind(EIND), Rind(EIND)),)),))
+        result = check(goal, FitCert.load(tree))
+        assert (result.accepted, result.steps, result.choice_points) == (True, 15, 0)
 
 
 class TestUntracedRuns:
