@@ -4,10 +4,13 @@ extraction.
 The prover refutes the negation of a candidate theorem with a prefixed
 tableau: nodes are world-prefixed formulas, worlds are dotted sequences
 of integers, and the accessibility relation is exactly prefix extension.
-Each entry is created with the storage index the kernel will give it,
-so a closed tableau reads off directly as a decide tree, from which the
-essential certificate is distilled; a saturated open branch yields a
-finite countermodel which is verified against the semantics before being
+The prover gives each world a number when a diamond step makes it, and
+keeps each world's parent once per proof, so no step builds a prefix: a
+prefix is built only for a countermodel, from the parents.  Each entry
+is created with the storage index the kernel will give it, so a closed
+tableau reads off directly as a decide tree, from which the essential
+certificate is distilled; a saturated open branch yields a finite
+countermodel which is verified against the semantics before being
 reported.  The bounded validity oracle searches for a countermodel on
 its own, without the prover's rules, but names its worlds by prefix too:
 both read their model off a prefix-keyed valuation, the edges going
@@ -18,20 +21,27 @@ then conjunctive and disjunctive entries, then each diamond (once per
 branch, creating a fresh child world), then each box against each child
 world already present.  Within a rule class, candidates are ordered by
 their descent path in the original formula (left before right), then by
-prefix, then by age.  Certificate emission relies on this determinism
-only for reproducibility, not for correctness.
+prefix, then by age.  Two candidates on one descent path sit at worlds
+of one depth, and only box propagations meet on one across worlds: the
+splits waiting on a branch are all at one world, and the diamonds at
+worlds each made from a different diamond.  Such a tie is broken by
+walking the two worlds' parent chains up to a common parent, as world
+numbers need not follow prefixes: a cousin can be made before a world's
+later child.  Certificate emission relies on this determinism only for
+reproducibility, not for correctness.
 
 A step finds its closure, split or diamond without rescanning the
 branch (the agendas and closure detection of Horrocks and
 Patel-Schneider, "Optimizing description logic subsumption", 1999).
-Each branch indexes its literals by prefix and atom name, so only the
-entries the last step added are probed for a complement, and keeps the
-splits and the diamonds not yet expanded on two heaps in rule order.  A
-step extends its branch in place, and a split forks a copy of that
+Each branch indexes its literals by world number and atom name, so only
+the entries the last step added are probed for a complement, and keeps
+the splits and the diamonds not yet expanded on two heaps in rule order.
+A step extends its branch in place, and a split forks a copy of that
 state for its right side.  A box propagation still scans the branch,
-each box against each world.  An entry's descent path is kept as its
-place in the formula in preorder, a number, which orders as the path
-does.
+each box against each world on it, and takes a world whose parent is the
+box's world; boxes have no agenda yet.  An entry's descent path is kept
+as its place in the formula in preorder, a number, which orders as the
+path does.
 
 A closed subtree keeps the set of the entries above it that it uses, by
 index: a closure uses its two literals, and a step that creates an
@@ -220,7 +230,10 @@ def _tree_model(val: dict[Prefix, frozenset[str]], goal: ModalFormula) -> Kripke
 
 @dataclass(frozen=True)
 class PrefixedFormula:
-    prefix: Prefix
+    # the number of the formula's world: the root world is 0, and each
+    # diamond step numbers the world it makes next, counting over the
+    # whole proof; the prefix it names is built only for a countermodel
+    world: int
     body: ModalFormula
     # the place of body in the root formula, counted in preorder, left
     # before right: the order of the "L"/"R" descent paths from the
@@ -233,14 +246,14 @@ class PrefixedFormula:
 @dataclass(frozen=True)
 class TabStep:
     """One expansion step.  rule is andF/orF/diaF/boxF/close; created
-    lists the entries the step adds; target names the world a diaF
+    lists the entries the step adds; target numbers the world a diaF
     creates or a boxF reuses; closing holds the (negative literal,
     positive literal) pair ending a branch."""
 
     rule: str
     source: PrefixedFormula | None
     created: tuple[PrefixedFormula, ...] = ()
-    target: Prefix | None = None
+    target: int | None = None
     closing: tuple[PrefixedFormula, PrefixedFormula] | None = None
     children: tuple[TabStep, ...] = ()
 
@@ -256,41 +269,42 @@ class ClosedTableau:
 class OpenBranch:
     model: KripkeModel
     entries: tuple[PrefixedFormula, ...]
+    # the prefix of each world on the branch, by number: the model's
+    # name for it
+    prefixes: Mapping[int, Prefix]
 
 
 class _Branch:
     """A branch's entries, and what a step needs of them without a scan:
-    - worlds: for each entry, the worlds made from its world w, in order,
-      the n-th, w + (n,), at n-1: each the index of the diamond entry
-      that made it, whose eigenvariable a box propagated there borrows,
-      and the worlds made from it.  Every branch through w shares them,
-      as world numbering is global: a later branch continues where an
-      earlier one left off;
     - literals: the first negative and the first positive literal stored
-      at each (prefix, atom name), kept apart by polarity;
+      at each (world number, atom name), kept apart by polarity;
     - closing: the closure the latest entries made, if any;
     - splits, dias: the splits and the diamonds not yet expanded, each a
-      heap of (origin, prefix, position) in rule order;
-    - done: the (position, world) pairs of the box propagations made."""
+      heap of (origin, world number, position) in rule order;
+    - done: the (position, world number) pairs of the box propagations
+      made.
+    A world is a number: its parent, the diamond that made it and its
+    children are kept once per proof, by _Prover, and its prefix is
+    built only for a countermodel.  Nothing here finds a box
+    propagation: _Prover._pick_box still scans each box entry against
+    each world on the branch."""
 
-    __slots__ = ("entries", "worlds", "literals", "closing", "splits", "dias", "done")
+    __slots__ = ("entries", "literals", "closing", "splits", "dias", "done")
 
     def __init__(self, root: PrefixedFormula) -> None:
         self.entries: list[PrefixedFormula] = []
-        self.worlds: list[list] = []
         self.literals: tuple[dict, dict] = ({}, {})
         self.closing: tuple[PrefixedFormula, PrefixedFormula] | None = None
-        self.splits: list[tuple[int, Prefix, int]] = []
-        self.dias: list[tuple[int, Prefix, int]] = []
-        self.done: set[tuple[int, Prefix]] = set()
-        self.add(root, [])
+        self.splits: list[tuple[int, int, int]] = []
+        self.dias: list[tuple[int, int, int]] = []
+        self.done: set[tuple[int, int]] = set()
+        self.add(root)
 
     def fork(self) -> _Branch:
         """A copy to take the other side of a split, made before either
         side adds its entry."""
         other = object.__new__(_Branch)
         other.entries = self.entries.copy()
-        other.worlds = self.worlds.copy()
         other.literals = (self.literals[0].copy(), self.literals[1].copy())
         other.closing = None
         other.splits = self.splits.copy()
@@ -298,33 +312,40 @@ class _Branch:
         other.done = self.done.copy()
         return other
 
-    def add(self, e: PrefixedFormula, children: list) -> None:
-        """Store e, from whose world children were made.  Entries before
-        it close no branch, or it would have closed, so a literal closes
-        the branch only with a complement stored before it: the first
-        such literal added, paired with its complement's first
-        occurrence, is the closure."""
+    def add(self, e: PrefixedFormula) -> None:
+        """Store e.  Entries before it close no branch, or it would have
+        closed, so a literal closes the branch only with a complement
+        stored before it: the first such literal added, paired with its
+        complement's first occurrence, is the closure."""
         pos = len(self.entries)
         self.entries.append(e)
-        self.worlds.append(children)
         body = e.body
         if isinstance(body, (PosAtom, NegAtom)):
-            key = (e.prefix, body.name)
+            key = (e.world, body.name)
             positive = isinstance(body, PosAtom)
             other = self.literals[not positive].get(key)
             if other is not None and self.closing is None:
                 self.closing = (other, e) if positive else (e, other)
             self.literals[positive].setdefault(key, e)
         elif isinstance(body, (And, Or)):
-            heappush(self.splits, (e.origin, e.prefix, pos))
+            heappush(self.splits, (e.origin, e.world, pos))
         elif isinstance(body, Dia):
-            heappush(self.dias, (e.origin, e.prefix, pos))
+            heappush(self.dias, (e.origin, e.world, pos))
 
 
 class _Prover:
     def __init__(self, root: ModalFormula) -> None:
         # a right split's place is past the nodes of its left sibling
         self.sizes = _sizes(root)
+        # by world number: its parent (the root has none), the index of
+        # the diamond entry that made it, whose eigenvariable a box
+        # propagated there borrows, and the worlds made from it, in
+        # order, the n-th named by its parent's prefix and n.  Every
+        # branch through a world shares them, as world numbering is
+        # global: a later branch continues where an earlier one left off
+        self.parent: list[int] = [-1]
+        self.maker: list[Index | None] = [None]
+        self.children: list[list[int]] = [[]]
 
     def step(self, branch: _Branch) -> tuple[TabStep, list[_Branch]] | OpenBranch:
         """The next step on branch, as a TabStep still to be given its
@@ -338,70 +359,88 @@ class _Prover:
             return TabStep("close", None, closing=branch.closing), []
 
         if branch.splits:
-            pos = heappop(branch.splits)[2]
-            e, children = branch.entries[pos], branch.worlds[pos]
-            left = PrefixedFormula(e.prefix, e.body.left, e.origin + 1, Lind(e.index))
-            right = PrefixedFormula(e.prefix, e.body.right,
+            e = branch.entries[heappop(branch.splits)[2]]
+            left = PrefixedFormula(e.world, e.body.left, e.origin + 1, Lind(e.index))
+            right = PrefixedFormula(e.world, e.body.right,
                                     e.origin + 1 + self.sizes[id(e.body.left)], Rind(e.index))
             if isinstance(e.body, And):
-                branch.add(left, children)
-                branch.add(right, children)
+                branch.add(left)
+                branch.add(right)
                 return TabStep("andF", e, (left, right)), [branch]
             other = branch.fork()
-            branch.add(left, children)
-            other.add(right, children)
+            branch.add(left)
+            other.add(right)
             return TabStep("orF", e, (left, right)), [branch, other]
 
         if branch.dias:
-            pos = heappop(branch.dias)[2]
-            e, children = branch.entries[pos], branch.worlds[pos]
-            made: list = []
-            children.append((e.index, made))
-            target = e.prefix + (len(children),)
+            e = branch.entries[heappop(branch.dias)[2]]
+            target = len(self.parent)
+            self.parent.append(e.world)
+            self.maker.append(e.index)
+            self.children.append([])
+            self.children[e.world].append(target)
             child = PrefixedFormula(target, e.body.body, e.origin + 1, Lind(e.index))
-            branch.add(child, made)
+            branch.add(child)
             return TabStep("diaF", e, (child,), target), [branch]
 
         box_cand = self._pick_box(branch.entries, branch.done)
         if box_cand is not None:
             pos, target = box_cand
             e = branch.entries[pos]
-            maker, made = branch.worlds[pos][target[-1] - 1]
-            child = PrefixedFormula(target, e.body.body, e.origin + 1, Bind(e.index, maker))
+            child = PrefixedFormula(target, e.body.body, e.origin + 1,
+                                    Bind(e.index, self.maker[target]))
             branch.done.add((pos, target))
-            branch.add(child, made)
+            branch.add(child)
             return TabStep("boxF", e, (child,), target), [branch]
 
         return self._open(branch.entries)
 
-    @staticmethod
-    def _pick_box(entries: list[PrefixedFormula], done: set) -> tuple[int, Prefix] | None:
-        prefixes = {e.prefix for e in entries}
-        cands = []
-        for pos, e in enumerate(entries):
-            if not isinstance(e.body, Box):
-                continue
-            for target in prefixes:
-                if (len(target) == len(e.prefix) + 1
-                        and target[:len(e.prefix)] == e.prefix
-                        and (pos, target) not in done):
-                    cands.append((e.origin, target, pos))
+    def _pick_box(self, entries: list[PrefixedFormula], done: set) -> tuple[int, int] | None:
+        """The first box propagation not yet made on the branch, in rule
+        order, as the box entry's position and the world: each box entry
+        against each world on the branch whose parent is the box's world."""
+        parent = self.parent
+        worlds = {e.world for e in entries}
+        cands = [(e.origin, target, pos)
+                 for pos, e in enumerate(entries) if isinstance(e.body, Box)
+                 for target in worlds
+                 if parent[target] == e.world and (pos, target) not in done]
         if not cands:
             return None
-        _, target, pos = min(cands)
+        origin, target, pos = min(cands)
+        # on a tie in origin, the world whose prefix comes first: world
+        # numbers count in the order worlds were made, and a cousin can be
+        # made before a world's later child
+        for o, t, p in cands:
+            if o == origin and (p < pos if t == target else self._before(t, target)):
+                target, pos = t, p
         return pos, target
 
-    @staticmethod
-    def _open(entries: list[PrefixedFormula]) -> OpenBranch:
-        # one pass: every prefix on the branch is a world, true at it
-        # exactly the positive atoms stored there
-        atoms: dict[Prefix, set[str]] = {}
+    def _before(self, a: int, b: int) -> bool:
+        """Whether world a's prefix comes before world b's, for two worlds
+        of one depth: siblings are numbered in the order of their prefixes,
+        so walk both parent chains up to the first common parent."""
+        parent = self.parent
+        while parent[a] != parent[b]:
+            a, b = parent[a], parent[b]
+        return a < b
+
+    def _open(self, entries: list[PrefixedFormula]) -> OpenBranch:
+        # one pass: every world on the branch is a world of the model,
+        # true at it exactly the positive atoms stored there, named by
+        # its prefix; a parent is numbered before its children
+        atoms: dict[int, set[str]] = {}
         for e in entries:
-            here = atoms.setdefault(e.prefix, set())
+            here = atoms.setdefault(e.world, set())
             if isinstance(e.body, PosAtom):
                 here.add(e.body.name)
-        val = {w: frozenset(names) for w, names in atoms.items()}
-        return OpenBranch(_tree_model(val, entries[0].body), tuple(entries))
+        prefixes = {0: ROOT_WORLD}
+        for w in sorted(atoms):
+            for n, child in enumerate(self.children[w], start=1):
+                if child in atoms:
+                    prefixes[child] = prefixes[w] + (n,)
+        val = {prefixes[w]: frozenset(names) for w, names in atoms.items()}
+        return OpenBranch(_tree_model(val, entries[0].body), tuple(entries), prefixes)
 
 
 def _join(step: TabStep, built: list[tuple[TabStep, set[Index]]]) -> None:
@@ -449,7 +488,7 @@ def prove(theorem: ModalFormula,
     subtree closes the branch alone, and the right branch is never
     expanded.  Each step on a branch counts against max_steps, and the
     search raises StepBudgetExceeded past it."""
-    root = PrefixedFormula(ROOT_WORLD, negate_nnf(theorem), 0, EIND)
+    root = PrefixedFormula(0, negate_nnf(theorem), 0, EIND)
     prover = _Prover(root.body)
     built: list[tuple[TabStep, set[Index]]] = []
     todo: list = [_Branch(root)]

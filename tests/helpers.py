@@ -64,7 +64,7 @@ from kcert.formulas import (
 from kcert.kernel import Ev, Fpc
 from kcert.problems import ProblemFile, parse_formula_text
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
-from kcert.tableau import ClosedTableau, KripkeModel, Prefix, _every, _some, prove
+from kcert.tableau import ClosedTableau, KripkeModel, Prefix, prove
 
 ATOMS = ("p", "q")
 
@@ -566,9 +566,13 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
 
 def eval_fo(model: KripkeModel, f: FoFormula, env: Mapping[Term, Prefix]) -> bool:
     """Evaluate a first-order formula over a model's worlds.  env gives
-    worlds for the free constants; quantifiers range over all worlds.
-    No connective short-circuits, so a subformula under d quantifiers is
-    evaluated once for each of the len(model.worlds)**d assignments."""
+    worlds for the free constants; quantifiers range over all worlds, in
+    sorted order.  Conjunction, disjunction, implication and the
+    quantifiers short-circuit, left to right: each stops at the first
+    part that decides it, so the guard R(x, y) of a translated box skips
+    the body at every world that is not a successor.  The evaluation runs
+    on an explicit stack, so no formula is too deep to evaluate."""
+    worlds = sorted(model.worlds)
 
     def world_of(t: Term, bound: tuple[Prefix, ...]) -> Prefix:
         if isinstance(t, BVar):
@@ -583,26 +587,50 @@ def eval_fo(model: KripkeModel, f: FoFormula, env: Mapping[Term, Prefix]) -> boo
             raise ValueError(f"{t} assigned to {w}, which is not a world")
         return w
 
-    def atom(f: FoAtom, bound: tuple[Prefix, ...], _) -> bool:
+    def atom(f: FoAtom, bound: tuple[Prefix, ...]) -> bool:
         if f.pred == REL and len(f.args) == 2:
             return (world_of(f.args[0], bound), world_of(f.args[1], bound)) in model.rel
         if len(f.args) != 1:
             raise ValueError(f"unexpected atom arity: {f.pred}/{len(f.args)}")
         return f.pred in model.val[world_of(f.args[0], bound)]
 
-    def at_every_world(f: FoAll | FoEx, bound: tuple[Prefix, ...]) -> list:
-        # the worlds bound so far, the nearest binder's first
-        return [(f.body, (w,) + bound) for w in model.worlds]
+    def width(f: FoFormula) -> int:
+        if isinstance(f, (FoAll, FoEx)):
+            return len(worlds)
+        return 1 if isinstance(f, FoNeg) else 2
 
-    return fold(f, (), {
-        FoAtom: (no_kids, atom),
-        FoNeg: (body_kid, lambda f, _, v: not v[0]),
-        FoAnd: (both_kids, _every),
-        FoOr: (both_kids, _some),
-        FoImp: (both_kids, lambda f, _, v: not v[0] or v[1]),
-        FoAll: (at_every_world, _every),
-        FoEx: (at_every_world, _some),
-    }, "first-order")
+    def kid(f: FoFormula, bound: tuple[Prefix, ...], k: int) -> tuple:
+        # the k-th part of f; the worlds bound so far, the nearest
+        # binder's first
+        if isinstance(f, (FoAll, FoEx)):
+            return f.body, (worlds[k],) + bound
+        if isinstance(f, FoNeg):
+            return f.body, bound
+        return (f.left if k == 0 else f.right), bound
+
+    # each frame [node, bound, k] waits for the value of node's k-th part;
+    # a => reads its left part negated, as (not left) or right
+    frames: list = []
+    node, bound = f, ()
+    while True:
+        while not isinstance(node, FoAtom) and width(node):
+            frames.append([node, bound, 0])
+            node, bound = kid(node, bound, 0)
+        value = atom(node, bound) if isinstance(node, FoAtom) else isinstance(node, FoAll)
+        while frames:
+            node, bound, k = frame = frames[-1]
+            if isinstance(node, FoNeg) or isinstance(node, FoImp) and k == 0:
+                value = not value
+            # an or, =>, or some stops at a true part, an and or all at a
+            # false one; past its last part, a node's value is that part's
+            if value == isinstance(node, (FoOr, FoImp, FoEx)) or k + 1 == width(node):
+                frames.pop()
+                continue
+            frame[2] = k + 1
+            node, bound = kid(node, bound, k + 1)
+            break
+        else:
+            return value
 
 
 _STRIP = {

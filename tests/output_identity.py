@@ -6,9 +6,15 @@ OLD and NEW are each a directory holding `src/kcert`, or a git revision
 of this repository, which is exported to a temporary directory with
 `git archive`.  The inputs are the agreement corpus of tests/helpers.py;
 taut, kchain, wide, kchain_bad and wide_bad at n = 1..6, 8, 12, 16, 24
-and 32; and php, php_bad and box_php(n, 2) at n = 1 and 2.  They are
-built once, from this file's own checkout, and written out as formula
-text, so both sides read the same inputs.
+and 32; php, php_bad and box_php(n, 2) at n = 1 and 2; the prove
+benchmark's families at its sizes, taut(128), kchain(64) and
+kchain_bad(64) and (128); the deep chains of the limits benchmark,
+box_taut at d = 32 and 250 and box_atom at d = 150 and 400, from
+perfbench/families.py; and
+three formulas whose prover makes a world's child after a cousin of
+that child, so that the order of world numbers and the order of
+prefixes disagree.  They are built once, from this file's own checkout,
+and written out as formula text, so both sides read the same inputs.
 
 For each input and each format, fittings and simpfit, a record holds
 the sha256 of `kcert prove FORMULA --emit FORMAT`'s stdout and its exit
@@ -16,9 +22,10 @@ code.  When a certificate is emitted, it also holds the verdict, steps
 and choice points of checking that certificate, untraced.  Each
 checkout is recorded by one subprocess that imports kcert from that
 checkout only and calls `kcert.cli.main` in process, at the default
-recursion limit.  The two subprocesses run one after the other.  The
-script prints every input whose records differ and exits 1 if there is
-one, else 0.  Pytest does not collect this file.
+recursion limit.  The two subprocesses run one after the other, in
+about 15-25 s together.  The script prints every input whose records
+differ and exits 1 if there is one, else 0.  Pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -37,11 +44,23 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 FORMATS = ("fittings", "simpfit")
 SIZES = (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32)
+# in the refuted negation of each, a box at the root leaves a diamond at
+# world 1.1 only after world 1.2's own diamond has made 1.2.1, so 1.1.1 is
+# numbered after its cousin; a box at both 1.1 and 1.2 then reaches the
+# two on a tie in origin, where the prover must take 1.1.1 first
+OUT_OF_ORDER = (
+    "(or (or (dia (box (+ p))) (box (+ p))) (or (box (box (+ p))) (dia (dia (- p)))))",
+    "(or (or (or (dia (box (- p))) (or (box (+ p)) (box (box (+ p))))) (dia (dia (dia (- q)))))"
+    " (dia (dia (box (+ q)))))",
+    "(or (or (or (or (dia (dia (+ q))) (box (- p))) (dia (box (- p)))) (box (box (+ p))))"
+    " (dia (dia (- q))))",
+)
 
 
 def inputs() -> list[str]:
     """The formula text of every input, in a fixed order."""
-    sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+    sys.path[:0] = [str(HERE.parent / "src"), str(HERE), str(HERE.parent / "perfbench")]
+    from families import box_atom, box_taut
     from kcert.firstorder import format_formula
     from helpers import (agreement_corpus, box_php, kchain, kchain_bad, php, php_bad, taut,
                          wide, wide_bad)
@@ -51,7 +70,10 @@ def inputs() -> list[str]:
         formulas += [family(n) for n in SIZES]
     for n in (1, 2):
         formulas += [php(n), php_bad(n), box_php(n, 2)]
-    return [format_formula(f) for f in formulas]
+    formulas += [taut(128), kchain(64), kchain_bad(64), kchain_bad(128)]
+    texts = [format_formula(f) for f in formulas]
+    texts += [box_taut(d) for d in (32, 250)] + [box_atom(d) for d in (150, 400)]
+    return texts + list(OUT_OF_ORDER)
 
 
 def record(inputs_path: str, out_path: str) -> None:

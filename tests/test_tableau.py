@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -145,15 +146,19 @@ def _walk_steps(step):
         yield from _walk_steps(child)
 
 
-def _check_provisos(step, prefixes):
-    """diaF must create a fresh world; boxF must reuse an existing one."""
+def _check_provisos(step, worlds, parent):
+    """diaF must create a fresh world; boxF must reuse an existing one.
+    worlds are the numbers of the worlds above step, and parent the
+    world each diaF above it made its target from."""
     if step.rule == "diaF":
-        assert step.target not in prefixes
+        assert step.target not in worlds
+        parent = {**parent, step.target: step.source.world}
     elif step.rule == "boxF":
-        assert step.target in prefixes
-    here = prefixes | {e.prefix for e in step.created}
+        assert step.target in worlds
+        assert parent[step.target] == step.source.world
+    here = worlds | {e.world for e in step.created}
     for child in step.children:
-        _check_provisos(child, here)
+        _check_provisos(child, here, parent)
 
 
 class TestProver:
@@ -161,7 +166,7 @@ class TestProver:
         ct = prove(EXAMPLE1_THEOREM)
         assert isinstance(ct, ClosedTableau)
         assert ct.theorem == EXAMPLE1_THEOREM
-        assert ct.root.prefix == ROOT_WORLD
+        assert ct.root.world == 0
         assert ct.root.body == negate_nnf(EXAMPLE1_THEOREM)
 
     @pytest.mark.parametrize("goal,steps,found", [
@@ -184,13 +189,13 @@ class TestProver:
         ct = prove(EXAMPLE2_THEOREM)
         targets = [s.target for s in _walk_steps(ct.step) if s.rule == "diaF"]
         # the second branch numbers its world after the first branch's,
-        # not from scratch
-        assert targets == [(1, 1), (1, 2)]
+        # not from scratch: the worlds 1.1 and 1.2
+        assert targets == [1, 2]
 
     def test_world_provisos(self):
         for theorem in (EXAMPLE1_THEOREM, EXAMPLE2_THEOREM):
             ct = prove(theorem)
-            _check_provisos(ct.step, {ct.root.prefix})
+            _check_provisos(ct.step, {ct.root.world}, {})
 
     def test_closures_are_complementary_literal_pairs(self):
         ct = prove(EXAMPLE2_THEOREM)
@@ -201,7 +206,7 @@ class TestProver:
             assert isinstance(neg.body, NegAtom)
             assert isinstance(pos.body, PosAtom)
             assert neg.body.name == pos.body.name
-            assert neg.prefix == pos.prefix
+            assert neg.world == pos.world
 
     def test_node_count_matches_the_hand_worked_tableau(self):
         # the machine tableau has one extra node: it keeps the initial
@@ -238,7 +243,7 @@ class TestProver:
         theorem = Or(Or(Box(NegAtom("r")), Box(NQ)), Dia(Q))
         ct = prove(theorem)
         steps = [(s.rule, s.target) for s in _walk_steps(ct.step)]
-        assert steps == [("andF", None), ("andF", None), ("diaF", (1, 2)), ("boxF", (1, 2)),
+        assert steps == [("andF", None), ("andF", None), ("diaF", 2), ("boxF", 2),
                          ("close", None)]
         assert check(theorem, emit_fitcert(ct, theorem), trace=False).accepted
 
@@ -276,18 +281,72 @@ class TestProver:
             assert not eval_modal(result.model, ROOT_WORLD, goal)
         assert len(result.model.worlds) == depth + 1
 
+    def test_deep_countermodel_falsifies_the_standard_translation(self):
+        # the 301-world chain prove returns for box^300 p, checked on the
+        # first-order side alone: the guard R(x, y) of each box prunes
+        # every world but the successor
+        goal = P
+        for _ in range(300):
+            goal = Box(goal)
+        with recursion_limit(1000):
+            result = prove(goal)
+            assert isinstance(result, OpenBranch)
+            assert len(result.model.worlds) == 301
+            assert not eval_fo(result.model, standard_translation(goal, W0), {W0: ROOT_WORLD})
+
+    def test_a_box_tie_takes_the_first_prefix_not_the_first_made(self):
+        # refuted: ([]<>~p & <>~p) & (<><>~p & [][]p).  The diamonds make
+        # 1.1 (world 1), 1.2 (world 2) and 1.2.1 (world 3); then the first
+        # box leaves <>~p at 1.1, which makes 1.1.1 (world 4).  []p, at 1.1
+        # and at 1.2 on one origin, reaches 1.1.1 before 1.2.1, and the
+        # branch closes at world 4, made after world 3
+        theorem = parse_formula_text(
+            "(or (or (dia (box (+ p))) (box (+ p))) (or (box (box (+ p))) (dia (dia (- p)))))")
+        ct = prove(theorem)
+        assert [(s.rule, s.target) for s in _walk_steps(ct.step)] == [
+            ("andF", None), ("andF", None), ("andF", None), ("diaF", 1), ("boxF", 1),
+            ("diaF", 4), ("boxF", 1), ("boxF", 4), ("close", None)]
+        assert check(theorem, emit_fitcert(ct, theorem), trace=False).accepted
+
+    def test_memory_grows_linearly_with_the_depth(self):
+        # box^d (p | ~p) makes one world a step, d deep.  Named by prefix
+        # tuples, its worlds held about d^2/2 numbers, and the traced peak
+        # grew 3.8x from d = 1500 to 3000; linear growth is about 2x.
+        # Storage indexes are interned, and any deep proof still alive
+        # lends a run its chain of them, so one kept alive here lends
+        # both runs all of theirs
+        def box_taut(d):
+            goal = Or(P, NP)
+            for _ in range(d):
+                goal = Box(goal)
+            return goal
+
+        lender = prove(box_taut(3000))
+        peaks = []
+        for d in (1500, 3000):
+            goal = box_taut(d)
+            tracemalloc.start()
+            try:
+                assert isinstance(prove(goal), ClosedTableau)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert isinstance(lender, ClosedTableau)
+        assert peaks[1] <= 2.5 * peaks[0], peaks
+
     def test_agrees_with_oracle_on_small_formulas(self):
         for a in formulas_of_connectives(2):
             closed = isinstance(prove(a), ClosedTableau)
             assert closed == bounded_validity_oracle(a), a
 
 
-def _valuation_per_world(entries) -> dict:
+def _valuation_per_world(result: OpenBranch) -> dict:
     """The countermodel valuation as first defined: one scan of the
-    branch per world, keeping the positive atoms at that prefix."""
-    return {w: frozenset(e.body.name for e in entries
-                         if e.prefix == w and isinstance(e.body, PosAtom))
-            for w in {e.prefix for e in entries}}
+    branch per world, keeping the positive atoms at that world, keyed by
+    its prefix."""
+    return {result.prefixes[w]: frozenset(e.body.name for e in result.entries
+                                          if e.world == w and isinstance(e.body, PosAtom))
+            for w in {e.world for e in result.entries}}
 
 
 class TestOpenValuation:
@@ -300,8 +359,9 @@ class TestOpenValuation:
             result = prove(a)
             if isinstance(result, OpenBranch):
                 refuted += 1
-                assert dict(result.model.val) == _valuation_per_world(result.entries), a
-                assert result.model.worlds == {e.prefix for e in result.entries}
+                assert dict(result.model.val) == _valuation_per_world(result), a
+                assert result.model.worlds == {result.prefixes[e.world] for e in result.entries}
+                assert len(set(result.prefixes.values())) == len(result.prefixes), a
         assert refuted > 0
 
     @pytest.mark.parametrize("family", [kchain_bad, wide_bad])
@@ -309,7 +369,7 @@ class TestOpenValuation:
     def test_invalid_families(self, family, n):
         result = prove(family(n))
         assert isinstance(result, OpenBranch)
-        assert dict(result.model.val) == _valuation_per_world(result.entries)
+        assert dict(result.model.val) == _valuation_per_world(result)
 
 
 class TestScriptedTableaux:
