@@ -6,15 +6,18 @@ tableau: nodes are world-prefixed formulas, worlds are dotted sequences
 of integers, and the accessibility relation is exactly prefix extension.
 The prover gives each world a number when a diamond step makes it, and
 keeps each world's parent once per proof, so no step builds a prefix: a
-prefix is built only for a countermodel, from the parents.  Each entry
-is created with the storage index the kernel will give it, so a closed
-tableau reads off directly as a decide tree, from which the essential
-certificate is distilled; a saturated open branch yields a finite
-countermodel which is verified against the semantics before being
-reported.  The bounded validity oracle searches for a countermodel on
-its own, without the prover's rules, but names its worlds by prefix too:
-both read their model off a prefix-keyed valuation, the edges going
-from each prefix to its extensions by one, and verify it the same way.
+prefix is built only for a countermodel, from the parents.  The search
+builds nothing that only a certificate needs: an entry is a world, a
+formula and its place in the formula, and a step is a plain record that
+becomes a TabStep once its subtree closes.  The storage indexes the
+kernel gives the entries are derived from a closed tableau alone, as it
+is read off as a decide tree, from which the essential certificate is
+distilled.  A saturated open branch yields a finite countermodel which
+is verified against the semantics before being reported.  The bounded
+validity oracle searches for a countermodel on its own, without the
+prover's rules, but names its worlds by prefix too: both read their
+model off a prefix-keyed valuation, the edges going from each prefix to
+its extensions by one, and verify it the same way.
 
 The expansion order is deterministic: branch closure is checked first,
 then conjunctive and disjunctive entries, then each diamond (once per
@@ -35,19 +38,19 @@ branch (the agendas and closure detection of Horrocks and
 Patel-Schneider, "Optimizing description logic subsumption", 1999).
 Each branch indexes its literals by world number and atom name, so only
 the entries the last step added are probed for a complement, and keeps
-the splits and the diamonds not yet expanded on two heaps in rule order.
-A step extends its branch in place, and a split forks a copy of that
-state for its right side.  A box propagation still scans the branch,
-each box against each world on it, and takes a world whose parent is the
-box's world; boxes have no agenda yet.  An entry's descent path is kept
-as its place in the formula in preorder, a number, which orders as the
-path does.
+the splits and the diamonds not yet expanded on one heap in rule order,
+its agenda.  A step extends its branch in place, and a split forks a
+copy of that state for its right side.  A box propagation still scans
+the branch, each box against each world on it, and takes a world whose
+parent is the box's world; boxes are not on the agenda yet.  An entry's
+descent path is kept as its place in the formula in preorder, a number,
+which orders as the path does.
 
 A closed subtree keeps the set of the entries above it that it uses, by
-index: a closure uses its two literals, and a step that creates an
-entry in use uses its source and, for a box propagation, the entry that
-made its target world (dependency-directed backtracking, after the
-same paper).
+identity: a closure uses its two literals, and a step that creates an
+entry in use uses its source and, for a box propagation, the entry the
+diamond step that made its target world added there
+(dependency-directed backtracking, after the same paper).
 Two rules act on the sets.  A step that creates no entry in use is
 dropped from the tree, and its child closes the branch alone; for a
 split, each side's subtree that does not use its own entry closes the
@@ -109,13 +112,24 @@ def format_prefix(prefix: Prefix) -> str:
 # ---------------------------------------------------------------------------
 # negation and size of modal formulas
 
+def _negated_split(cls: type):
+    def build(a, lefts: dict[int, int], values: list) -> tuple:
+        (left, n), (right, m) = values
+        split = cls(left, right)
+        lefts[id(split)] = n
+        return split, 1 + n + m
+    return build
+
+
+# each value is the negated node and its number of nodes; a split's
+# left side's number is also kept in the context, keyed by the split's id
 _NEGATE = {
-    PosAtom: (no_kids, lambda a, _, __: NegAtom(a.name)),
-    NegAtom: (no_kids, lambda a, _, __: PosAtom(a.name)),
-    And: (both_kids, lambda a, _, v: Or(*v)),
-    Or: (both_kids, lambda a, _, v: And(*v)),
-    Box: (body_kid, lambda a, _, v: Dia(*v)),
-    Dia: (body_kid, lambda a, _, v: Box(*v)),
+    PosAtom: (no_kids, lambda a, _, __: (NegAtom(a.name), 1)),
+    NegAtom: (no_kids, lambda a, _, __: (PosAtom(a.name), 1)),
+    And: (both_kids, _negated_split(Or)),
+    Or: (both_kids, _negated_split(And)),
+    Box: (body_kid, lambda a, _, v: (Dia(v[0][0]), 1 + v[0][1])),
+    Dia: (body_kid, lambda a, _, v: (Box(v[0][0]), 1 + v[0][1])),
 }
 
 _COUNT = {
@@ -130,24 +144,19 @@ _COUNT = {
 
 def negate_nnf(a: ModalFormula) -> ModalFormula:
     """De Morgan negation, staying inside negation normal form."""
-    return fold(a, None, _NEGATE, "modal")
+    return _negate_sized(a)[0]
+
+
+def _negate_sized(a: ModalFormula) -> tuple[ModalFormula, dict[int, int]]:
+    """negate_nnf(a), and the number of nodes of each split's left side
+    in it, keyed by the split's id, so the negation must outlive the
+    table."""
+    lefts: dict[int, int] = {}
+    return fold(a, lefts, _NEGATE, "modal")[0], lefts
 
 
 def connective_count(a: ModalFormula) -> int:
     return fold(a, None, _COUNT, "modal")
-
-
-def _sizes(a: ModalFormula) -> dict[int, int]:
-    """The number of nodes of each subformula of a, keyed by id, so a
-    must outlive the table."""
-    sizes: dict[int, int] = {}
-
-    def size(node, _, values: list[int]) -> int:
-        n = sizes[id(node)] = 1 + sum(values)
-        return n
-
-    fold(a, None, {cls: (kids, size) for cls, (kids, _) in _COUNT.items()}, "modal")
-    return sizes
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +237,14 @@ def _tree_model(val: dict[Prefix, frozenset[str]], goal: ModalFormula) -> Kripke
 # prefixed tableaux
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class PrefixedFormula:
+    """A tableau entry.  Entries compare and hash by identity: the same
+    formula at the same world, made on two branches, is two entries.  An
+    entry does not carry its storage index, the name the kernel gives it
+    on the theorem side: that follows from the steps that made it, and
+    emit_dectree derives it only for a closed tableau."""
+
     # the number of the formula's world: the root world is 0, and each
     # diamond step numbers the world it makes next, counting over the
     # whole proof; the prefix it names is built only for a countermodel
@@ -239,8 +254,6 @@ class PrefixedFormula:
     # before right: the order of the "L"/"R" descent paths from the
     # root; drives rule ordering
     origin: int
-    # the storage index the kernel gives this formula on the theorem side
-    index: Index
 
 
 @dataclass(frozen=True)
@@ -274,29 +287,33 @@ class OpenBranch:
     prefixes: Mapping[int, Prefix]
 
 
+# the rule classes of a branch's agenda, in the order they are expanded
+_SPLIT, _DIAMOND = 0, 1
+
+
 class _Branch:
     """A branch's entries, and what a step needs of them without a scan:
     - literals: the first negative and the first positive literal stored
       at each (world number, atom name), kept apart by polarity;
     - closing: the closure the latest entries made, if any;
-    - splits, dias: the splits and the diamonds not yet expanded, each a
-      heap of (origin, world number, position) in rule order;
+    - agenda: the splits and the diamonds not yet expanded, one heap of
+      (rule class, origin, world number, position) in rule order, every
+      split before any diamond;
     - done: the (position, world number) pairs of the box propagations
       made.
-    A world is a number: its parent, the diamond that made it and its
+    A world is a number: its parent, the entry its diamond made and its
     children are kept once per proof, by _Prover, and its prefix is
     built only for a countermodel.  Nothing here finds a box
     propagation: _Prover._pick_box still scans each box entry against
     each world on the branch."""
 
-    __slots__ = ("entries", "literals", "closing", "splits", "dias", "done")
+    __slots__ = ("entries", "literals", "closing", "agenda", "done")
 
     def __init__(self, root: PrefixedFormula) -> None:
         self.entries: list[PrefixedFormula] = []
         self.literals: tuple[dict, dict] = ({}, {})
         self.closing: tuple[PrefixedFormula, PrefixedFormula] | None = None
-        self.splits: list[tuple[int, int, int]] = []
-        self.dias: list[tuple[int, int, int]] = []
+        self.agenda: list[tuple[int, int, int, int]] = []
         self.done: set[tuple[int, int]] = set()
         self.add(root)
 
@@ -307,8 +324,7 @@ class _Branch:
         other.entries = self.entries.copy()
         other.literals = (self.literals[0].copy(), self.literals[1].copy())
         other.closing = None
-        other.splits = self.splits.copy()
-        other.dias = self.dias.copy()
+        other.agenda = self.agenda.copy()
         other.done = self.done.copy()
         return other
 
@@ -328,70 +344,74 @@ class _Branch:
                 self.closing = (other, e) if positive else (e, other)
             self.literals[positive].setdefault(key, e)
         elif isinstance(body, (And, Or)):
-            heappush(self.splits, (e.origin, e.world, pos))
+            heappush(self.agenda, (_SPLIT, e.origin, e.world, pos))
         elif isinstance(body, Dia):
-            heappush(self.dias, (e.origin, e.world, pos))
+            heappush(self.agenda, (_DIAMOND, e.origin, e.world, pos))
 
 
 class _Prover:
-    def __init__(self, root: ModalFormula) -> None:
-        # a right split's place is past the nodes of its left sibling
-        self.sizes = _sizes(root)
-        # by world number: its parent (the root has none), the index of
-        # the diamond entry that made it, whose eigenvariable a box
-        # propagated there borrows, and the worlds made from it, in
-        # order, the n-th named by its parent's prefix and n.  Every
-        # branch through a world shares them, as world numbering is
-        # global: a later branch continues where an earlier one left off
+    def __init__(self, lefts: dict[int, int]) -> None:
+        # a right split's place is past the nodes of its left sibling,
+        # counted by _negate_sized
+        self.lefts = lefts
+        # by world number: its parent (the root has none), the entry the
+        # diamond step that made it added there, which a box propagated
+        # there uses, as it borrows that diamond's eigenvariable, and the
+        # worlds made from it, in order, the n-th named by its parent's
+        # prefix and n.  Every branch through a world shares them, as
+        # world numbering is global: a later branch continues where an
+        # earlier one left off
         self.parent: list[int] = [-1]
-        self.maker: list[Index | None] = [None]
+        self.maker: list[PrefixedFormula | None] = [None]
         self.children: list[list[int]] = [[]]
 
-    def step(self, branch: _Branch) -> tuple[TabStep, list[_Branch]] | OpenBranch:
-        """The next step on branch, as a TabStep still to be given its
-        children, and the branches it leaves, left first.  The closure is
-        the one the branch's literal index found when the last step added
-        its entries, and the split and the diamond are the least on the
-        branch's heaps; only a box propagation scans the branch.  A step
-        extends branch in place, and a split takes a fork of it for its
-        right side."""
+    def step(self, branch: _Branch) -> tuple[tuple, list[_Branch]] | OpenBranch:
+        """The next step on branch, and the branches it leaves, left
+        first.  The step is a plain record of TabStep's fields but its
+        children, (rule, source, created, target, closing): _join makes
+        the TabStep once the step's subtree has closed, and no step
+        names a storage index, so a search that ends on an open branch
+        builds no index, and a TabStep only for a subtree that closed
+        on the way.  The closure is the one the branch's literal
+        index found when the last step added its entries, and the split
+        or the diamond is the least on the branch's agenda; only a box
+        propagation scans the branch.  A step extends branch in place,
+        and a split takes a fork of it for its right side."""
         if branch.closing is not None:
-            return TabStep("close", None, closing=branch.closing), []
+            return ("close", None, (), None, branch.closing), []
 
-        if branch.splits:
-            e = branch.entries[heappop(branch.splits)[2]]
-            left = PrefixedFormula(e.world, e.body.left, e.origin + 1, Lind(e.index))
-            right = PrefixedFormula(e.world, e.body.right,
-                                    e.origin + 1 + self.sizes[id(e.body.left)], Rind(e.index))
-            if isinstance(e.body, And):
+        if branch.agenda:
+            rule_class, _, _, pos = heappop(branch.agenda)
+            e = branch.entries[pos]
+            body = e.body
+            if rule_class == _DIAMOND:
+                target = len(self.parent)
+                child = PrefixedFormula(target, body.body, e.origin + 1)
+                self.parent.append(e.world)
+                self.maker.append(child)
+                self.children.append([])
+                self.children[e.world].append(target)
+                branch.add(child)
+                return ("diaF", e, (child,), target, None), [branch]
+            left = PrefixedFormula(e.world, body.left, e.origin + 1)
+            right = PrefixedFormula(e.world, body.right, e.origin + 1 + self.lefts[id(body)])
+            if isinstance(body, And):
                 branch.add(left)
                 branch.add(right)
-                return TabStep("andF", e, (left, right)), [branch]
+                return ("andF", e, (left, right), None, None), [branch]
             other = branch.fork()
             branch.add(left)
             other.add(right)
-            return TabStep("orF", e, (left, right)), [branch, other]
-
-        if branch.dias:
-            e = branch.entries[heappop(branch.dias)[2]]
-            target = len(self.parent)
-            self.parent.append(e.world)
-            self.maker.append(e.index)
-            self.children.append([])
-            self.children[e.world].append(target)
-            child = PrefixedFormula(target, e.body.body, e.origin + 1, Lind(e.index))
-            branch.add(child)
-            return TabStep("diaF", e, (child,), target), [branch]
+            return ("orF", e, (left, right), None, None), [branch, other]
 
         box_cand = self._pick_box(branch.entries, branch.done)
         if box_cand is not None:
             pos, target = box_cand
             e = branch.entries[pos]
-            child = PrefixedFormula(target, e.body.body, e.origin + 1,
-                                    Bind(e.index, self.maker[target]))
+            child = PrefixedFormula(target, e.body.body, e.origin + 1)
             branch.done.add((pos, target))
             branch.add(child)
-            return TabStep("boxF", e, (child,), target), [branch]
+            return ("boxF", e, (child,), target, None), [branch]
 
         return self._open(branch.entries)
 
@@ -443,17 +463,19 @@ class _Prover:
         return OpenBranch(_tree_model(val, entries[0].body), tuple(entries), prefixes)
 
 
-def _join(step: TabStep, built: list[tuple[TabStep, set[Index]]]) -> None:
-    """Give step its children, the subtrees on top of built, and replace
-    them by the step's own subtree and the set of the entries above it
-    that the subtree uses.  A step that creates no entry in use is
-    dropped, and its child closes the branch alone; so is a split whose
-    right subtree does not use the right entry, as its left subtree uses
-    the left one (prove skipped the split otherwise).  A single child's
-    set is updated in place, and at a split the larger set takes in the
-    smaller, so no step copies a set."""
-    if step.rule == "orF":
-        if step.created[1].index not in built[-1][1]:
+def _join(step: tuple, built: list[tuple[TabStep, set[PrefixedFormula]]],
+          maker: list[PrefixedFormula | None]) -> None:
+    """Make step, a record from _Prover.step, a TabStep whose children
+    are the subtrees on top of built, and replace them by the step's own
+    subtree and the set of the entries above it that the subtree uses.
+    A step that creates no entry in use is dropped, and its child closes
+    the branch alone; so is a split whose right subtree does not use the
+    right entry, as its left subtree uses the left one (prove skipped the
+    split otherwise).  A single child's set is updated in place, and at a
+    split the larger set takes in the smaller, so no step copies a set."""
+    rule, source, created, target, _ = step
+    if rule == "orF":
+        if created[1] not in built[-1][1]:
             built[-2:] = built[-1:]
             return
         kids = (built[-2][0], built[-1][0])
@@ -463,16 +485,17 @@ def _join(step: TabStep, built: list[tuple[TabStep, set[Index]]]) -> None:
         used |= other
     else:
         child, used = built[-1]
-        if not any(e.index in used for e in step.created):
+        if not any(e in used for e in created):
             return
         kids = (child,)
-    for e in step.created:
-        used.discard(e.index)
-    used.add(step.source.index)
-    if step.rule == "boxF":
-        # the entry (lind D) that diamond D, the aux, made the world with
-        used.add(Lind(step.created[0].index.right))
-    built[-1] = (TabStep(step.rule, step.source, step.created, step.target, children=kids), used)
+    for e in created:
+        used.discard(e)
+    used.add(source)
+    if rule == "boxF":
+        # the entry the diamond that made the target world added there,
+        # (lind D) for the aux D
+        used.add(maker[target])
+    built[-1] = (TabStep(*step, kids), used)
 
 
 def prove(theorem: ModalFormula,
@@ -482,15 +505,15 @@ def prove(theorem: ModalFormula,
     One stack holds the branches to expand, left first, and the steps
     waiting for their children; a split waits with its right branch, a
     copy of the branch state taken at the split (see _Branch), until its
-    left subtree is built.  Each built subtree carries the
-    indexes of the entries above it that it uses (see _join), and a
-    split whose left subtree does not use the left entry is skipped: that
-    subtree closes the branch alone, and the right branch is never
-    expanded.  Each step on a branch counts against max_steps, and the
-    search raises StepBudgetExceeded past it."""
-    root = PrefixedFormula(0, negate_nnf(theorem), 0, EIND)
-    prover = _Prover(root.body)
-    built: list[tuple[TabStep, set[Index]]] = []
+    left subtree is built.  Each built subtree carries the entries above
+    it that it uses (see _join), and a split whose left subtree does not
+    use the left entry is skipped: that subtree closes the branch alone,
+    and the right branch is never expanded.  Each step on a branch counts
+    against max_steps, and the search raises StepBudgetExceeded past it."""
+    body, lefts = _negate_sized(theorem)
+    root = PrefixedFormula(0, body, 0)
+    prover = _Prover(lefts)
+    built: list[tuple[TabStep, set[PrefixedFormula]]] = []
     todo: list = [_Branch(root)]
     steps = 0
     while todo:
@@ -498,8 +521,8 @@ def prove(theorem: ModalFormula,
         if type(item) is tuple:
             step, right = item
             if right is None:
-                _join(step, built)
-            elif step.created[0].index in built[-1][1]:
+                _join(step, built, prover.maker)
+            elif step[2][0] in built[-1][1]:  # the split's left entry is in use
                 todo += [(step, None), right]
             continue
         steps += 1
@@ -509,9 +532,9 @@ def prove(theorem: ModalFormula,
         if isinstance(found, OpenBranch):
             return found
         step, branches = found
-        if step.rule == "close":
-            neg, pos = step.closing
-            built.append((step, {neg.index, pos.index}))
+        if step[0] == "close":
+            # a closure uses its two literals
+            built.append((TabStep(*step), set(step[4])))
             continue
         todo.append((step, branches[1] if len(branches) == 2 else None))
         todo.append(branches[0])
@@ -525,25 +548,51 @@ class EmitError(ValueError):
     pass
 
 
-def _decide_node(step: TabStep, _, kids: list[DecTree]) -> DecTree:
-    if step.rule == "close":
-        neg, pos = step.closing
-        return DecTree(neg.index, pos.index, ())
-    aux = step.created[0].index.right if step.rule == "boxF" else NONE
-    return DecTree(step.source.index, aux, tuple(kids))
-
-
 def emit_dectree(ct: ClosedTableau, theorem: ModalFormula | None = None) -> DecTree:
     """The refutation read as a decide tree on the theorem side: each
     step decides on its source entry's index (its dual rule: a split
     becomes a disjunctive or conjunctive decide, a diamond a universal,
     a box an existential whose aux names the diamond that made its
     world), and a closed branch is a leaf on its (negative, positive)
-    literal pair.  A theorem given must be the tableau's, or print alike."""
+    literal pair.  A theorem given must be the tableau's, or print alike.
+
+    The prover names no index, so the walk derives them top-down: the
+    root is eind, and a step names the entries it creates from its
+    source's index, (lind I) and (rind I) for a split, (lind I) for a
+    diamond, and (bind I D) for a box propagated into the world diamond
+    D made.  Every entry and world a step names was made by a step above
+    it, and fold visits a step before its children, on an explicit
+    stack, so no proof is too deep to emit."""
     if (theorem is not None and theorem is not ct.theorem
             and format_formula(theorem) != format_formula(ct.theorem)):
         raise EmitError("tableau does not refute the negation of the given theorem")
-    return fold(ct.step, None, {TabStep: (child_kids, _decide_node)}, "tableau")
+    # by entry, its storage index; by world number, the index of the
+    # diamond that made the world
+    index: dict[PrefixedFormula, Index] = {ct.root: EIND}
+    made_by: dict[int, Index] = {}
+
+    def name_created(step: TabStep, _) -> list:
+        rule, created = step.rule, step.created
+        if rule != "close":
+            source = index[step.source]
+            if rule == "boxF":
+                index[created[0]] = Bind(source, made_by[step.target])
+            else:
+                index[created[0]] = Lind(source)
+                if rule == "diaF":
+                    made_by[step.target] = source
+                else:
+                    index[created[1]] = Rind(source)
+        return child_kids(step, None)
+
+    def decide(step: TabStep, _, kids: list[DecTree]) -> DecTree:
+        if step.rule == "close":
+            neg, pos = step.closing
+            return DecTree(index[neg], index[pos], ())
+        aux = made_by[step.target] if step.rule == "boxF" else NONE
+        return DecTree(index[step.source], aux, tuple(kids))
+
+    return fold(ct.step, None, {TabStep: (name_created, decide)}, "tableau")
 
 
 def emit_fitcert(ct: ClosedTableau, theorem: ModalFormula | None = None) -> FitCert:

@@ -18,7 +18,7 @@ from kcert.formulas import (
     PosAtom,
     W0,
 )
-from kcert import cli
+from kcert import cli, tableau
 from kcert.kernel import StepBudgetExceeded, check
 from kcert.problems import ProblemFile, format_problem, parse_formula_text, parse_problem
 from kcert.simpfit import SIMPFIT, SimpfitCert, distill
@@ -333,6 +333,26 @@ class TestProver:
                 tracemalloc.stop()
         assert isinstance(lender, ClosedTableau)
         assert peaks[1] <= 2.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("text", [
+        "(box " * 50 + "(+ p)" + ")" * 50,
+        "(or (dia (+ p)) (dia (- q)))",
+    ], ids=["box50", "two-diamonds"])
+    def test_a_refuted_formula_builds_no_index_and_no_step(self, monkeypatch, text):
+        # an index or a TabStep is needed only for a certificate: box^50 p
+        # makes 50 worlds, and the other splits before it stays open
+        built = []
+
+        def counted(name, cls):
+            def make(*args, **kwargs):
+                built.append(name)
+                return cls(*args, **kwargs)
+            return make
+
+        for name in ("Lind", "Rind", "Bind", "TabStep"):
+            monkeypatch.setattr(tableau, name, counted(name, getattr(tableau, name)))
+        assert isinstance(prove(parse_formula_text(text)), OpenBranch)
+        assert built == []
 
     def test_agrees_with_oracle_on_small_formulas(self):
         for a in formulas_of_connectives(2):
