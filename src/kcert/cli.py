@@ -41,6 +41,7 @@ from .problems import (
 )
 from .tableau import (
     DEFAULT_MAX_TABLEAU_STEPS,
+    EmitError,
     OpenBranch,
     bounded_validity_oracle,
     emit_fitcert,
@@ -105,8 +106,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     else:
         cert = emit_fitcert(outcome, theorem)
     if not check(theorem, cert, max_steps=DEFAULT_MAX_STEPS, trace=False):
-        print("internal error: emitted certificate was rejected", file=sys.stderr)
-        return 2
+        raise EmitError("emitted certificate was rejected")
     sys.stdout.write(format_problem(ProblemFile("emitted", theorem, cert)))
     return 0
 

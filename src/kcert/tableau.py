@@ -43,8 +43,9 @@ its agenda.  A step extends its branch in place, and a split forks a
 copy of that state for its right side.  A box propagation still scans
 the branch, each box against each world on it, and takes a world whose
 parent is the box's world; boxes are not on the agenda yet.  An entry's
-descent path is kept as its place in the formula in preorder, a number,
-which orders as the path does.
+descent path is kept as its place among the connectives in preorder, a
+number, which orders connectives as the path does; an atom never waits
+on the agenda or for a box, so its place orders nothing.
 
 A closed subtree keeps the set of the entries above it that it uses, by
 identity: a closure uses its two literals, and a step that creates an
@@ -110,7 +111,7 @@ def format_prefix(prefix: Prefix) -> str:
 
 
 # ---------------------------------------------------------------------------
-# negation and size of modal formulas
+# negation of modal formulas
 
 def _negated_split(cls: type):
     def build(a, lefts: dict[int, int], values: list) -> tuple:
@@ -121,42 +122,26 @@ def _negated_split(cls: type):
     return build
 
 
-# each value is the negated node and its number of nodes; a split's
+# each value is the negated node and its number of connectives; a split's
 # left side's number is also kept in the context, keyed by the split's id
 _NEGATE = {
-    PosAtom: (no_kids, lambda a, _, __: (NegAtom(a.name), 1)),
-    NegAtom: (no_kids, lambda a, _, __: (PosAtom(a.name), 1)),
+    PosAtom: (no_kids, lambda a, _, __: (NegAtom(a.name), 0)),
+    NegAtom: (no_kids, lambda a, _, __: (PosAtom(a.name), 0)),
     And: (both_kids, _negated_split(Or)),
     Or: (both_kids, _negated_split(And)),
     Box: (body_kid, lambda a, _, v: (Dia(v[0][0]), 1 + v[0][1])),
     Dia: (body_kid, lambda a, _, v: (Box(v[0][0]), 1 + v[0][1])),
 }
 
-_COUNT = {
-    PosAtom: (no_kids, lambda *_: 0),
-    NegAtom: (no_kids, lambda *_: 0),
-    And: (both_kids, lambda a, _, v: 1 + sum(v)),
-    Or: (both_kids, lambda a, _, v: 1 + sum(v)),
-    Box: (body_kid, lambda a, _, v: 1 + sum(v)),
-    Dia: (body_kid, lambda a, _, v: 1 + sum(v)),
-}
 
-
-def negate_nnf(a: ModalFormula) -> ModalFormula:
-    """De Morgan negation, staying inside negation normal form."""
-    return _negate_sized(a)[0]
-
-
-def _negate_sized(a: ModalFormula) -> tuple[ModalFormula, dict[int, int]]:
-    """negate_nnf(a), and the number of nodes of each split's left side
-    in it, keyed by the split's id, so the negation must outlive the
-    table."""
+def _negate(a: ModalFormula) -> tuple[ModalFormula, int, dict[int, int]]:
+    """The De Morgan negation of a, inside negation normal form; its
+    number of connectives, which is a's; and the number of connectives
+    of each split's left side in it, keyed by the split's id, so the
+    negation must outlive the table."""
     lefts: dict[int, int] = {}
-    return fold(a, lefts, _NEGATE, "modal")[0], lefts
-
-
-def connective_count(a: ModalFormula) -> int:
-    return fold(a, None, _COUNT, "modal")
+    negation, count = fold(a, lefts, _NEGATE, "modal")
+    return negation, count, lefts
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +235,9 @@ class PrefixedFormula:
     # whole proof; the prefix it names is built only for a countermodel
     world: int
     body: ModalFormula
-    # the place of body in the root formula, counted in preorder, left
-    # before right: the order of the "L"/"R" descent paths from the
-    # root; drives rule ordering
+    # the place of body among the connectives of the root formula,
+    # counted in preorder, left before right: for a connective, the order
+    # of the "L"/"R" descent paths from the root; drives rule ordering
     origin: int
 
 
@@ -351,8 +336,8 @@ class _Branch:
 
 class _Prover:
     def __init__(self, lefts: dict[int, int]) -> None:
-        # a right split's place is past the nodes of its left sibling,
-        # counted by _negate_sized
+        # a right split's place is past the connectives of its left
+        # sibling, counted by _negate
         self.lefts = lefts
         # by world number: its parent (the root has none), the entry the
         # diamond step that made it added there, which a box propagated
@@ -510,7 +495,7 @@ def prove(theorem: ModalFormula,
     use the left entry is skipped: that subtree closes the branch alone,
     and the right branch is never expanded.  Each step on a branch counts
     against max_steps, and the search raises StepBudgetExceeded past it."""
-    body, lefts = _negate_sized(theorem)
+    body, _, lefts = _negate(theorem)
     root = PrefixedFormula(0, body, 0)
     prover = _Prover(lefts)
     built: list[tuple[TabStep, set[PrefixedFormula]]] = []
@@ -618,16 +603,13 @@ def bounded_validity_oracle(a: ModalFormula) -> bool:
     at the first that falsifies a, is a complete decision procedure.
     Deliberately independent of both the tableau prover and the kernel;
     capped to small formulas because the search is exponential."""
-    if connective_count(a) > _ORACLE_CAP:
+    goal, count, _ = _negate(a)
+    if count > _ORACLE_CAP:
         raise ValueError(f"oracle capped at {_ORACLE_CAP} connectives")
-    return find_countermodel(a) is None
-
-
-def find_countermodel(a: ModalFormula) -> KripkeModel | None:
-    """The first tree model found whose root falsifies a, or None."""
-    goal = negate_nnf(a)
     val = _satisfy([goal], ROOT_WORLD)
-    return None if val is None else _tree_model(val, goal)
+    if val is not None:
+        _tree_model(val, goal)  # verifies the countermodel, as the prover's are
+    return val is None
 
 
 def _satisfy(obligations: list[ModalFormula],
@@ -635,7 +617,8 @@ def _satisfy(obligations: list[ModalFormula],
     """The valuation of the first tree model (up to the relevant atoms)
     whose world here satisfies every obligation, or None: the left
     disjunct is tried first, and the n-th diamond gets the world
-    here + (n,).  Terminates: every child world's obligations have
+    here + (n,).  The obligations are _negate's output, in negation
+    normal form.  Terminates: every child world's obligations have
     strictly smaller modal depth."""
     # split the propositional layer first
     literals: list[ModalFormula] = []
@@ -653,10 +636,8 @@ def _satisfy(obligations: list[ModalFormula],
             literals.append(f)
         elif isinstance(f, Box):
             boxes.append(f)
-        elif isinstance(f, Dia):
-            dias.append(f)
         else:
-            raise TypeError(f"not a modal formula: {f!r}")
+            dias.append(f)
 
     positive = {f.name for f in literals if isinstance(f, PosAtom)}
     if any(isinstance(f, NegAtom) and f.name in positive for f in literals):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from kcert.fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind, child_kids
 from kcert.formulas import And, Box, Dia, ModalFormula, NegAtom, Or, PosAtom, fold
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
-from kcert.tableau import negate_nnf
+from helpers import negate_nnf
 
 _P = PosAtom("p")
 _Q = PosAtom("q")

@@ -1,6 +1,8 @@
 """Shared test machinery.
 
-Formula enumeration, scalable families and random generation,
+Formula enumeration, the package's negation, connective count and
+oracle search each on its own, the scalable families of
+perfbench/families.py as formulas, random generation,
 certificate mutation, a trace-shape checker, the first-order evaluator
 and polarity stripping of the semantic bridge, a decide tree's node
 count, and an independent brute-force proof search used to
@@ -16,6 +18,7 @@ import random
 import signal
 import sys
 from functools import lru_cache
+from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from kcert.firstorder import (
@@ -64,7 +67,24 @@ from kcert.formulas import (
 from kcert.kernel import Ev, Fpc
 from kcert.problems import ProblemFile, parse_formula_text
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
-from kcert.tableau import ClosedTableau, KripkeModel, Prefix, prove
+from kcert.tableau import (
+    ClosedTableau,
+    KripkeModel,
+    Prefix,
+    ROOT_WORLD,
+    _negate,
+    _satisfy,
+    _tree_model,
+    prove,
+)
+
+# the formula families are the benchmark's, perfbench/families.py
+_PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if _PERFBENCH not in sys.path:
+    sys.path.append(_PERFBENCH)
+
+import families  # noqa: E402
+from families import chain  # noqa: E402
 
 ATOMS = ("p", "q")
 
@@ -161,48 +181,55 @@ def corpus_proofs() -> tuple[tuple[ModalFormula, ClosedTableau], ...]:
 
 
 # ---------------------------------------------------------------------------
-# scalable families (dia^n is n nested diamonds)
+# the package's negation, connective count and oracle search, each on its
+# own
 
 
-def _chain(op: str, items: list[str]) -> str:
-    out = items[0]
-    for item in items[1:]:
-        out = f"({op} {out} {item})"
-    return out
+def negate_nnf(a: ModalFormula) -> ModalFormula:
+    """De Morgan negation, staying inside negation normal form."""
+    return _negate(a)[0]
+
+
+def connective_count(a: ModalFormula) -> int:
+    return _negate(a)[1]
+
+
+def find_countermodel(a: ModalFormula) -> KripkeModel | None:
+    """The first tree model the oracle finds whose root falsifies a,
+    verified, or None."""
+    goal = negate_nnf(a)
+    val = _satisfy([goal], ROOT_WORLD)
+    return None if val is None else _tree_model(val, goal)
+
+
+# ---------------------------------------------------------------------------
+# scalable families, parsed from the benchmark's text (dia^n is n nested
+# diamonds)
 
 
 def taut(n: int) -> ModalFormula:
     """(a0 | ~a0) & ... & (a(n-1) | ~a(n-1))"""
-    return parse_formula_text(_chain("and", [f"(or (+ a{i}) (- a{i}))" for i in range(n)]))
+    return parse_formula_text(families.taut(n))
 
 
 def kchain(n: int) -> ModalFormula:
     """dia^n ~p | dia^n ~q | box^n (p & q)"""
-    return parse_formula_text(_chain("or", [
-        "(dia " * n + "(- p)" + ")" * n,
-        "(dia " * n + "(- q)" + ")" * n,
-        "(box " * n + "(and (+ p) (+ q))" + ")" * n]))
+    return parse_formula_text(families.kchain(n))
 
 
 def wide(n: int) -> ModalFormula:
     """dia ~p0 | ... | dia ~p(n-1) | box (p0 & ... & p(n-1))"""
-    return parse_formula_text(_chain(
-        "or", [f"(dia (- p{i}))" for i in range(n)]
-        + ["(box " + _chain("and", [f"(+ p{i})" for i in range(n)]) + ")"]))
+    return parse_formula_text(families.wide(n))
 
 
 def kchain_bad(n: int) -> ModalFormula:
     """dia^n ~p | box^n (p & q), not valid"""
-    return parse_formula_text(_chain("or", [
-        "(dia " * n + "(- p)" + ")" * n,
-        "(box " * n + "(and (+ p) (+ q))" + ")" * n]))
+    return parse_formula_text(families.kchain_bad(n))
 
 
 def wide_bad(n: int) -> ModalFormula:
     """dia ~p0 | ... | dia ~p(n-2) | box (p0 & ... & p(n-1)), not valid"""
-    return parse_formula_text(_chain(
-        "or", [f"(dia (- p{i}))" for i in range(n - 1)]
-        + ["(box " + _chain("and", [f"(+ p{i})" for i in range(n)]) + ")"]))
+    return parse_formula_text(families.wide_bad(n))
 
 
 # hard families: the pigeonhole principle, purely propositional, with
@@ -212,10 +239,10 @@ def wide_bad(n: int) -> ModalFormula:
 def _php_text(n: int, pigeons: int) -> str:
     # "one of the first pigeons is in no hole, or two of all n+1 share one
     # of n holes"
-    nohole = _chain("or", [_chain("and", [f"(- p{i}_{j})" for j in range(n)])
-                           for i in range(pigeons)])
-    share = _chain("or", [f"(and (+ p{i}_{j}) (+ p{k}_{j}))" for j in range(n)
-                          for i in range(n + 1) for k in range(i + 1, n + 1)])
+    nohole = chain("or", [chain("and", [f"(- p{i}_{j})" for j in range(n)])
+                          for i in range(pigeons)])
+    share = chain("or", [f"(and (+ p{i}_{j}) (+ p{k}_{j}))" for j in range(n)
+                         for i in range(n + 1) for k in range(i + 1, n + 1)])
     return f"(or {nohole} {share})"
 
 

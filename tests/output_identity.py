@@ -1,4 +1,5 @@
-"""Compare what `kcert prove` prints in two checkouts of this repository.
+"""Compare what `kcert prove` and `kcert oracle` print in two checkouts of
+this repository.
 
     python3 tests/output_identity.py OLD NEW
 
@@ -19,7 +20,9 @@ and written out as formula text, so both sides read the same inputs.
 For each input and each format, fittings and simpfit, a record holds
 the sha256 of `kcert prove FORMULA --emit FORMAT`'s stdout and its exit
 code.  When a certificate is emitted, it also holds the verdict, steps
-and choice points of checking that certificate, untraced.  Each
+and choice points of checking that certificate, untraced.  One more
+record per input holds the sha256 of `kcert oracle FORMULA`'s stdout
+and its exit code; an input over the oracle's cap exits 2 at once.  Each
 checkout is recorded by one subprocess that imports kcert from that
 checkout only and calls `kcert.cli.main` in process, at the default
 recursion limit.  The two subprocesses run one after the other, in
@@ -99,6 +102,10 @@ def record(inputs_path: str, out_path: str) -> None:
                     r = check(problem.theorem, problem.certificate, trace=False)
                     checked = [r.accepted, r.steps, r.choice_points]
                 row.append([hashlib.sha256(printed.encode()).hexdigest(), code, checked])
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = main(["oracle", text])
+            row.append([hashlib.sha256(stdout.getvalue().encode()).hexdigest(), code])
             out.write(json.dumps(row) + "\n")
 
 
@@ -140,8 +147,8 @@ def compare(old: str, new: str) -> int:
             differ += 1
             print(f"differs: {text}\n  old {a}\n  new {b}")
     proved = sum(json.loads(row)[0][1] == 0 for row in rows[1])
-    print(f"{len(texts)} inputs, {2 * len(texts)} prove runs, {proved} proved at new; "
-          f"{differ} differ")
+    print(f"{len(texts)} inputs, {2 * len(texts)} prove runs, {proved} proved at new, "
+          f"{len(texts)} oracle runs; {differ} differ")
     return 1 if differ or len(rows[0]) != len(rows[1]) else 0
 
 

@@ -17,13 +17,13 @@ from kcert.cli import main
 from kcert.firstorder import format_formula
 from kcert.fittings import Bind, DecTree, EIND, FitCert, Lind, NONE, Rind
 from kcert.formulas import And, Box, Dia, NegAtom, Or, PosAtom
-from kcert.kernel import check
+from kcert.kernel import CheckResult, check
 from kcert.problems import ProblemFile, format_problem, parse_formula_text
 from kcert.simpfit import BoxInfo, Closure, SimpfitCert
-from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, negate_nnf, prove
+from kcert.tableau import ClosedTableau, emit_fitcert, emit_simpfitcert, prove
 from helpers import (
-    DOUBLING_TABLE, agreement_corpus, kchain, kchain_bad, php, php_bad, recursion_limit, taut,
-    time_limit, wide, wide_bad)
+    DOUBLING_TABLE, agreement_corpus, kchain, kchain_bad, negate_nnf, php, php_bad,
+    recursion_limit, taut, time_limit, wide, wide_bad)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -311,6 +311,13 @@ class TestErrors:
         monkeypatch.setattr(cli, "DEFAULT_MAX_TABLEAU_STEPS", 2)
         assert main(["prove", "(or (+ p) (- p))"]) == 0
         capsys.readouterr()
+
+    def test_a_rejected_self_check_is_an_error(self, monkeypatch, capsys):
+        def rejects(*args, **kwargs):
+            return CheckResult(False, (), 0, 0)
+        monkeypatch.setattr(cli, "check", rejects)
+        assert main(["prove", "(or (+ p) (- p))"]) == 2
+        self._one_error_line(capsys)
 
     def test_memory_error_is_an_error(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

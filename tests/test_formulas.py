@@ -40,12 +40,14 @@ from kcert.formulas import (
     is_positive,
     polarized_translation,
 )
-from kcert.tableau import KripkeModel, connective_count, eval_modal, negate_nnf
+from kcert.tableau import KripkeModel, eval_modal
 from helpers import (
+    connective_count,
     eval_fo,
     formulas_of_connectives,
     formulas_of_size,
     modal_size,
+    negate_nnf,
     open_binder_reference,
     recursion_limit,
     strip_polarities,

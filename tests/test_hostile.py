@@ -10,9 +10,9 @@ from kcert.formulas import (
     W0, All, And, AndNeg, AndPos, BVar, Box, DelayNeg, DelayPos, Dia, Eigen, Exists, NAtom,
     NegAtom, Or, OrNeg, PAtom, PosAtom, WorldConst)
 from kcert.kernel import Fpc, StepBudgetExceeded, check, check_polarized
-from kcert.tableau import (
-    bounded_validity_oracle, connective_count, emit_fitcert, emit_simpfitcert, negate_nnf, prove)
-from helpers import corpus_proofs, first_order_countermodel, kchain, taut, wide
+from kcert.tableau import bounded_validity_oracle, emit_fitcert, emit_simpfitcert, prove
+from helpers import (
+    connective_count, corpus_proofs, first_order_countermodel, kchain, negate_nnf, taut, wide)
 from test_kernel import Rigged
 
 

@@ -264,6 +264,8 @@ class TestErrorPositions:
         ('(problem "x" (dia (+ p) (+ q)) (fittings (dt eind none ())))',
          1, 25, "expected ')', found '('"),
         ('(problem "x" (+ p) (fittings (dt eind none (eind))))', 1, 45, "expected ')', found 'eind'"),
+        ('(problem "x" (or (+ p) (- p)) (fittings (dt eind none () x))',
+         1, 58, "expected ')', found 'x'"),
         ('(problem "x" (+ p)\n  (fittings (dt eind none ((dt eind none ())',
          2, 1, "expected ) (at end of input)"),
         ('(prob "x" (+ p) (fittings (dt eind none ())))', 1, 2, "expected 'problem', found 'prob'"),

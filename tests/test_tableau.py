@@ -1,5 +1,6 @@
 """Prover, emitters, models, and the bounded validity oracle."""
 
+import gc
 import hashlib
 import inspect
 import tracemalloc
@@ -30,15 +31,12 @@ from kcert.tableau import (
     OpenBranch,
     ROOT_WORLD,
     bounded_validity_oracle,
-    connective_count,
     emit_dectree,
     emit_fitcert,
     emit_simpfitcert,
     eval_modal,
-    find_countermodel,
     format_model,
     format_prefix,
-    negate_nnf,
     prove,
 )
 from examples import (
@@ -60,13 +58,16 @@ from examples import (
 from helpers import (
     agreement_corpus,
     box_php,
+    connective_count,
     corpus_proofs,
     distill_with_repeats,
     eval_fo,
+    find_countermodel,
     format_problem_inline,
     formulas_of_connectives,
     kchain,
     kchain_bad,
+    negate_nnf,
     node_count,
     php,
     php_bad,
@@ -311,27 +312,27 @@ class TestProver:
     def test_memory_grows_linearly_with_the_depth(self):
         # box^d (p | ~p) makes one world a step, d deep.  Named by prefix
         # tuples, its worlds held about d^2/2 numbers, and the traced peak
-        # grew 3.8x from d = 1500 to 3000; linear growth is about 2x.
-        # Storage indexes are interned, and any deep proof still alive
-        # lends a run its chain of them, so one kept alive here lends
-        # both runs all of theirs
+        # grew 3.8x from d = 1500 to 3000; linear growth is about 2x.  Each
+        # run starts on a collected heap with the collector off, so its
+        # peak does not depend on where a collection falls
         def box_taut(d):
             goal = Or(P, NP)
             for _ in range(d):
                 goal = Box(goal)
             return goal
 
-        lender = prove(box_taut(3000))
         peaks = []
         for d in (1500, 3000):
             goal = box_taut(d)
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 assert isinstance(prove(goal), ClosedTableau)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert isinstance(lender, ClosedTableau)
+                gc.enable()
         assert peaks[1] <= 2.5 * peaks[0], peaks
 
     @pytest.mark.parametrize("text", [
