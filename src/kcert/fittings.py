@@ -11,16 +11,17 @@ and only they are, so a literal stored at none closes any branch.
 A decide tree records one decide per node: the index to decide on, an
 auxiliary index (the closing complement for a leaf, the eigenvariable
 donor for an existential), and the child decides.  Checking never has to
-search: at each decide the certificate names the tree node's index, and
-each predicate answers at most once, an existential borrowing its
-donor's newest eigenvariable, so replay never makes a choice point.
+search: each clerk answers once or refuses, as every FPC's clerks do,
+and each expert at most once: a decide names the tree node's index, and
+an existential borrows its donor's newest eigenvariable.  So replay
+never makes a choice point.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .formulas import NAtom, PAtom, PolarizedFormula, REL, Term
 from .kernel import Fpc
@@ -231,7 +232,8 @@ def is_rel_literal(f: PolarizedFormula) -> bool:
 
 class FittingsFpc(Fpc):
     """Replay a decide tree, refusing every step the tree does not name.
-    Each predicate answers with a tuple, which the kernel reads as it is."""
+    Each clerk answers bare, and each expert with a tuple of at most one
+    alternative, which the kernel reads as it is."""
 
     def decide_e(self, cert: FitCert) -> tuple[tuple[object, object], ...]:
         # a translated entry is decided on with nothing pending
@@ -240,41 +242,41 @@ class FittingsFpc(Fpc):
             cert = _new(FitCert, ((), tree, eigmap))
         return ((tree.decide_on, cert),)
 
-    def store_c(self, cert: FitCert, formula: PolarizedFormula) -> tuple[tuple[object, object], ...]:
+    def store_c(self, cert: FitCert, formula: PolarizedFormula) -> tuple[object, object] | None:
         if is_rel_literal(formula):
-            return ((NONE, cert),)
+            return NONE, cert
         pending, tree, eigmap = cert
         if pending:
-            return ((pending[0], _new(FitCert, (pending[1:], tree, eigmap))),)
-        return ()
+            return pending[0], _new(FitCert, (pending[1:], tree, eigmap))
+        return None
 
     def initial_e(self, cert: FitCert, index: object) -> bool:
         return index is cert.tree.aux or index is NONE
 
-    def orneg_c(self, cert: FitCert) -> tuple[object, ...]:
+    def orneg_c(self, cert: FitCert) -> FitCert | None:
         pending, tree, eigmap = cert
         if pending:
-            return (cert,)
+            return cert
         if tree.children:
             i = tree.decide_on
-            return (_new(FitCert, ((Lind(i), Rind(i)), tree.children[0], eigmap)),)
-        return ()
+            return _new(FitCert, ((Lind(i), Rind(i)), tree.children[0], eigmap))
+        return None
 
-    def andneg_c(self, cert: FitCert) -> tuple[tuple[object, object], ...]:
+    def andneg_c(self, cert: FitCert) -> tuple[FitCert, FitCert] | None:
         _, tree, eigmap = cert
         if len(tree.children) >= 2:
             i = tree.decide_on
             left, right = tree.children[0], tree.children[1]
-            return ((_new(FitCert, ((Lind(i),), left, eigmap)),
-                     _new(FitCert, ((Rind(i),), right, eigmap))),)
-        return ()
+            return (_new(FitCert, ((Lind(i),), left, eigmap)),
+                    _new(FitCert, ((Rind(i),), right, eigmap)))
+        return None
 
-    def all_c(self, cert: FitCert) -> tuple[Callable[[Term], object], ...]:
+    def all_c(self, cert: FitCert, eigen: Term) -> FitCert | None:
         _, tree, eigmap = cert
         if not tree.children:
-            return ()
-        i, child = tree.decide_on, tree.children[0]
-        return (lambda eigen: _new(FitCert, ((Lind(i),), child, (i, eigen, eigmap))),)
+            return None
+        i = tree.decide_on
+        return _new(FitCert, ((Lind(i),), tree.children[0], (i, eigen, eigmap)))
 
     def some_e(self, cert: FitCert) -> tuple[tuple[Term, object], ...]:
         _, tree, eigmap = cert

@@ -9,15 +9,14 @@ the synchronous phase, which decomposes the focus until it closes on a
 literal or releases a negative formula back to the asynchronous phase.
 
 The kernel makes no choices.  At each rule with a choice to make it asks
-a certificate, through clerk predicates (asynchronous side) and expert
-predicates (synchronous side); the rule is available only when its
-predicate yields a continuation, the certificate threaded on.  Where
-they yield several, the kernel tries them in their order, depth-first:
-an accepted run is a proof under exactly the certificate's guidance.
+a certificate: a clerk (asynchronous phase) answers once, threading the
+certificate on, or refuses; an expert (synchronous phase) yields any
+number of continuations, which the kernel tries in order, depth-first.
+An accepted run is a proof under exactly the certificate's guidance.
 
 The search is one loop over a goal stack, not recursion, so proof height
-is bounded by memory and the step budget.  A rule with several
-continuations leaves a choice point, and a cut goal under its premise
+is bounded by memory and the step budget.  A decide or some with several
+alternatives leaves a choice point, and a cut goal under its premise
 drops it once the premise has succeeded: a later failure never re-enters a
 premise that closed.  A traced check records each step, and a reject the
 deepest trace prefix a failure reached; an untraced one builds no event.
@@ -83,18 +82,20 @@ class Fpc:
     certificate, all refusing by default: the four clerks store_c,
     orneg_c, andneg_c and all_c of the asynchronous phase and the three
     experts decide_e, initial_e and some_e of the synchronous one.  The
-    experts choose; the clerks name storage.  Release and positive
-    conjunction ask nothing: both premises of a conjunction, and the
-    released formula, get the certificate as it is.
+    experts choose; the clerks keep the books of the invertible phase.
+    Release and positive conjunction ask nothing: both premises of a
+    conjunction, and the released formula, get the certificate as it is.
 
     A certificate format subclasses this and overrides the predicates it
-    wants; a rule whose predicate is left alone is never available.
-    Predicates return iterables of continuations (or, for initial_e, a
-    plain truth value) and may yield several to make the kernel
-    backtrack.  The kernel reads each answer once into a tuple, so a
-    tuple answer costs nothing.  It only threads the certificates an
-    FPC's own predicates return, so a predicate may assume its format's
-    certificate type as long as the check starts from one.
+    wants; a rule whose predicate is left alone is never available.  A
+    clerk returns one answer, or None to refuse: store_c a pair (index,
+    continuation), andneg_c a pair (left, right), orneg_c a continuation,
+    and all_c, given the eigenvariable it would open, a continuation.
+    decide_e and some_e return iterables of alternatives, and may yield
+    several to make the kernel backtrack; initial_e a truth value.  The
+    kernel only threads the certificates an FPC's own predicates return,
+    so a predicate may assume its format's certificate type as long as
+    the check starts from one.
 
     Indexes must be hashable.  decide_e names them: it yields pairs
     (index, continuation), and the kernel decides, in the order named,
@@ -111,20 +112,20 @@ class Fpc:
     def decide_e(self, cert: object) -> Iterable[tuple[object, object]]:
         return ()
 
-    def store_c(self, cert: object, formula: PolarizedFormula) -> Iterable[tuple[object, object]]:
-        return ()
+    def store_c(self, cert: object, formula: PolarizedFormula) -> tuple[object, object] | None:
+        return None
 
     def initial_e(self, cert: object, index: object) -> bool:
         return False
 
-    def andneg_c(self, cert: object) -> Iterable[tuple[object, object]]:
-        return ()
+    def andneg_c(self, cert: object) -> tuple[object, object] | None:
+        return None
 
-    def orneg_c(self, cert: object) -> Iterable[object]:
-        return ()
+    def orneg_c(self, cert: object) -> object | None:
+        return None
 
-    def all_c(self, cert: object) -> Iterable[Callable[[Term], object]]:
-        return ()
+    def all_c(self, cert: object, eigen: Eigen) -> object | None:
+        return None
 
     def some_e(self, cert: object) -> Iterable[tuple[Term, object]]:
         return ()
@@ -251,50 +252,45 @@ class _Run:
         while len(self.trail) > height:
             self.trail.pop().pop()
 
-    # asynchronous phase: decompose the workbench, a step's context, or decide
+    # asynchronous phase: decompose the workbench, or decide
 
     def asynchronous(self, cert: object, gamma: tuple, goals: tuple | None) -> object:
         if not gamma:
             return self._decide(cert, goals)
-        f = gamma[0][0]
+        (f, env), rest = gamma[0], gamma[1:]
         if isinstance(f, OrNeg):
-            return self.branch(tuple(self.fpc.orneg_c(cert)), self.or_step, gamma, goals)
+            if (c2 := self.fpc.orneg_c(cert)) is None:
+                return _FAIL
+            if self.trace:
+                self.events.append(ORNEG)
+            return (_ASYNC, c2, ((f.left, env), (f.right, env)) + rest, goals)
         if isinstance(f, AndNeg):
-            return self.branch(tuple(self.fpc.andneg_c(cert)), self.and_step, gamma, goals)
+            if (pair := self.fpc.andneg_c(cert)) is None:
+                return _FAIL
+            c_left, c_right = pair
+            right = (_ASYNC, c_right, ((f.right, env),) + rest, goals)
+            if self.trace:
+                self.events.append(ANDNEG_L)
+            return (_ASYNC, c_left, ((f.left, env),) + rest,
+                    (_RIGHT, len(self.trail), ANDNEG_R, right))
         if isinstance(f, All):
-            return self.branch(tuple(self.fpc.all_c(cert)), self.all_step, gamma, goals)
+            eigen = Eigen(self.next_eigen)
+            if (c2 := self.fpc.all_c(cert, eigen)) is None:
+                return _FAIL
+            self.next_eigen += 1
+            if self.trace:
+                self.events.append(Ev("all", eigen))
+            return (_ASYNC, c2, ((f.body, (eigen, env)),) + rest, goals)
         if isinstance(f, DelayNeg):
             if self.trace:
                 self.events.append(STRIP)
-            return (_ASYNC, cert, ((f.body, gamma[0][1]),) + gamma[1:], goals)
+            return (_ASYNC, cert, ((f.body, env),) + rest, goals)
         # everything else is storable: positives and negative literals
         if not is_positive(f) and not isinstance(f, NAtom):
             return _FAIL
-        return self.branch(tuple(self.fpc.store_c(cert, f)), self.store_step, gamma, goals)
-
-    def or_step(self, gamma: tuple, c2: object, goals: tuple | None) -> tuple:
-        (f, env), rest = gamma[0], gamma[1:]
-        if self.trace:
-            self.events.append(ORNEG)
-        return (_ASYNC, c2, ((f.left, env), (f.right, env)) + rest, goals)
-
-    def and_step(self, gamma: tuple, pair: object, goals: tuple | None) -> tuple:
-        (f, env), rest, (c_left, c_right) = gamma[0], gamma[1:], pair
-        right = (_ASYNC, c_right, ((f.right, env),) + rest, goals)
-        if self.trace:
-            self.events.append(ANDNEG_L)
-        return (_ASYNC, c_left, ((f.left, env),) + rest, (_RIGHT, len(self.trail), ANDNEG_R, right))
-
-    def all_step(self, gamma: tuple, mk: object, goals: tuple | None) -> tuple:
-        (f, env), rest = gamma[0], gamma[1:]
-        eigen = Eigen(self.next_eigen)
-        self.next_eigen += 1
-        if self.trace:
-            self.events.append(Ev("all", eigen))
-        return (_ASYNC, mk(eigen), ((f.body, (eigen, env)),) + rest, goals)
-
-    def store_step(self, gamma: tuple, pair: object, goals: tuple | None) -> tuple:
-        (index, c2), (f, env) = pair, gamma[0]
+        if (pair := self.fpc.store_c(cert, f)) is None:
+            return _FAIL
+        index, c2 = pair
         if self.trace:
             self.events.append(Ev("store", index))
         if isinstance(f, NAtom):
@@ -305,7 +301,7 @@ class _Run:
             bucket = self.positive.setdefault(index, [])
             bucket.append(gamma[0])
         self.trail.append(bucket)
-        return (_ASYNC, c2, gamma[1:], goals)
+        return (_ASYNC, c2, rest, goals)
 
     def _decide(self, cert: object, goals: tuple | None) -> object:
         # one alternative per named index that holds an entry, its live one

@@ -7,7 +7,9 @@ from.  The checker rebuilds the rest by committed saturation.  Every
 tableau rule but closure is proof-confluent (Haehnle, "Tableaux and
 related methods", 2001) and weakening is admissible in LKF (Liang and
 Miller, TCS 2009), so a decide that only adds formulas to the branch
-never has to be undone: only closures branch.
+never has to be undone: only closures branch.  So decide_e alone offers
+alternatives; the clerks, as every FPC's, and some_e answer once or
+refuse.
 
 At each decide the certificate offers every closable literal: a stored
 positive literal that a closure pairs with a negative literal stored on
@@ -59,7 +61,7 @@ tuples that change only when a token is granted or spent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .fittings import (Bind, DecTree, EIND, Index, Lind, NONE, Rind, _new, is_rel_literal,
                        newest_eigen)
@@ -251,7 +253,7 @@ def _expansion(cert: SimpfitCert) -> tuple[Index, SimpfitCert] | None:
 class SimpfitFpc(Fpc):
     """Reconstruct a proof guided only by closures and boxinfos, by
     committed saturation: offer every closable literal, commit to one
-    expansion.  Each predicate answers with a tuple."""
+    expansion.  Each clerk answers bare, and each expert with a tuple."""
 
     def decide_e(self, cert: SimpfitCert) -> tuple[tuple[object, object], ...]:
         offers = []
@@ -267,12 +269,12 @@ class SimpfitFpc(Fpc):
         return tuple(offers)
 
     def store_c(self, cert: SimpfitCert,
-                formula: PolarizedFormula) -> tuple[tuple[object, object], ...]:
+                formula: PolarizedFormula) -> tuple[object, SimpfitCert] | None:
         if is_rel_literal(formula):
-            return ((NONE, _new(SimpfitCert, (0,) + cert[1:])),)
+            return NONE, _new(SimpfitCert, (0,) + cert[1:])
         _, pending, exists, delayed, splits, eigmap, bound, spent, lits, mated, ev = cert
         if not pending:
-            return ()
+            return None
         head, kind = pending[0], type(formula)
         if kind is PAtom or kind is NAtom:
             mates = ev.mates.get(head)
@@ -289,8 +291,8 @@ class SimpfitFpc(Fpc):
                     splits += (head,)
                 else:
                     delayed += (head,)
-        return ((head, _new(SimpfitCert, (0, pending[1:], exists, delayed, splits, eigmap, bound,
-                                          spent, lits, mated, ev))),)
+        return head, _new(SimpfitCert, (0, pending[1:], exists, delayed, splits, eigmap, bound,
+                                        spent, lits, mated, ev))
 
     def initial_e(self, cert: SimpfitCert, index: object) -> bool:
         pending, ev = cert.pending, cert.evidence
@@ -298,33 +300,28 @@ class SimpfitFpc(Fpc):
             return False
         return index is NONE or ev.mates.get(pending[0], 0) & ev.bit.get(index, 0) != 0
 
-    def orneg_c(self, cert: SimpfitCert) -> tuple[object, ...]:
+    def orneg_c(self, cert: SimpfitCert) -> SimpfitCert | None:
         if cert.flag == 1 and len(cert.pending) == 1:
             i = cert.pending[0]
-            return (_new(SimpfitCert, (0, (Lind(i), Rind(i))) + cert[2:]),)
+            return _new(SimpfitCert, (0, (Lind(i), Rind(i))) + cert[2:])
         if cert.flag == 0:
-            return (cert,)
-        return ()
+            return cert
+        return None
 
-    def andneg_c(self, cert: SimpfitCert) -> tuple[tuple[object, object], ...]:
+    def andneg_c(self, cert: SimpfitCert) -> tuple[SimpfitCert, SimpfitCert] | None:
         if len(cert.pending) != 1:
-            return ()
+            return None
         i, rest = cert.pending[0], cert[2:]
-        return ((_new(SimpfitCert, (0, (Lind(i),)) + rest),
-                 _new(SimpfitCert, (0, (Rind(i),)) + rest)),)
+        return (_new(SimpfitCert, (0, (Lind(i),)) + rest),
+                _new(SimpfitCert, (0, (Rind(i),)) + rest))
 
-    def all_c(self, cert: SimpfitCert) -> tuple[Callable[[Term], object], ...]:
+    def all_c(self, cert: SimpfitCert, eigen: Term) -> SimpfitCert | None:
         _, pending, exists, delayed, splits, eigmap, bound, spent, lits, mated, ev = cert
         if len(pending) != 1:
-            return ()
+            return None
         i = pending[0]
-        bound |= ev.universals.get(i, 0)
-
-        def bind_eigen(eigen: Term) -> SimpfitCert:
-            return _new(SimpfitCert, (0, (Lind(i),), exists, delayed, splits, (i, eigen, eigmap),
-                                      bound, spent, lits, mated, ev))
-
-        return (bind_eigen,)
+        return _new(SimpfitCert, (0, (Lind(i),), exists, delayed, splits, (i, eigen, eigmap),
+                                  bound | ev.universals.get(i, 0), spent, lits, mated, ev))
 
     def some_e(self, cert: SimpfitCert) -> tuple[tuple[Term, object], ...]:
         _, pending, exists, delayed, splits, eigmap, bound, spent, lits, mated, ev = cert

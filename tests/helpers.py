@@ -544,23 +544,30 @@ def brute_force_accepts(goal: ModalFormula, cert, fpc: Fpc) -> bool:
                         return True
             return False
         f, rest = wb[0], wb[1:]
+        # a clerk answers once or refuses: no alternative to try
         if isinstance(f, OrNeg):
-            return any(async_ok((f.left, f.right) + rest, theta, c2, k)
-                       for c2 in fpc.orneg_c(cert))
+            c2 = fpc.orneg_c(cert)
+            return c2 is not None and async_ok((f.left, f.right) + rest, theta, c2, k)
         if isinstance(f, AndNeg):
-            return any(async_ok((f.left,) + rest, theta, cl, k)
-                       and async_ok((f.right,) + rest, theta, cr, k)
-                       for cl, cr in fpc.andneg_c(cert))
+            pair = fpc.andneg_c(cert)
+            if pair is None:
+                return False
+            cl, cr = pair
+            return (async_ok((f.left,) + rest, theta, cl, k)
+                    and async_ok((f.right,) + rest, theta, cr, k))
         if isinstance(f, All):
             eig = Eigen(k)
-            return any(async_ok((open_binder_reference(f.body, eig),) + rest,
-                                theta, cont(eig), k + 1)
-                       for cont in fpc.all_c(cert))
+            c2 = fpc.all_c(cert, eig)
+            return c2 is not None and async_ok((open_binder_reference(f.body, eig),) + rest,
+                                               theta, c2, k + 1)
         if isinstance(f, DelayNeg):
             return async_ok((f.body,) + rest, theta, cert, k)
         # positives and negated atoms are stored
-        return any(async_ok(rest, theta + ((idx, f),), c2, k)
-                   for idx, c2 in fpc.store_c(cert, f))
+        pair = fpc.store_c(cert, f)
+        if pair is None:
+            return False
+        idx, c2 = pair
+        return async_ok(rest, theta + ((idx, f),), c2, k)
 
     def sync_ok(f, theta, cert, k) -> bool:
         key = ("s", f, theta, cert, k)

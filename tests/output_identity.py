@@ -11,24 +11,27 @@ and 32; php, php_bad and box_php(n, 2) at n = 1 and 2; the prove
 benchmark's families at its sizes, taut(128), kchain(64) and
 kchain_bad(64) and (128); the deep chains of the limits benchmark,
 box_taut at d = 32 and 250 and box_atom at d = 150 and 400, from
-perfbench/families.py; and
-three formulas whose prover makes a world's child after a cousin of
-that child, so that the order of world numbers and the order of
-prefixes disagree.  They are built once, from this file's own checkout,
-and written out as formula text, so both sides read the same inputs.
+perfbench/families.py; three formulas whose prover makes a world's
+child after a cousin of that child, so that the order of world numbers
+and the order of prefixes disagree; and 2,000 distinct formulas of 6 to
+8 connectives drawn by `random_formula` from a fixed seed, which reach
+the oracle's cap, as the other inputs barely do.  They are built once,
+from this file's own checkout, and written out as formula text, so both
+sides read the same inputs.
 
 For each input and each format, fittings and simpfit, a record holds
 the sha256 of `kcert prove FORMULA --emit FORMAT`'s stdout and its exit
 code.  When a certificate is emitted, it also holds the verdict, steps
-and choice points of checking that certificate, untraced.  One more
-record per input holds the sha256 of `kcert oracle FORMULA`'s stdout
-and its exit code; an input over the oracle's cap exits 2 at once.  Each
-checkout is recorded by one subprocess that imports kcert from that
-checkout only and calls `kcert.cli.main` in process, at the default
-recursion limit.  The two subprocesses run one after the other, in
-about 15-25 s together.  The script prints every input whose records
-differ and exits 1 if there is one, else 0.  Pytest does not collect
-this file.
+and choice points of checking that certificate, untraced, and the
+sha256 of the trace lines of checking it traced, so the kernel's trace
+is held byte for byte.  One more record per input holds the sha256 of
+`kcert oracle FORMULA`'s stdout and its exit code; an input over the
+oracle's cap exits 2 at once.  Each checkout is recorded by one
+subprocess that imports kcert from that checkout only and calls
+`kcert.cli.main` in process, at the default recursion limit.  The two
+subprocesses run one after the other, in about 20-30 s together.  The
+script prints every input whose records differ and exits 1 if there is
+one, else 0.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -47,6 +51,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 FORMATS = ("fittings", "simpfit")
 SIZES = (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32)
+# the seeded sample of random formulas: how many, drawn at up to
+# SAMPLE_NODES nodes, of 6 to 8 connectives each
+SAMPLE, SAMPLE_NODES, SAMPLE_SEED = 2000, 15, 34
 # in the refuted negation of each, a box at the root leaves a diamond at
 # world 1.1 only after world 1.2's own diamond has made 1.2.1, so 1.1.1 is
 # numbered after its cousin; a box at both 1.1 and 1.2 then reaches the
@@ -65,8 +72,8 @@ def inputs() -> list[str]:
     sys.path[:0] = [str(HERE.parent / "src"), str(HERE), str(HERE.parent / "perfbench")]
     from families import box_atom, box_taut
     from kcert.firstorder import format_formula
-    from helpers import (agreement_corpus, box_php, kchain, kchain_bad, php, php_bad, taut,
-                         wide, wide_bad)
+    from helpers import (agreement_corpus, box_php, connective_count, kchain, kchain_bad, php,
+                         php_bad, random_formula, taut, wide, wide_bad)
 
     formulas = agreement_corpus()
     for family in (taut, kchain, wide, kchain_bad, wide_bad):
@@ -76,13 +83,18 @@ def inputs() -> list[str]:
     formulas += [taut(128), kchain(64), kchain_bad(64), kchain_bad(128)]
     texts = [format_formula(f) for f in formulas]
     texts += [box_taut(d) for d in (32, 250)] + [box_atom(d) for d in (150, 400)]
-    return texts + list(OUT_OF_ORDER)
+    rng, sample = random.Random(SAMPLE_SEED), {}
+    while len(sample) < SAMPLE:
+        f = random_formula(rng, SAMPLE_NODES)
+        if 6 <= connective_count(f) <= 8:
+            sample.setdefault(format_formula(f))
+    return texts + list(OUT_OF_ORDER) + list(sample)
 
 
 def record(inputs_path: str, out_path: str) -> None:
     """Run every input through the kcert on sys.path; one JSON line each."""
     import kcert
-    from kcert.cli import main
+    from kcert.cli import main, trace_lines
     from kcert.kernel import check
     from kcert.problems import parse_problem
 
@@ -100,7 +112,9 @@ def record(inputs_path: str, out_path: str) -> None:
                 if code == 0:
                     problem = parse_problem(printed)
                     r = check(problem.theorem, problem.certificate, trace=False)
-                    checked = [r.accepted, r.steps, r.choice_points]
+                    lines = trace_lines(check(problem.theorem, problem.certificate).trace)
+                    traced = hashlib.sha256("".join(f"{line}\n" for line in lines).encode())
+                    checked = [r.accepted, r.steps, r.choice_points, traced.hexdigest()]
                 row.append([hashlib.sha256(printed.encode()).hexdigest(), code, checked])
             stdout = io.StringIO()
             with redirect_stdout(stdout), redirect_stderr(io.StringIO()):

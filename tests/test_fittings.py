@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from kcert.cli import trace_lines
 from kcert.fittings import (
     Bind,
     DecTree,
@@ -23,7 +24,7 @@ from kcert.fittings import (
 )
 from kcert.formulas import Eigen, NAtom, PAtom, REL, W0
 from kcert.kernel import Fpc, check
-from kcert.problems import parse_problem
+from kcert.problems import parse_formula_text, parse_problem
 from examples import (
     EXAMPLE1_THEOREM,
     EXAMPLE2_THEOREM,
@@ -140,16 +141,15 @@ class TestClauses:
     def test_store_pops_the_pending_head(self):
         cert = fresh(pending=(Lind(EIND), Rind(EIND)))
         f = PAtom("p", (W0,))
-        assert list(FITTINGS.store_c(cert, f)) == [
-            (Lind(EIND), fresh(pending=(Rind(EIND),)))]
+        assert FITTINGS.store_c(cert, f) == (Lind(EIND), fresh(pending=(Rind(EIND),)))
 
     def test_store_puts_accessibility_literals_at_none(self):
         cert = fresh(pending=(Lind(EIND),))
         rel = NAtom(REL, (W0, Eigen(1)))
-        assert list(FITTINGS.store_c(cert, rel)) == [(NONE, cert)]
+        assert FITTINGS.store_c(cert, rel) == (NONE, cert)
 
     def test_store_refuses_with_nothing_pending(self):
-        assert list(FITTINGS.store_c(fresh(), PAtom("p", (W0,)))) == []
+        assert FITTINGS.store_c(fresh(), PAtom("p", (W0,))) is None
 
     def test_initial_checks_the_aux(self):
         cert = fresh(tree=LEAF)
@@ -158,34 +158,34 @@ class TestClauses:
 
     def test_orneg_passes_through_while_pending(self):
         cert = fresh(pending=(EIND,))
-        assert list(FITTINGS.orneg_c(cert)) == [cert]
+        assert FITTINGS.orneg_c(cert) is cert
 
     def test_orneg_splits_the_decided_index(self):
         cert = fresh(pending=())
-        assert list(FITTINGS.orneg_c(cert)) == [
-            FitCert((Lind(EIND), Rind(EIND)), LEAF, ())]
+        assert FITTINGS.orneg_c(cert) == FitCert((Lind(EIND), Rind(EIND)), LEAF, ())
 
     def test_andneg_splits_into_both_children(self):
         left = DecTree(Lind(EIND), NONE)
         right = DecTree(Rind(EIND), NONE)
         cert = fresh(pending=(), tree=DecTree(EIND, NONE, (left, right)))
-        assert list(FITTINGS.andneg_c(cert)) == [
-            (FitCert((Lind(EIND),), left, ()),
-             FitCert((Rind(EIND),), right, ()))]
+        assert FITTINGS.andneg_c(cert) == (FitCert((Lind(EIND),), left, ()),
+                                           FitCert((Rind(EIND),), right, ()))
 
     def test_all_binds_the_eigenvariable_to_the_decided_index(self):
         cert = fresh(pending=())
-        (mk,) = FITTINGS.all_c(cert)
-        got = mk(Eigen(7))
+        got = FITTINGS.all_c(cert, Eigen(7))
         assert got == FitCert((Lind(EIND),), LEAF, (EIND, Eigen(7), ()))
         assert got == fresh(pending=(Lind(EIND),), tree=LEAF, eigmap=((EIND, Eigen(7)),))
 
     def test_all_extends_the_chain_without_copying_it(self):
         cert = fresh(pending=(), eigmap=((Rind(EIND), Eigen(2)), (Lind(EIND), Eigen(3))))
-        (mk,) = FITTINGS.all_c(cert)
-        got = mk(Eigen(4))
+        got = FITTINGS.all_c(cert, Eigen(4))
         assert got.eigmap[:2] == (EIND, Eigen(4))
         assert got.eigmap[2] is cert.eigmap
+
+    def test_all_refuses_at_a_leaf(self):
+        # a leaf has no child to replay the universal's body under
+        assert FITTINGS.all_c(fresh(tree=LEAF), Eigen(1)) is None
 
     def test_andpos_keeps_the_cert_and_initial_accepts_none(self):
         # the left premise is a diamond's accessibility literal, whose
@@ -219,8 +219,9 @@ class TestClauses:
 
 
 class _Spy(Fpc):
-    """Delegates to the fittings format and records continuation counts
-    and the types of its answers."""
+    """Delegates to the fittings format and records the most alternatives
+    an expert offered and the types of the experts' answers.  It fails
+    the check on a clerk answer that is not one pair or certificate."""
 
     def __init__(self):
         self.max_continuations = 0
@@ -232,23 +233,29 @@ class _Spy(Fpc):
         self.max_continuations = max(self.max_continuations, len(got))
         return got
 
+    @staticmethod
+    def _clerk(got, pair):
+        if got is not None:
+            assert (type(got) is tuple and len(got) == 2) if pair else type(got) is FitCert, got
+        return got
+
     def decide_e(self, cert):
         return self._see(FITTINGS.decide_e(cert))
 
     def store_c(self, cert, formula):
-        return self._see(FITTINGS.store_c(cert, formula))
+        return self._clerk(FITTINGS.store_c(cert, formula), pair=True)
 
     def initial_e(self, cert, index):
         return FITTINGS.initial_e(cert, index)
 
     def orneg_c(self, cert):
-        return self._see(FITTINGS.orneg_c(cert))
+        return self._clerk(FITTINGS.orneg_c(cert), pair=False)
 
     def andneg_c(self, cert):
-        return self._see(FITTINGS.andneg_c(cert))
+        return self._clerk(FITTINGS.andneg_c(cert), pair=True)
 
-    def all_c(self, cert):
-        return self._see(FITTINGS.all_c(cert))
+    def all_c(self, cert, eigen):
+        return self._clerk(FITTINGS.all_c(cert, eigen), pair=False)
 
     def some_e(self, cert):
         return self._see(FITTINGS.some_e(cert))
@@ -307,7 +314,7 @@ class TestEndToEnd:
             spy = _Spy()
             assert check(goal, cert, spy).accepted
             assert spy.max_continuations == 1
-            # each answer is a tuple, which the kernel reads without a copy
+            # each expert answer is a tuple, which the kernel reads as it is
             assert spy.answer_types == {tuple}
 
     def test_at_most_one_continuation_on_every_pinned_run(self):
@@ -330,6 +337,13 @@ class TestEndToEnd:
     def test_certificate_against_wrong_theorem_rejects(self):
         assert not check(EXAMPLE2_THEOREM, ftab1_cert(), FITTINGS).accepted
         assert not check(EXAMPLE1_THEOREM, ftab2_cert(), FITTINGS).accepted
+
+    def test_a_universal_decided_at_a_leaf_rejects(self):
+        # the tree decides the box, a universal, and names nothing below
+        goal = parse_formula_text("(box (or (+ p) (- p)))")
+        result = check(goal, FitCert.load(DecTree(EIND, NONE)))
+        assert (result.accepted, result.choice_points) == (False, 0)
+        assert trace_lines(result.trace) == ["store eind", "decide eind", "strip", "release"]
 
     def test_truncated_tree_rejects(self):
         # cut the dectree off below the first decide

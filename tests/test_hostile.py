@@ -29,11 +29,14 @@ _MASK = st.one_of(st.just(-1), st.integers(0, 2**32 - 1))
 class Hostile(Fpc):
     """Every answer drawn by hypothesis.  A store hands out any index,
     0, 1, ..., new or already handed out; a decide names all of those or
-    any subset; a witness is W0, an eigenvariable introduced so far, a
-    fresh one, another constant or no term at all; init says yes or no.
-    A rule gets 0 to 2 alternatives, so the kernel backtracks too.  The
-    answers lean to yes, so that checks are accepted often.  Once its
-    answers are spent it refuses everything, so a check ends."""
+    any subset, once to three times over; a witness is W0, an
+    eigenvariable introduced so far, a fresh one, another constant or no
+    term at all; init says yes or no.  A clerk answers once or refuses,
+    but some_e gets 0 to 2 alternatives and a decide may name several,
+    so the kernel backtracks too, and a retry draws every answer after
+    it anew.  The answers lean to yes, so that checks are accepted
+    often.  Once its answers are spent it refuses everything, so a check
+    ends.  It passes on the certificate it is given, which is not None."""
 
     def __init__(self, data, answers: int = 100):
         self.data = data
@@ -53,29 +56,35 @@ class Hostile(Fpc):
     def count(self) -> int:
         return self.pick((1, 2, 2, 0), 0)
 
+    def agree(self) -> bool:
+        return self.pick((True,) * 7 + (False,), False)
+
     def decide_e(self, cert):
         mask = self.draw(_MASK, 0)
-        return [(index, cert) for index in range(self.indexes) if mask >> index & 1]
+        named = [(index, cert) for index in range(self.indexes) if mask >> index & 1]
+        return named * self.pick((1, 2, 2, 3), 1)
 
     def store_c(self, cert, formula):
-        out = []
-        for _ in range(self.count()):
-            index = self.pick(range(self.indexes + 1), 0)
-            self.indexes = max(self.indexes, index + 1)
-            out.append((index, cert))
-        return out
+        if not self.agree():
+            return None
+        index = self.pick(range(self.indexes + 1), 0)
+        self.indexes = max(self.indexes, index + 1)
+        return index, cert
 
     def initial_e(self, cert, index):
-        return self.pick((True, True, True, False), False)
+        return self.agree()
 
     def andneg_c(self, cert):
-        return [(cert, cert)] * self.count()
+        return (cert, cert) if self.agree() else None
 
     def orneg_c(self, cert):
-        return [cert] * self.count()
+        return cert if self.agree() else None
 
-    def all_c(self, cert):
-        return [lambda eigen: self.eigens.append(eigen) or cert] * self.count()
+    def all_c(self, cert, eigen):
+        if not self.agree():
+            return None
+        self.eigens.append(eigen)
+        return cert
 
     def some_e(self, cert):
         # the next two eigenvariables an all will introduce are fresh
@@ -213,47 +222,64 @@ class TestHostileFpc:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_GOALS, st.data())
     def test_an_accepted_modal_theorem_is_valid(self, goal, data):
-        if _accepted(check, goal, None, Hostile(data)):
+        if _accepted(check, goal, 0, Hostile(data)):
             assert bounded_validity_oracle(goal)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_ENTRIES, st.data())
     def test_an_accepted_entry_has_no_countermodel_of_up_to_3_elements(self, entry, data):
-        if _accepted(check_polarized, entry, None, Hostile(data)):
+        if _accepted(check_polarized, entry, 0, Hostile(data)):
             assert first_order_countermodel(entry) is None
 
 
-# malformed versions of an answer made of pairs: an index that cannot be
-# hashed, pairs of the wrong length, a pair that is no sequence, and an
-# answer that is no iterable
+# malformed versions of one answer: a clerk's, or each alternative of an
+# expert's.  A pair may get an index that cannot be hashed or the wrong
+# length, or be no sequence at all; an expert's answer may be no
+# iterable; and a clerk's may take the shape of the contract under which
+# clerks answered as experts do, an iterable of alternatives: its answer
+# in a 1-tuple, or () for a refusal
 MALFORMED = {
-    "unhashable": lambda alts: [([first], *rest) for first, *rest in alts],
-    "single": lambda alts: [alt[:1] for alt in alts],
-    "triple": lambda alts: [alt + alt[-1:] for alt in alts],
-    "no-pair": lambda alts: [None for _ in alts],
+    "unhashable": lambda pair: ([pair[0]], *pair[1:]),
+    "single": lambda pair: pair[:1],
+    "triple": lambda pair: pair + pair[-1:],
+    "no-pair": lambda pair: object(),
     "no-answer": lambda alts: None,
+    "iterable": lambda answer: () if answer is None else (answer,),
 }
-# the answers made of pairs that hold no index: a witness that is no
-# term fails its rule, which a search may then get round (TestWitnesses)
-_NO_INDEX = ("andneg_c", "some_e")
+# the malformations that fit each predicate's answer.  A pair of
+# continuations holds no index, and a witness that is no term fails its
+# rule, which a search may then get round (TestWitnesses), so neither is
+# made unhashable; a clerk's refusal is only made iterable
+_FITS = {
+    "decide_e": ("unhashable", "single", "triple", "no-pair", "no-answer"),
+    "some_e": ("single", "triple", "no-pair", "no-answer"),
+    "store_c": ("unhashable", "single", "triple", "no-pair", "iterable"),
+    "andneg_c": ("single", "triple", "no-pair", "iterable"),
+    "orneg_c": ("iterable",),
+    "all_c": ("iterable",),
+}
 
 
 class Corrupting(Fpc):
-    """Answers as inner does, except that its k-th answer made of pairs,
-    from decide_e, store_c, andneg_c or some_e, is malformed as how
-    says.  asked lists the predicate of each such answer."""
+    """Answers as inner does, except that its k-th answer from a
+    predicate other than initial_e is malformed as how says.  asked
+    lists, for each such answer, its predicate and the malformations
+    that fit it."""
 
     def __init__(self, inner: Fpc, k: int = -1, how: str = ""):
         self.inner, self.k, self.how = inner, k, how
-        self.asked: list[str] = []
+        self.asked: list[tuple[str, tuple[str, ...]]] = []
 
-    def corrupt(self, name: str, alts):
-        self.asked.append(name)
-        alts = tuple(alts)
-        return MALFORMED[self.how](alts) if len(self.asked) - 1 == self.k else alts
+    def corrupt(self, name: str, answer):
+        self.asked.append((name, ("iterable",) if answer is None else _FITS[name]))
+        if len(self.asked) - 1 != self.k:
+            return answer
+        if name in ("decide_e", "some_e") and self.how != "no-answer":
+            return [MALFORMED[self.how](alt) for alt in answer]
+        return MALFORMED[self.how](answer)
 
     def decide_e(self, cert):
-        return self.corrupt("decide_e", self.inner.decide_e(cert))
+        return self.corrupt("decide_e", tuple(self.inner.decide_e(cert)))
 
     def store_c(self, cert, formula):
         return self.corrupt("store_c", self.inner.store_c(cert, formula))
@@ -262,23 +288,26 @@ class Corrupting(Fpc):
         return self.corrupt("andneg_c", self.inner.andneg_c(cert))
 
     def some_e(self, cert):
-        return self.corrupt("some_e", self.inner.some_e(cert))
+        return self.corrupt("some_e", tuple(self.inner.some_e(cert)))
 
     def initial_e(self, cert, index):
         return self.inner.initial_e(cert, index)
 
     def orneg_c(self, cert):
-        return self.inner.orneg_c(cert)
+        return self.corrupt("orneg_c", self.inner.orneg_c(cert))
 
-    def all_c(self, cert):
-        return self.inner.all_c(cert)
+    def all_c(self, cert, eigen):
+        return self.corrupt("all_c", self.inner.all_c(cert, eigen))
 
 
 class TestMalformedAnswers:
     """A malformed answer raises or rejects, never accepts: each
-    malformation in turn, at each answer made of pairs, in the checks of
-    both certificates of every thirtieth valid corpus formula and of three
-    family members."""
+    malformation that fits, in turn, at each answer of a predicate other
+    than initial_e, in the checks of both certificates of every
+    thirtieth valid corpus formula and of three family members.  A
+    clerk's answer in a 1-tuple is threaded on as a certificate, which
+    the format's next predicate cannot read: it raises AttributeError
+    where it reads a field by name."""
 
     def test_a_malformed_answer_raises_or_rejects(self):
         theorems = corpus_proofs()[::30] + tuple(
@@ -288,14 +317,12 @@ class TestMalformedAnswers:
             for cert in (emit_fitcert(ct, goal), emit_simpfitcert(ct, goal)):
                 clean = Corrupting(cert.fpc)
                 assert check(goal, cert, clean, trace=False).accepted
-                for k, name in enumerate(clean.asked):
-                    for how in MALFORMED:
-                        if how == "unhashable" and name in _NO_INDEX:
-                            continue
+                for k, (name, fits) in enumerate(clean.asked):
+                    for how in fits:
                         try:
                             accepted = check(goal, cert, Corrupting(cert.fpc, k, how),
                                              trace=False).accepted
-                        except (TypeError, ValueError):
+                        except (TypeError, ValueError, AttributeError):
                             accepted = False
                         assert not accepted, (goal, cert, k, name, how)
                         corrupted += 1

@@ -68,6 +68,9 @@ A = PAtom("a", ())
 NA = NAtom("a", ())
 B = PAtom("b", ())
 NB = NAtom("b", ())
+# the certificate of a check under a double that passes its certificate
+# on unchanged: a clerk that passed None on would refuse
+ANY = "any"
 
 
 class Permissive(Fpc):
@@ -87,7 +90,7 @@ class Permissive(Fpc):
 
     def store_c(self, cert, formula):
         self.handed_out[("ix", formula)] = None
-        yield ("ix", formula), cert
+        return ("ix", formula), cert
 
     def initial_e(self, cert, index):
         return True
@@ -249,6 +252,21 @@ class TestPhaseRules:
         assert (result.accepted, result.steps) == (False, 2)
         assert result.trace == (Ev("store", ("ix", NA)),)
 
+    def test_a_bare_fpc_refuses_at_the_first_rule(self):
+        fpc = Fpc()
+        # each clerk refuses with None, and each expert with no alternative
+        assert [fpc.store_c(0, A), fpc.orneg_c(0), fpc.andneg_c(0),
+                fpc.all_c(0, Eigen(1))] == [None] * 4
+        assert (tuple(fpc.decide_e(0)), fpc.initial_e(0, NA), tuple(fpc.some_e(0))) == (
+            (), False, ())
+        # a store, an orneg, an andneg, an all and a decide
+        for entry in ((A,), (OrNeg(NA, B),), (AndNeg(NA, B),),
+                      (All(NAtom("r", (BVar(0),))),), ()):
+            result = check_polarized(entry, 0, fpc)
+            assert (result.accepted, result.steps, result.trace) == (False, 1, ())
+        result = check(TAUT_THEOREM, taut_cert(), fpc)
+        assert (result.accepted, result.steps, result.trace) == (False, 1, ())
+
     def test_step_budget(self):
         with pytest.raises(StepBudgetExceeded):
             check(EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS, max_steps=5)
@@ -288,28 +306,27 @@ class TestCommit:
 
     def test_finished_left_premise_is_not_retried(self):
         class Probe(Fpc):
-            """The andneg's left premise may store a at l1 or at l2, and
-            the first closes it; the right premise stores b, which
-            nothing closes.  Logs every predicate call."""
+            """The andneg's left premise stores a at l and may decide on
+            it in two ways, left-1 or left-2, and the first closes it;
+            the right premise stores b, which nothing closes.  Logs
+            every predicate call."""
 
             def __init__(self):
                 self.log = []
 
             def store_c(self, cert, formula):
                 self.log.append(("store_c", cert))
-                if cert == "left":
-                    yield "l1", "left-1"
-                    yield "l2", "left-2"
-                else:
-                    yield cert, cert
+                return ("l" if cert == "left" else cert), cert
 
             def andneg_c(self, cert):
                 self.log.append(("andneg_c", cert))
-                yield "left", "right"
+                return "left", "right"
 
             def decide_e(self, cert):
                 self.log.append(("decide_e", cert))
-                yield {"left-1": "l1", "left-2": "l2"}.get(cert, cert), cert
+                if cert == "left":
+                    return (("l", "left-1"), ("l", "left-2"))
+                return ((cert, cert),)
 
             def initial_e(self, cert, index):
                 self.log.append(("initial_e", cert, index))
@@ -318,35 +335,31 @@ class TestCommit:
         probe = Probe()
         result = check_polarized((NA, AndNeg(A, B)), "root", probe)
         assert not result.accepted
-        # recorded with the recursive kernel the goal stack replaced: no
-        # store_c("left") is retried to reach l2
+        # no initial_e("left-2", ...): the closed left premise's second
+        # decide is never tried
         assert (result.steps, result.choice_points) == (8, 1)
         assert probe.log == [
             ("store_c", "root"), ("andneg_c", "root"), ("store_c", "left"),
-            ("decide_e", "left-1"), ("initial_e", "left-1", "root"),
+            ("decide_e", "left"), ("initial_e", "left-1", "root"),
             ("store_c", "right"), ("decide_e", "right")]
         assert trace_lines(result.trace) == [
-            "store root", "andneg L", "store l1", "decide l1", "init root",
+            "store root", "andneg L", "store l", "decide l", "init root",
             "andneg R", "store right", "decide right"]
 
 
 class Sharing(Fpc):
     """Stores a negative atom at its predicate's name and a positive one
-    at "x", or at each index places gives its predicate, one per
-    alternative; splits every negative conjunction, names "x" at every
-    decide and sanctions every init, logging the index it is asked of."""
+    at "x"; splits every negative conjunction, names "x" at every decide
+    and sanctions every init, logging the index it is asked of."""
 
-    def __init__(self, **places):
-        self.places = places
+    def __init__(self):
         self.log = []
 
     def store_c(self, cert, formula):
-        if isinstance(formula, NAtom):
-            return ((formula.pred, cert),)
-        return tuple((index, cert) for index in self.places.get(formula.pred, ("x",)))
+        return (formula.pred if isinstance(formula, NAtom) else "x"), cert
 
     def andneg_c(self, cert):
-        return ((cert, cert),)
+        return cert, cert
 
     def decide_e(self, cert):
         return (("x", cert),)
@@ -399,13 +412,29 @@ class TestDecideOrder:
         assert fpc.log == ["b", "a"]
 
     def test_undo_on_backtracking_shows_the_first_again(self):
-        # b stored at x fails; stored at y on backtracking it leaves a live
-        # at x, which closes on ~a
-        fpc = Sharing(b=("x", "y"))
-        result = check_polarized((NA, A, B), None, fpc)
+        released_b, released_nc = DelayPos(DelayNeg(B)), DelayPos(NAtom("c", ()))
+
+        class Probe(Sharing):
+            """Sharing, storing the two delayed formulas at p and q.  The
+            first decide names p, then q; every later one names x."""
+
+            def store_c(self, cert, formula):
+                named = {released_b: "p", released_nc: "q"}.get(formula)
+                return super().store_c(cert, formula) if named is None else (named, cert)
+
+            def decide_e(self, cert):
+                return (("p", "later"), ("q", "later")) if cert == "first" else (("x", cert),)
+
+        # deciding on p releases b, stored at x over a, which fails; q,
+        # tried on backtracking, releases ~c, and the decide on x that
+        # follows finds a live there again, which closes on ~a
+        fpc = Probe()
+        entry = (NA, A, released_b, released_nc)
+        result = check_polarized(entry, "first", fpc)
         assert (result.accepted, result.choice_points) == (True, 1)
         assert trace_lines(result.trace) == [
-            "store a", "store x", "store y", "decide x", "init a"]
+            "store a", "store x", "store p", "store q", "decide q", "strip", "release",
+            "store c", "decide x", "init a"]
         assert fpc.log == ["a"]
 
     @pytest.mark.parametrize("sanctioned,asked", [
@@ -417,7 +446,7 @@ class TestDecideOrder:
 
             def store_c(self, cert, formula):
                 if isinstance(formula, NAtom):
-                    return ((f"n{cert}", cert + 1),)
+                    return f"n{cert}", cert + 1
                 return super().store_c(cert, formula)
 
             def initial_e(self, cert, index):
@@ -778,7 +807,7 @@ class TestStorageScope:
         # b and closes on b, and its ~a must be gone when the right
         # premise reaches a
         entry = (AndPos(DelayNeg(OrNeg(NA, OrNeg(NB, B))), A),)
-        result = check_polarized(entry, None, Witnessing(), max_steps=1000)
+        result = check_polarized(entry, ANY, Witnessing(), max_steps=1000)
         assert not result.accepted
         assert (result.steps, result.choice_points) == (13, 1)
 
@@ -874,8 +903,8 @@ class TestAcceptanceImpliesValidity:
 class Opening(Permissive):
     """Permissive, and opens every universal."""
 
-    def all_c(self, cert):
-        yield lambda eigen: cert
+    def all_c(self, cert, eigen):
+        return cert
 
 
 class TestEnvironment:
@@ -891,7 +920,7 @@ class TestEnvironment:
         # all x. (r(x) | all y. r(BVar(var))) opens x at e1, then y at e2:
         # under both binders x is BVar(1), and only it meets r(x)
         entry = (All(OrNeg(closed("r", (BVar(0),)), All(opened("r", (BVar(var),))))),)
-        result = check_polarized(entry, None, Witnessing())
+        result = check_polarized(entry, ANY, Witnessing())
         assert result.accepted == accepted
         assert [e for e in result.trace if e.kind == "all"] == [
             Ev("all", Eigen(1)), Ev("all", Eigen(2))]
@@ -901,7 +930,7 @@ class TestEnvironment:
         # under one binder the entry's free BVar(0) reads BVar(1); BVar(0)
         # is the binder's own eigenvariable
         entry = (NAtom("r", (BVar(0),)), All(PAtom("r", (BVar(index),))))
-        result = check_polarized(entry, None, Opening())
+        result = check_polarized(entry, ANY, Opening())
         assert result.accepted == accepted
 
     @pytest.mark.parametrize("index,accepted", [(3, True), (2, False)])
@@ -909,7 +938,7 @@ class TestEnvironment:
         # the walk leaves the environment after two links: BVar(3) reads
         # BVar(1) and meets the stored r(BVar(1)); BVar(2) reads BVar(0)
         entry = (NAtom("r", (BVar(1),)), All(All(PAtom("r", (BVar(index),)))))
-        result = check_polarized(entry, None, Opening())
+        result = check_polarized(entry, ANY, Opening())
         assert result.accepted == accepted
 
 
@@ -932,7 +961,7 @@ class TestTermsAreClassed:
         # witness, or r(BVar(1)), left open: the only candidate complement
         # of r(e1), equal in number but not always in class
         entry = (stored, All(PAtom("r", (BVar(0),))))
-        result = check_polarized(entry, None, Witnessing(Eigen(1)), max_steps=100)
+        result = check_polarized(entry, ANY, Witnessing(Eigen(1)), max_steps=100)
         assert result.accepted == accepted
 
 
@@ -941,6 +970,27 @@ class TestEigenNumbering:
         result = check(EXAMPLE1_THEOREM, ftab1_cert(), FITTINGS)
         alls = [str(e) for e in result.trace if e.kind == "all"]
         assert alls == ["all e1"]
+
+    def test_a_refused_universal_uses_no_eigenvariable(self):
+        class RefuseOnce(Witnessing):
+            """Witnessing, naming each index twice at a decide; all_c
+            refuses the first eigenvariable it is offered."""
+
+            def decide_e(self, cert):
+                return self.named(cert) * 2
+
+            def all_c(self, cert, eigen):
+                self.eigens.append(eigen)
+                return cert if len(self.eigens) > 1 else None
+
+        # all x. p(x) | ~p(x), delayed: the second decide on it is offered
+        # the e1 the first one's all_c refused
+        entry = (DelayPos(All(OrNeg(PAtom("p", (BVar(0),)), NAtom("p", (BVar(0),))))),)
+        fpc = RefuseOnce()
+        result = check_polarized(entry, ANY, fpc)
+        assert result.accepted
+        assert fpc.eigens == [Eigen(1), Eigen(1)]
+        assert [e for e in result.trace if e.kind == "all"] == [Ev("all", Eigen(1))]
 
     def test_two_branches_get_distinct_eigens(self):
         result = check(EXAMPLE2_THEOREM, ftab2_cert(), FITTINGS)
@@ -959,10 +1009,11 @@ class Witnessing(Opening):
         self.eigens = []
 
     def orneg_c(self, cert):
-        yield cert
+        return cert
 
-    def all_c(self, cert):
-        yield lambda eigen: self.eigens.append(eigen) or cert
+    def all_c(self, cert, eigen):
+        self.eigens.append(eigen)
+        return cert
 
     def some_e(self, cert):
         for witness in self.witnesses:
@@ -997,7 +1048,7 @@ class TestWitnesses:
         # the later all opening the witness itself as fresh
         fpc = Witnessing(Eigen(k))
         try:
-            accepted = check_polarized((self.INVALID,), None, fpc, max_steps=2_000).accepted
+            accepted = check_polarized((self.INVALID,), ANY, fpc, max_steps=2_000).accepted
         except StepBudgetExceeded:
             accepted = False
         assert not accepted
@@ -1006,7 +1057,7 @@ class TestWitnesses:
 
     @pytest.mark.parametrize("witness", [W0, Eigen(1), Eigen(7)], ids=str)
     def test_terms_witness(self, witness):
-        result = check_polarized((self.VALID,), None, Witnessing(witness))
+        result = check_polarized((self.VALID,), ANY, Witnessing(witness))
         assert result.accepted
         assert Ev("some", witness) in result.trace
 
@@ -1015,7 +1066,7 @@ class TestWitnesses:
         type("SubEigen", (Eigen,), {})(1)],
         ids=["str", "bvar", "bool-eigen", "str-eigen", "rigged-eigen", "rigged", "subclass"])
     def test_anything_else_fails_the_rule(self, witness):
-        result = check_polarized((self.VALID,), None, Witnessing(witness))
+        result = check_polarized((self.VALID,), ANY, Witnessing(witness))
         assert not result.accepted
         # store, decide, and the some rule that fails
         assert result.steps == 3
@@ -1023,7 +1074,7 @@ class TestWitnesses:
 
     def test_a_foreign_witness_tried_on_backtracking_fails_too(self):
         # p(w0) finds no complement; the next alternative is no term
-        result = check_polarized((Exists(PAtom("p", (BVar(0),))),), None, Witnessing(W0, "x"))
+        result = check_polarized((Exists(PAtom("p", (BVar(0),))),), ANY, Witnessing(W0, "x"))
         assert not result.accepted
         assert (result.steps, result.choice_points) == (4, 1)
 
@@ -1045,14 +1096,14 @@ class TestEntryEigens:
         # eigenvariable e1 and accepted in 5 steps
         assert first_order_countermodel(entry) is not None
         fpc = Witnessing()
-        result = check_polarized(entry, None, fpc)
+        result = check_polarized(entry, ANY, fpc)
         assert not result.accepted
         assert fpc.eigens == [Eigen(2)]
 
     def test_the_numbering_starts_past_the_largest(self):
         entry = (NAtom("p", (Eigen(7),)), NAtom("p", (Eigen(3),)), All(PAtom("p", (BVar(0),))))
         fpc = Witnessing()
-        assert not check_polarized(entry, None, fpc).accepted
+        assert not check_polarized(entry, ANY, fpc).accepted
         assert fpc.eigens == [Eigen(8)]
 
 
